@@ -27,10 +27,13 @@ from .systems import (
     virtual_dim,
 )
 
-DEFAULT_PRIME = 2147483647  # 2^31 - 1; squares of residues fit in int64
+DEFAULT_PRIME = 2147483647  # 2^31 - 1, the largest prime below MAX_PRIME
 SECOND_PRIME = 2147483629
 THIRD_PRIME = 2147483587
 DEFAULT_SEED = 271828
+MAX_PRIME = 2**31  # exclusive bound that keeps rank_mod_p's float64 products exact
+PANEL = 64  # columns per elimination panel, and inner dimension of every product
+CHUNK = 256  # rows per trailing update, which bounds its temporaries
 
 Point = tuple[tuple[int, ...], ...]  # homogeneous coordinates, one tuple per factor
 LineScheme = tuple[int, int, int]  # (point index, point index, alpha)
@@ -40,9 +43,45 @@ class OracleSamplingError(RuntimeError):
     """Raised when no admissible random point configuration could be drawn."""
 
 
+# Miller-Rabin with these bases decides primality of every n < 3.3 * 10^24
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test."""
+    if n < 2:
+        return False
+    for q in _MILLER_RABIN_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class PrimeField:
+    """The oracle's field F_p: p must be a prime below MAX_PRIME = 2^31."""
+
     p: int = DEFAULT_PRIME
+
+    def __post_init__(self) -> None:
+        if not 2 <= self.p < MAX_PRIME:
+            raise ValueError(f"prime must be below 2^31 = {MAX_PRIME}, got {self.p}")
+        if not _is_prime(self.p):
+            raise ValueError(f"{self.p} is not prime")
 
 
 @dataclass(frozen=True)
@@ -76,7 +115,7 @@ class OracleResult:
     rank: int
     rows: int
     cols: int
-    special: bool
+    special: bool | None
     trials_used: int
     prime: int
     seed: int
@@ -86,6 +125,8 @@ class OracleResult:
             "h0": self.h0,
             "h1": self.h1,
             "rank": self.rank,
+            "rows": self.rows,
+            "cols": self.cols,
             "special": self.special,
             "prime": self.prime,
             "seed": self.seed,
@@ -125,30 +166,77 @@ def monomial_exponents(space: Space, multidegree: tuple[int, ...]) -> tuple[tupl
     return _basis(space.factors, tuple(multidegree))
 
 
+def _mulmod(X: np.ndarray, Y: np.ndarray, p: int) -> np.ndarray:
+    """(X @ Y) mod p, exactly, for residues below 2^31 and at most PANEL inner terms.
+
+    Y is split as 2^16 * Yh + Yl. A residue times a half is below 2^31 * 2^16 =
+    2^47, and a sum of at most 64 such nonnegative products stays below 2^53,
+    so the float64 BLAS products X @ Yh and X @ Yl are exact in any summation
+    order. They are formed one after the other to halve the temporaries.
+    """
+    Xf = X.astype(np.float64)
+    out = (Xf @ (Y >> 16).astype(np.float64)).astype(np.int64)
+    out %= p
+    out <<= 16
+    out += (Xf @ (Y & 0xFFFF).astype(np.float64)).astype(np.int64)
+    out %= p
+    return out
+
+
 def rank_mod_p(A: np.ndarray, p: int) -> int:
-    """Rank of an integer matrix over F_p by dense forward elimination."""
+    """Rank of an integer matrix over F_p, for a prime p < 2^31.
+
+    Right-looking blocked LU. Each PANEL-column panel of the unreduced rows is
+    factored in place in int64, keeping the multipliers L where the panel's
+    entries are eliminated. The pivot rows' trailing part becomes
+    U12 = L11^-1 A12, and the rows below are updated CHUNK rows at a time by
+    A22 -= L21 @ U12, both exact products mod p (see _mulmod).
+    """
+    if not 1 < p < MAX_PRIME:
+        raise ValueError(f"rank_mod_p needs a prime below 2^31, got {p}")
     if A.size == 0:
         return 0
     A = np.asarray(A, dtype=np.int64) % p
     m, n = A.shape
     r = 0
-    for c in range(n):
+    for c0 in range(0, n, PANEL):
         if r == m:
             break
-        nz = np.nonzero(A[r:, c])[0]
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            A[[r, piv]] = A[[piv, r]]
-        inv = pow(int(A[r, c]), -1, p)
-        A[r, c:] = (A[r, c:] * inv) % p
-        below = r + 1 + np.nonzero(A[r + 1 :, c])[0]
-        if below.size:
-            A[np.ix_(below, range(c, n))] = (
-                A[np.ix_(below, range(c, n))] - np.outer(A[below, c], A[r, c:])
-            ) % p
-        r += 1
+        c1 = min(c0 + PANEL, n)
+        P = A[r:, c0:c1]
+        pivots: list[int] = []
+        for c in range(c1 - c0):
+            k = len(pivots)
+            if k == m - r:
+                break
+            nz = np.flatnonzero(P[k:, c])
+            if nz.size == 0:
+                continue
+            if nz[0]:
+                # columns left of c0 hold earlier multipliers, never read again
+                i = r + k + int(nz[0])
+                A[[r + k, i], c0:] = A[[i, r + k], c0:]
+            f = P[k + 1 :, c] * pow(int(P[k, c]), -1, p) % p
+            P[k + 1 :, c] = f
+            rest = P[k + 1 :, c + 1 :]
+            rest -= np.outer(f, P[k, c + 1 :])
+            rest %= p
+            pivots.append(c)
+        k = len(pivots)
+        if k and c1 < n and r + k < m:
+            L = P[:, pivots]
+            # L11 is unit lower triangular: invert by forward substitution
+            Linv = np.eye(k, dtype=np.int64)
+            for j in range(k - 1):
+                Linv[j + 1 :] -= np.outer(L[j + 1 : k, j], Linv[j])
+                Linv[j + 1 :] %= p
+            U = _mulmod(Linv, A[r : r + k, c1:], p)
+            below = A[r + k :, c1:]
+            for s in range(0, m - r - k, CHUNK):
+                block = below[s : s + CHUNK]
+                block -= _mulmod(L[k + s : k + s + CHUNK], U, p)
+                block %= p
+        r += k
     return r
 
 
@@ -403,11 +491,17 @@ def h0_oracle(
 
     extra_schemes adds vanishing to order alpha along lines through pairs of
     the sampled base points, given as (i, j, alpha) flattened point indices.
-    h1 is the naive condition count minus the rank; it is only meaningful
-    (and only reported) for pure fat-point systems.
+    h1 (the naive condition count minus the rank) and special (h0 - 1 above
+    the expected dimension) are only meaningful, and only reported, for pure
+    fat-point systems; with extra schemes or a subspace they are None.
     """
     cfg = cfg or OracleConfig()
     p = cfg.prime.p
+    if p <= max(sys.multidegree, default=0):
+        raise ValueError(
+            f"prime {p} must exceed the largest degree {max(sys.multidegree)}: "
+            "the derivative factors vanish mod p otherwise"
+        )
     builder = _RowBuilder(sys, p)
     cols = builder.cols
     mults = list(sys.point_multiplicities())
@@ -464,7 +558,7 @@ def h0_oracle(
         rank=cols - best_h0,
         rows=rows_built,
         cols=cols,
-        special=(best_h0 - 1) > eps,
+        special=(best_h0 - 1) > eps if pure else None,
         trials_used=trials_used,
         prime=p,
         seed=cfg.seed,

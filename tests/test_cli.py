@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from fatpoints.cli import main
+from fatpoints.oracle import DEFAULT_PRIME, SECOND_PRIME, THIRD_PRIME
 
 LU_SPEC = {"space": [3], "degree": [9], "points": [{"mult": 6, "count": 1}, {"mult": 4, "count": 8}]}
 
@@ -92,8 +93,9 @@ def test_oracle_json_shape(capsys):
     code, out, _ = run(capsys, "oracle", "--system", "P2:d=4:2x5", "--trials", "2")
     assert code == 0
     rep = json.loads(out)
-    assert set(rep) == {"h0", "h1", "rank", "special", "prime", "seed", "trials"}
+    assert set(rep) == {"h0", "h1", "rank", "rows", "cols", "special", "prime", "seed", "trials"}
     assert rep["h0"] == 1 and rep["special"]
+    assert rep["cols"] == 15 and rep["rows"] == 15  # five double points in P2
 
 
 def test_oracle_with_lines(capsys):
@@ -102,6 +104,8 @@ def test_oracle_with_lines(capsys):
     )
     assert code == 0
     assert json.loads(out)["h0"] == 27
+    # speciality is only defined against the pure system's expected dimension
+    assert '"special": null' in out
 
 
 def test_oracle_seed_env(capsys, monkeypatch):
@@ -161,6 +165,19 @@ def test_exit_code_unsupported(capsys):
     assert code == 3 and "unsupported" in err
     code, _, err = run(capsys, "oracle", "--system", "P1xP2:d=2,2:3x1")
     assert code == 3
+
+
+def test_oracle_rejects_bad_primes(capsys):
+    # 4294967311 is prime but above 2^31; it used to print a wrong h0=0 here
+    code, out, err = run(capsys, "oracle", "--system", "P3:d=4:2x9", "--prime", "4294967311")
+    assert code == 2 and out == "" and "2^31" in err
+    code, out, err = run(capsys, "oracle", "--system", "P3:d=4:2x9", "--prime", "1000000")
+    assert code == 2 and out == "" and "not prime" in err
+    code, _, err = run(capsys, "oracle", "--system", "P3:d=4:2x9", "--prime", "3")
+    assert code == 2 and "largest degree" in err
+    for p in (DEFAULT_PRIME, SECOND_PRIME, THIRD_PRIME):
+        code, out, _ = run(capsys, "oracle", "--system", "P3:d=4:2x9", "--prime", str(p))
+        assert code == 0 and json.loads(out)["h0"] == 1
 
 
 def test_classify_missing_variety_params(capsys):

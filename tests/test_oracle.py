@@ -5,10 +5,13 @@ import pytest
 
 from fatpoints.oracle import (
     DEFAULT_PRIME,
+    PANEL,
     OracleConfig,
     OracleSamplingError,
     PrimeField,
     SECOND_PRIME,
+    THIRD_PRIME,
+    _mulmod,
     cross_checked_h0,
     fat_point_rows,
     h0_oracle,
@@ -45,6 +48,13 @@ def slow_rank_mod_p(rows, p):
     return rank
 
 
+def _product_mod(rng, m, r, n, p):
+    """A random m x n matrix of rank at most r: an m x r times r x n product mod p."""
+    a = np.array([[rng.randrange(p) for _ in range(r)] for _ in range(m)], dtype=object)
+    b = np.array([[rng.randrange(p) for _ in range(n)] for _ in range(r)], dtype=object)
+    return (a.dot(b) % p).astype(np.int64)
+
+
 def test_rank_against_independent_elimination():
     rng = random.Random(7)
     for _ in range(20):
@@ -58,6 +68,34 @@ def test_rank_against_independent_elimination():
         got = rank_mod_p(np.array(mat, dtype=np.int64), 97)
         assert got == slow_rank_mod_p(mat, 97)
         assert got <= r
+    # column counts on both sides of one and two PANEL boundaries, so pivots
+    # land in later panels and the rows below take trailing updates; some
+    # matrices get an empty column at the start of their second panel
+    p = DEFAULT_PRIME
+    for m, n, r, zero_col in [
+        (90, 63, 50, None),
+        (40, 64, 33, None),
+        (100, 65, 60, PANEL),
+        (70, 130, 66, PANEL),
+        (135, 129, 70, None),
+    ]:
+        mat = _product_mod(rng, m, r, n, p)
+        if zero_col is not None:
+            mat[:, zero_col] = 0
+        got = rank_mod_p(mat, p)
+        assert got == slow_rank_mod_p(mat.tolist(), p), (m, n, r)
+        assert got <= r
+    full = np.full((130, 130), p - 1, dtype=np.int64)
+    assert rank_mod_p(full, p) == slow_rank_mod_p(full.tolist(), p) == 1
+
+
+def test_exact_product_at_the_bound():
+    # every entry p - 1 over PANEL inner terms is the largest sum _mulmod forms
+    p = DEFAULT_PRIME
+    x = np.full((3, PANEL), p - 1, dtype=np.int64)
+    y = np.full((PANEL, 2), p - 1, dtype=np.int64)
+    want = PANEL * (p - 1) ** 2 % p
+    assert _mulmod(x, y, p).tolist() == [[want, want]] * 3
 
 
 def test_monomial_exponents_counts():
@@ -148,6 +186,7 @@ def test_h0_oracle_with_triple_line_scheme():
     res = h0_oracle(sys, CFG, extra_schemes=((0, 1, 2), (0, 2, 2), (1, 2, 2)))
     assert res.h0 == 27
     assert res.h1 is None  # naive condition count is meaningless here
+    assert res.special is None  # so is the pure system's expected dimension
 
 
 def test_h1_oracle_values():
@@ -179,7 +218,26 @@ def test_is_special_examples():
 
 def test_result_json_shape():
     res = h0_oracle(make_system([2], [2], [(2, 1)]), CFG)
-    assert set(res.to_json()) == {"h0", "h1", "rank", "special", "prime", "seed", "trials"}
+    assert set(res.to_json()) == {
+        "h0", "h1", "rank", "rows", "cols", "special", "prime", "seed", "trials"
+    }
+    assert (res.to_json()["rows"], res.to_json()["cols"]) == (3, 6)
+
+
+def test_prime_field_validation():
+    for p in (DEFAULT_PRIME, SECOND_PRIME, THIRD_PRIME, 2, 97):
+        assert PrimeField(p).p == p
+    # 2^31 and up breaks the exactness of the float64 products; the rest are
+    # composite (561 is a Carmichael number, 3215031751 a strong pseudoprime
+    # to the bases 2, 3, 5 and 7) or below 2
+    for p in (2**31, 4294967311, 1000000, 2147483649, 3215031751, 561, 1, 0, -7):
+        with pytest.raises(ValueError):
+            PrimeField(p)
+    with pytest.raises(ValueError):
+        rank_mod_p(np.eye(2, dtype=np.int64), 4294967311)
+    # falling factorials of degree 4 vanish mod 3
+    with pytest.raises(ValueError, match="largest degree"):
+        h0_oracle(make_system([3], [4], [(2, 9)]), OracleConfig(PrimeField(3)))
 
 
 def test_semicontinuity_floor_on_grid():
