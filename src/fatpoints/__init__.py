@@ -38,7 +38,6 @@ from .oracle import (
     cross_checked_h0,
     h0_oracle,
     h1_oracle,
-    is_special_oracle,
     restrict_to_subspace,
     sample_points,
 )

@@ -162,10 +162,6 @@ def _basis(factors: tuple[int, ...], multidegree: tuple[int, ...]) -> tuple[tupl
     return tuple(tuple(x for block in combo for x in block) for combo in iproduct(*per_factor))
 
 
-def monomial_exponents(space: Space, multidegree: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    return _basis(space.factors, tuple(multidegree))
-
-
 def _mulmod(X: np.ndarray, Y: np.ndarray, p: int) -> np.ndarray:
     """(X @ Y) mod p, exactly, for residues below 2^31 and at most PANEL inner terms.
 
@@ -257,24 +253,13 @@ def sample_points(
 ) -> list[Point]:
     """Draw h deterministic pseudo-random points in general position.
 
-    constraint: None, "coordinate-points" (the coordinate simplex, single
-    factor only), or ("subspace", s) restricting to x_{s+1} = ... = x_n = 0.
+    constraint: None, or ("subspace", s) restricting to x_{s+1} = ... = x_n = 0.
     Unconstrained coordinates are sampled nonzero so every chart works; a
     repeated point triggers resampling.
     """
     if h < 0:
         raise ValueError("point count must be >= 0")
     p = cfg.prime.p
-    if constraint == "coordinate-points":
-        if space.nfactors != 1:
-            raise NotImplementedError("coordinate points are only defined on a single factor")
-        n = space.n
-        if h > n + 1:
-            raise OracleSamplingError(f"only {n + 1} coordinate points exist in P^{n}")
-        return [
-            (tuple(1 if j == i else 0 for j in range(n + 1)),) for i in range(h)
-        ]
-
     sub_s: int | None = None
     if isinstance(constraint, tuple):
         kind, sub_s = constraint
@@ -307,6 +292,7 @@ def sample_points(
     return points
 
 
+@lru_cache(maxsize=None)
 def _falling_table(max_a: int, max_b: int, p: int) -> np.ndarray:
     """FALL[a, b] = a (a-1) ... (a-b+1) mod p, zero when b > a."""
     fall = np.zeros((max_a + 1, max_b + 1), dtype=np.int64)
@@ -314,42 +300,31 @@ def _falling_table(max_a: int, max_b: int, p: int) -> np.ndarray:
     for b in range(1, max_b + 1):
         for a in range(max_a + 1):
             fall[a, b] = fall[a, b - 1] * max(a - b + 1, 0) % p
+    fall.flags.writeable = False
     return fall
 
 
-def _chart_positions(space: Space, point: Point, p: int) -> list[int]:
-    """Global index of the normalized chart coordinate for each factor."""
-    charts = []
-    offset = 0
-    for n, coords in zip(space.factors, point):
-        charts.append(offset + max(i for i, x in enumerate(coords) if x % p != 0))
-        offset += n + 1
-    return charts
-
-
-def _derivative_indices(space: Space, charts: list[int], m: int) -> list[tuple[int, ...]]:
-    """Multi-indices of total order <= m-1 over the non-chart positions."""
-    width = sum(n + 1 for n in space.factors)
+@lru_cache(maxsize=None)
+def _derivative_indices(factors: tuple[int, ...], charts: tuple[int, ...], m: int) -> np.ndarray:
+    """Multi-indices of total order <= m-1 over the non-chart positions, one
+    row each, ordered by total order and then lexicographically."""
+    width = sum(n + 1 for n in factors)
     free = [v for v in range(width) if v not in charts]
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: list[int], budget: int, i: int) -> None:
-        if i == len(free):
-            beta = [0] * width
-            for v, b in zip(free, prefix):
-                beta[v] = b
-            out.append(tuple(beta))
-            return
-        for b in range(budget + 1):
-            rec(prefix + [b], budget - b, i + 1)
-
-    rec([], m - 1, 0)
-    out.sort(key=lambda beta: (sum(beta), beta))
+    betas = []
+    # a slack exponent in front turns "total order <= m-1" into "exactly m-1"
+    for exps in _factor_exponents(len(free) + 1, m - 1):
+        beta = [0] * width
+        for v, b in zip(free, exps[1:]):
+            beta[v] = b
+        betas.append(tuple(beta))
+    betas.sort(key=lambda beta: (sum(beta), beta))
+    out = np.array(betas, dtype=np.int64).reshape(len(betas), width)
+    out.flags.writeable = False
     return out
 
 
 class _RowBuilder:
-    """Shared tables for building condition rows of one system mod p."""
+    """Condition rows of one system mod p, built a batch of points at a time."""
 
     def __init__(self, sys: LinearSystem, p: int):
         self.sys = sys
@@ -359,51 +334,81 @@ class _RowBuilder:
         self.cols = self.E.shape[0]
         self.width = self.E.shape[1]
         self.maxdeg = max(sys.multidegree) if sys.multidegree else 0
-        max_order = max([g.multiplicity for g in sys.points] + [1])
-        self.fall = _falling_table(self.maxdeg, max_order, p)
 
-    def _pow_table(self, point: Point) -> np.ndarray:
-        p = self.p
-        flat = [x % p for coords in point for x in coords]
-        pow_t = np.ones((self.width, self.maxdeg + 1), dtype=np.int64)
-        for v, x in enumerate(flat):
-            acc = 1
-            for k in range(1, self.maxdeg + 1):
-                acc = acc * x % p
-                pow_t[v, k] = acc
-        return pow_t
+    def _taylor(self, charts: tuple[int, ...], m: int) -> tuple[np.ndarray, list]:
+        """Point-independent parts of the order < m Taylor rows in one chart.
 
-    def point_rows(self, point: Point, m: int) -> np.ndarray:
+        Row beta, column a is prod_v FALL[a_v, beta_v] x_v^(a_v - beta_v); the
+        falling factorials (zero where beta_v > a_v) make the coefficient
+        table, and each non-chart v contributes its exponents a_v - beta_v
+        (the chart coordinate is 1).
+        """
+        betas = _derivative_indices(self.space.factors, charts, m)
+        fall = _falling_table(self.maxdeg, m - 1, self.p)
+        coef = np.ones((len(betas), self.cols), dtype=np.int64)
+        exponents = []
+        for v in range(self.width):
+            if v in charts:
+                continue
+            a, b = self.E[:, v], betas[:, v, None]
+            coef = coef * fall[a, b] % self.p
+            exponents.append((v, np.maximum(a - b, 0)))
+        return coef, exponents
+
+    def rows(self, points: list[Point], m: int) -> np.ndarray:
+        """Rows of multiplicity m at every point, stacked in point order: the
+        value and all chart derivatives of order < m, one row per derivative
+        multi-index. Each factor is normalized so its last nonzero coordinate
+        is 1; points whose charts differ are built in separate sub-batches."""
         if self.space.nfactors > 1 and m > 2:
             raise NotImplementedError("multiplicity >= 3 on products is not supported")
         p = self.p
-        if m >= self.fall.shape[1]:
-            self.fall = _falling_table(self.maxdeg, m, p)
-        point = tuple(_normalize_factor(coords, p) for coords in point)
-        charts = _chart_positions(self.space, point, p)
-        betas = _derivative_indices(self.space, charts, m)
-        pow_t = self._pow_table(point)
-        rows = np.empty((len(betas), self.cols), dtype=np.int64)
-        for r, beta in enumerate(betas):
-            row = np.ones(self.cols, dtype=np.int64)
-            for v in range(self.width):
-                a = self.E[:, v]
-                b = beta[v]
-                if b == 0:
-                    f = pow_t[v, a]
-                else:
-                    ok = a >= b
-                    f = np.where(ok, self.fall[a, b] * pow_t[v, np.maximum(a - b, 0)] % p, 0)
-                row = row * f % p
-            rows[r] = row
-        return rows
+        X = np.array(
+            [[x for coords in pt for x in coords] for pt in points], dtype=np.int64
+        ).reshape(len(points), self.width) % p
+        charts = np.empty((len(points), self.space.nfactors), dtype=np.int64)
+        offset = 0
+        for f, n in enumerate(self.space.factors):
+            block = X[:, offset : offset + n + 1]
+            nonzero = block != 0
+            if not nonzero.any(axis=1).all():
+                raise ValueError("every factor of a point needs a nonzero coordinate")
+            last = n - np.argmax(nonzero[:, ::-1], axis=1)
+            charts[:, f] = offset + last
+            lead = block[np.arange(len(points)), last].tolist()
+            inv = [1 if x == 1 else pow(x, -1, p) for x in lead]
+            block *= np.array(inv, dtype=np.int64).reshape(-1, 1)
+            block %= p
+            offset += n + 1
+
+        # powers x_v^k of every coordinate, k = 0..maxdeg
+        powers = np.ones((len(points), self.width, self.maxdeg + 1), dtype=np.int64)
+        for k in range(1, self.maxdeg + 1):
+            powers[:, :, k] = powers[:, :, k - 1] * X % p
+
+        nbeta = binom(self.width - self.space.nfactors + m - 1, m - 1)
+        out = np.empty((len(points), nbeta, self.cols), dtype=np.int64)
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for i, chart in enumerate(map(tuple, charts.tolist())):
+            groups.setdefault(chart, []).append(i)
+        for chart, idx in groups.items():
+            coef, exponents = self._taylor(chart, m)
+            vals = np.empty((len(idx), *coef.shape), dtype=np.int64)
+            vals[:] = coef
+            for v, e in exponents:
+                # residues are below 2^31, so each product is below 2^62
+                vals *= powers[idx, v][:, e]
+                vals %= p
+            out[idx] = vals
+        return out.reshape(-1, self.cols)
 
     def line_rows(self, line: tuple[Point, Point], alpha: int) -> np.ndarray:
-        """Rows forcing vanishing to order alpha along the line through two
-        points (single factor only). For each homogeneous derivative
-        multi-index of order k < alpha, the derivative restricted to the
-        parametrized line is a binary form of degree d-k; one row per
-        coefficient. Redundant rows are harmless, rank is what matters."""
+        """Rows forcing vanishing to order alpha along the line ab (single
+        factor only): multiplicity alpha at the d+1 points a + t b, t = 0..d.
+        A derivative of order k < alpha restricts to the line as a binary
+        form of degree d-k, so it vanishes along the line exactly when it
+        vanishes at d+1 distinct points of it; a != b and p > d make the
+        points a + t b distinct."""
         if self.space.nfactors != 1:
             raise NotImplementedError("line schemes are only supported on a single factor")
         if alpha < 1:
@@ -414,71 +419,8 @@ class _RowBuilder:
         if a_pt == b_pt:
             raise ValueError("line needs two distinct defining points")
         d = self.sys.multidegree[0]
-        nv = self.width
-
-        def conv(u: list[int], w: list[int]) -> list[int]:
-            out = [0] * (len(u) + len(w) - 1)
-            for i, x in enumerate(u):
-                if x:
-                    for j, y in enumerate(w):
-                        out[i + j] = (out[i + j] + x * y) % p
-            return out
-
-        # (A_v u + B_v w)^k as coefficient lists, index j = coefficient of u^(k-j) w^j
-        pow_forms: list[list[list[int]]] = []
-        for v in range(nv):
-            forms = [[1]]
-            base = [a_pt[v] % p, b_pt[v] % p]
-            for _ in range(d):
-                forms.append(conv(forms[-1], base))
-            pow_forms.append(forms)
-        fall = _falling_table(d, alpha, p)
-
-        betas: list[tuple[int, ...]] = []
-        for k in range(alpha):
-            betas.extend(_factor_exponents(nv, k))
-        rows_list: list[np.ndarray] = []
-        for beta in betas:
-            k = sum(beta)
-            block = np.zeros((d - k + 1, self.cols), dtype=np.int64)
-            for col in range(self.cols):
-                exps = self.E[col]
-                scalar = 1
-                coeffs = [1]
-                ok = True
-                for v in range(nv):
-                    b = beta[v]
-                    a = int(exps[v])
-                    if a < b:
-                        ok = False
-                        break
-                    if b:
-                        scalar = scalar * int(fall[a, b]) % p
-                    coeffs = conv(coeffs, pow_forms[v][a - b])
-                if not ok or scalar == 0:
-                    continue
-                block[:, col] = [c * scalar % p for c in coeffs]
-            rows_list.append(block)
-        return np.vstack(rows_list)
-
-    def subspace_vanishing_rows(self, s: int, points: list[Point]) -> np.ndarray:
-        """Evaluation rows at simple points spanning O(d) on a linear P^s."""
-        return np.vstack([self.point_rows(pt, 1) for pt in points])
-
-
-# public row-level API (thin wrappers so the condition builders can be tested
-# and reused without the full oracle loop)
-
-def fat_point_rows(sys: LinearSystem, point: Point, m: int, p: int = DEFAULT_PRIME) -> np.ndarray:
-    """Condition rows for one multiplicity-m point: the value and all chart
-    derivatives of order < m, one row per derivative multi-index."""
-    return _RowBuilder(sys, p).point_rows(point, m)
-
-
-def line_multiplicity_rows(
-    sys: LinearSystem, line: tuple[Point, Point], alpha: int, p: int = DEFAULT_PRIME
-) -> np.ndarray:
-    return _RowBuilder(sys, p).line_rows(line, alpha)
+        on_line = [(tuple((x + t * y) % p for x, y in zip(a_pt, b_pt)),) for t in range(d + 1)]
+        return self.rows(on_line, alpha)
 
 
 def h0_oracle(
@@ -529,7 +471,11 @@ def h0_oracle(
             )
             off = sample_points(sys.space, len(mults) - subspace.points_on, cfg, trial=t, salt="off")
             points = on + off
-        blocks = [builder.point_rows(pt, m) for pt, m in zip(points, mults)]
+        blocks = []
+        start = 0
+        for g in sys.points:
+            blocks.append(builder.rows(points[start : start + g.count], g.multiplicity))
+            start += g.count
         for i, j, alpha in extra_schemes:
             blocks.append(builder.line_rows((points[i], points[j]), alpha))
         if subspace is not None and subspace.vanish:
@@ -537,7 +483,7 @@ def h0_oracle(
             extra_pts = sample_points(
                 sys.space, span, cfg, constraint=("subspace", subspace.s), trial=t, salt="vanish"
             )
-            blocks.append(builder.subspace_vanishing_rows(subspace.s, extra_pts))
+            blocks.append(builder.rows(extra_pts, 1))
         A = np.vstack(blocks) if blocks else np.zeros((0, cols), dtype=np.int64)
         rows_built = A.shape[0]
         h0_t = cols - rank_mod_p(A, p)
@@ -563,11 +509,6 @@ def h0_oracle(
         prime=p,
         seed=cfg.seed,
     )
-
-
-def is_special_oracle(sys: LinearSystem, cfg: OracleConfig | None = None) -> OracleResult:
-    """Speciality verdict: actual dimension h0 - 1 versus the expected one."""
-    return h0_oracle(sys, cfg)
 
 
 def h1_oracle(sys: LinearSystem, cfg: OracleConfig | None = None) -> int:

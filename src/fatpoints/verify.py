@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from itertools import product as iproduct
 
 import numpy as np
@@ -41,25 +42,32 @@ def _fail_detail(failures: list, shown: int = 4) -> str:
 
 def _eta_grid_monotone(t: int, e_lo: int, e_hi: int, n_lo: int, n_hi: int) -> list:
     """Check eta(e, n) is non-decreasing in every n_i over the whole grid,
-    vectorized per e-tuple over the n-grid."""
-    n_vals = np.arange(n_lo, n_hi + 1)
-    failures = []
-    for e in iproduct(range(e_lo, e_hi + 1), repeat=t):
-        mono = np.ones((1,) * t, dtype=np.int64)
-        through = np.ones((1,) * t, dtype=np.int64)
-        nsum = np.zeros((1,) * t, dtype=np.int64)
+    vectorized per e-tuple over the n-grid. The arrays hold Python ints
+    (dtype object): products of t binomials outgrow int64 as the grid grows.
+
+    eta is unchanged when the pairs (e_i, n_i) are permuted together, and
+    every n_i runs over the same range, so an e-tuple fails exactly when its
+    sorted form does: only sorted tuples are evaluated, and the failures are
+    listed as every e-tuple whose sorted form failed, in grid order."""
+    n_vals = range(n_lo, n_hi + 1)
+
+    def column(values, i: int) -> np.ndarray:
+        shape = [1] * t
+        shape[i] = len(n_vals)
+        return np.array(list(values), dtype=object).reshape(shape)
+
+    failing = set()
+    for e in combinations_with_replacement(range(e_lo, e_hi + 1), t):
+        mono = through = np.ones((1,) * t, dtype=object)
+        nsum = np.zeros((1,) * t, dtype=object)
         for i, ei in enumerate(e):
-            shape = [1] * t
-            shape[i] = len(n_vals)
-            mono = mono * np.array([binom(2 * ei + n, n) for n in n_vals]).reshape(shape)
-            through = through * np.array([binom(ei + n, n) for n in n_vals]).reshape(shape)
-            nsum = nsum + n_vals.reshape(shape)
+            mono = mono * column((binom(2 * ei + n, n) for n in n_vals), i)
+            through = through * column((binom(ei + n, n) for n in n_vals), i)
+            nsum = nsum + column(n_vals, i)
         eta = mono - (through - 1) * (nsum + 1) - 1
-        for axis in range(t):
-            if np.any(np.diff(eta, axis=axis) < 0):
-                failures.append(e)
-                break
-    return failures
+        if any(np.any(np.diff(eta, axis=axis) < 0) for axis in range(t)):
+            failing.add(e)
+    return [e for e in iproduct(range(e_lo, e_hi + 1), repeat=t) if tuple(sorted(e)) in failing]
 
 
 def verify_lemmas() -> list[Check]:

@@ -7,22 +7,20 @@ from fatpoints.oracle import (
     DEFAULT_PRIME,
     PANEL,
     OracleConfig,
-    OracleSamplingError,
     PrimeField,
     SECOND_PRIME,
     THIRD_PRIME,
+    _RowBuilder,
+    _basis,
     _mulmod,
     cross_checked_h0,
-    fat_point_rows,
     h0_oracle,
     h1_oracle,
-    is_special_oracle,
-    line_multiplicity_rows,
-    monomial_exponents,
     rank_mod_p,
     restrict_to_subspace,
     sample_points,
 )
+from fatpoints.combinatorics import binom
 from fatpoints.systems import Space, expected_dim, make_system, virtual_dim
 
 CFG = OracleConfig(trials=2, seed=4242)
@@ -98,10 +96,14 @@ def test_exact_product_at_the_bound():
     assert _mulmod(x, y, p).tolist() == [[want, want]] * 3
 
 
+def _rows(sys, points, m, p=DEFAULT_PRIME):
+    return _RowBuilder(sys, p).rows(points, m)
+
+
 def test_monomial_exponents_counts():
-    assert len(monomial_exponents(Space((3,)), (9,))) == 220
-    assert len(monomial_exponents(Space((1, 1)), (2, 2))) == 9
-    exps = monomial_exponents(Space((2,)), (2,))
+    assert len(_basis((3,), (9,))) == 220
+    assert len(_basis((1, 1), (2, 2))) == 9
+    exps = _basis((2,), (2,))
     assert all(sum(e) == 2 for e in exps) and len(set(exps)) == 6
 
 
@@ -118,35 +120,30 @@ def test_sample_points_deterministic():
     assert pts1 != sample_points(Space((3,)), 5, CFG, trial=1)
 
 
-def test_sample_points_coordinate_constraint():
-    pts = sample_points(Space((3,)), 4, CFG, constraint="coordinate-points")
-    assert pts == [
-        ((1, 0, 0, 0),),
-        ((0, 1, 0, 0),),
-        ((0, 0, 1, 0),),
-        ((0, 0, 0, 1),),
-    ]
-    with pytest.raises(OracleSamplingError):
-        sample_points(Space((3,)), 5, CFG, constraint="coordinate-points")
-
-
 def test_sample_points_subspace_constraint():
     pts = sample_points(Space((4,)), 6, CFG, constraint=("subspace", 2))
     for (coords,) in pts:
         assert coords[3] == coords[4] == 0 and coords[2] == 1
+    for bad in ("coordinate-points", ("plane", 2)):
+        with pytest.raises(ValueError, match="unknown sampling constraint"):
+            sample_points(Space((4,)), 2, CFG, constraint=bad)
 
 
 def test_fat_point_row_counts():
     sys3 = make_system([3], [4], [(2, 1)])
     pt = sample_points(Space((3,)), 1, CFG)[0]
-    assert fat_point_rows(sys3, pt, 1).shape == (1, 35)
-    assert fat_point_rows(sys3, pt, 2).shape == (4, 35)
-    assert fat_point_rows(sys3, pt, 6).shape == (56, 35)
+    assert _rows(sys3, [pt], 1).shape == (1, 35)
+    assert _rows(sys3, [pt], 2).shape == (4, 35)
+    assert _rows(sys3, [pt], 6).shape == (56, 35)
+    assert _rows(sys3, [pt, pt, pt], 2).shape == (12, 35)
+    assert _rows(sys3, [], 2).shape == (0, 35)
     sysp = make_system([1, 1, 1], [2, 2, 2], [(2, 1)])
     ptp = sample_points(Space((1, 1, 1)), 1, CFG)[0]
-    assert fat_point_rows(sysp, ptp, 2).shape == (4, 27)
+    assert _rows(sysp, [ptp], 2).shape == (4, 27)
     with pytest.raises(NotImplementedError):
-        fat_point_rows(sysp, ptp, 3)
+        _rows(sysp, [ptp], 3)
+    with pytest.raises(ValueError, match="nonzero coordinate"):
+        _rows(sys3, [((0, 0, 0, 0),)], 1)
 
 
 def test_fat_point_rows_kill_expected_monomials():
@@ -154,24 +151,111 @@ def test_fat_point_rows_kill_expected_monomials():
     # of low degree in the other variables
     sys3 = make_system([2], [3], [(2, 1)])
     pt = ((1, 0, 0),)
-    rows = fat_point_rows(sys3, pt, 2)
+    rows = _rows(sys3, [pt], 2)
     rank = rank_mod_p(rows, DEFAULT_PRIME)
     assert rank == 3
     h0 = 10 - rank
     assert h0 == 7  # cubics with a double point at a coordinate point
 
 
+def _value_row(sys, point, p=DEFAULT_PRIME):
+    """Every monomial evaluated at the point, each factor scaled so its last
+    nonzero coordinate is 1, in plain Python."""
+    flat = []
+    for coords in point:
+        last = max(i for i, x in enumerate(coords) if x % p)
+        inv = pow(coords[last], -1, p)
+        flat.extend(x * inv % p for x in coords)
+    row = []
+    for exps in _basis(sys.space.factors, sys.multidegree):
+        val = 1
+        for x, a in zip(flat, exps):
+            val = val * pow(x, a, p) % p
+        row.append(val)
+    return row
+
+
+def test_batched_rows_match_single_points():
+    # a batch is the per-point rows stacked in point order, also when its
+    # points lie in different charts and are built in separate sub-batches
+    rng = random.Random(11)
+    for factors, degree, mults in [([3], [6], (1, 2, 3, 4)), ([1, 1], [2, 3], (1, 2))]:
+        sys = make_system(factors, degree, [])
+        builder = _RowBuilder(sys, DEFAULT_PRIME)
+        for m in mults:
+            pts = sample_points(sys.space, rng.randrange(2, 7), CFG, salt=f"batch{m}")
+            # a point given at another scale is the same point
+            pts.append(tuple(tuple(3 * x for x in coords) for coords in pts[0]))
+            single = [builder.rows([pt], m) for pt in pts]
+            assert np.array_equal(builder.rows(pts, m), np.vstack(single)), (factors, m)
+            assert single[0].shape[0] == binom(sum(factors) + m - 1, m - 1)
+            assert all(block[0].tolist() == _value_row(sys, pt) for block, pt in zip(single, pts))
+            assert np.array_equal(single[0], single[-1])
+    # a mixed group in P^3: points on a plane (chart x_2) and on a line
+    # (chart x_1) interleaved with free points (chart x_3)
+    sys = make_system([3], [4], [])
+    builder = _RowBuilder(sys, DEFAULT_PRIME)
+    plane = sample_points(Space((3,)), 3, CFG, constraint=("subspace", 2))
+    line = sample_points(Space((3,)), 2, CFG, constraint=("subspace", 1))
+    free = sample_points(Space((3,)), 3, CFG, salt="free")
+    pts = [plane[0], free[0], line[0], free[1], plane[1], plane[2], line[1], free[2]]
+    for m in (1, 2, 3):
+        single = [builder.rows([pt], m) for pt in pts]
+        assert np.array_equal(builder.rows(pts, m), np.vstack(single)), m
+        assert all(block[0].tolist() == _value_row(sys, pt) for block, pt in zip(single, pts))
+    # on P1xP1 a point may take a different chart in either factor
+    sys = make_system([1, 1], [2, 3], [])
+    builder = _RowBuilder(sys, DEFAULT_PRIME)
+    pts = [((1, 0), (5, 1)), ((3, 7), (2, 9)), ((4, 1), (1, 0)), ((1, 0), (0, 1)), ((6, 1), (8, 1))]
+    for m in (1, 2):
+        single = [builder.rows([pt], m) for pt in pts]
+        assert np.array_equal(builder.rows(pts, m), np.vstack(single)), m
+        assert all(block[0].tolist() == _value_row(sys, pt) for block, pt in zip(single, pts))
+
+
+def _line_rows(sys, line, alpha, p=DEFAULT_PRIME):
+    return _RowBuilder(sys, p).line_rows(line, alpha)
+
+
+def _line_conditions(n, d, alpha):
+    """Conditions imposed on degree-d forms of P^n by vanishing to order alpha
+    along a line, for alpha <= d+1: in coordinates where the line is
+    x_2 = ... = x_n = 0, the monomials killed are those of degree k < alpha in
+    x_2..x_n (C(n-2+k, k) of them) times any of the d-k+1 monomials of degree
+    d-k in x_0, x_1."""
+    return sum(binom(n - 2 + k, k) * (d - k + 1) for k in range(alpha))
+
+
 def test_line_rows_examples():
     pts = sample_points(Space((3,)), 2, CFG)
     line = (pts[0], pts[1])
     sys1 = make_system([3], [1], [])
-    rows = line_multiplicity_rows(sys1, line, 1)
+    rows = _line_rows(sys1, line, 1)
     assert rank_mod_p(rows, DEFAULT_PRIME) == 2  # planes containing the line
     sys2 = make_system([3], [2], [])
-    rows = line_multiplicity_rows(sys2, line, 2)
+    rows = _line_rows(sys2, line, 2)
     assert rank_mod_p(rows, DEFAULT_PRIME) == 7  # quadrics doubly on it: h0 = 3
     with pytest.raises(ValueError):
-        line_multiplicity_rows(sys2, (pts[0], pts[0]), 2)
+        _line_rows(sys2, (pts[0], pts[0]), 2)
+    # the same point given at two scales is still a degenerate line
+    scaled = (tuple(2 * x for x in pts[0][0]),)
+    with pytest.raises(ValueError):
+        _line_rows(sys2, (pts[0], scaled), 2)
+    for n in (2, 3, 4):
+        space = Space((n,))
+        a, b = sample_points(space, 2, CFG, salt="line")
+        e0 = (tuple(int(i == 0) for i in range(n + 1)),)
+        e1n = (tuple(int(i in (1, n)) for i in range(n + 1)),)
+        for d in range(1, 9):
+            sys = make_system([n], [d], [])
+            for alpha in range(1, min(4, d + 1) + 1):
+                want = _line_conditions(n, d, alpha)
+                assert rank_mod_p(_line_rows(sys, (a, b), alpha), DEFAULT_PRIME) == want
+                # e0 + t (e1 + en) has its last nonzero coordinate at 0 for
+                # t = 0 and at n otherwise, so this line spans two charts
+                for line in ((e0, e1n), (e1n, e0)):
+                    got = rank_mod_p(_line_rows(sys, line, alpha), DEFAULT_PRIME)
+                    assert got == want, (n, d, alpha, line)
 
 
 def test_h0_oracle_known_values():
@@ -209,10 +293,10 @@ def test_chi_bookkeeping():
 
 
 def test_is_special_examples():
-    assert is_special_oracle(make_system([2], [4], [(2, 5)]), CFG).special
-    r = is_special_oracle(make_system([2], [5], [(2, 6)]), CFG)
+    assert h0_oracle(make_system([2], [4], [(2, 5)]), CFG).special
+    r = h0_oracle(make_system([2], [5], [(2, 6)]), CFG)
     assert not r.special and r.h0 == 3
-    r = is_special_oracle(make_system([3], [4], [(3, 4)]), CFG)
+    r = h0_oracle(make_system([3], [4], [(3, 4)]), CFG)
     assert r.special and r.h0 == 1  # the tetrahedron of four planes
 
 

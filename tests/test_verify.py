@@ -1,6 +1,10 @@
+from itertools import product as iproduct
+
+from fatpoints.combinatorics import binom
 from fatpoints.oracle import OracleConfig
 from fatpoints.verify import (
     SUITES,
+    _eta_grid_monotone,
     ah_special_keys,
     verify_ah,
     verify_cgg_suite,
@@ -55,3 +59,36 @@ def test_suite_registry():
 def test_check_line_format():
     line = verify_lemmas()[0].line()
     assert line.startswith("PASS ") or line.startswith("FAIL ")
+
+
+def _eta_failures(t, e_lo, e_hi, n_lo, n_hi):
+    """e-tuples where eta(e, n) drops as some n_i steps up, point by point."""
+
+    def eta(e, n):
+        mono = through = 1
+        for ei, ni in zip(e, n):
+            mono *= binom(2 * ei + ni, ni)
+            through *= binom(ei + ni, ni)
+        return mono - (through - 1) * (sum(n) + 1) - 1
+
+    steps = [
+        (n, n[:i] + (n[i] + 1,) + n[i + 1 :])
+        for n in iproduct(range(n_lo, n_hi + 1), repeat=t)
+        for i in range(t)
+        if n[i] < n_hi
+    ]
+    return [
+        e
+        for e in iproduct(range(e_lo, e_hi + 1), repeat=t)
+        if any(eta(e, up) < eta(e, n) for n, up in steps)
+    ]
+
+
+def test_eta_grid_against_pointwise_python_ints():
+    # n = 0 makes eta drop, so the first grids list failures in every
+    # order of e; the last grid's binomials are beyond int64 on their own
+    assert binom(2 * 22 + 32, 32) > 2**63
+    for grid in [(2, 0, 3, 0, 4), (3, 0, 2, 0, 3), (2, 1, 3, 0, 3), (2, 20, 22, 25, 32)]:
+        want = _eta_failures(*grid)
+        assert _eta_grid_monotone(*grid) == want, grid
+    assert (0, 1) in _eta_grid_monotone(2, 0, 3, 0, 4) and (1, 0) in _eta_grid_monotone(2, 0, 3, 0, 4)
