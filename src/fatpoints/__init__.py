@@ -36,8 +36,9 @@ from .oracle import (
     OracleResult,
     PrimeField,
     cross_checked_h0,
+    cross_checked_prefix,
     h0_oracle,
-    h1_oracle,
+    h0_prefix_oracle,
     restrict_to_subspace,
     sample_points,
 )

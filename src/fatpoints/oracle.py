@@ -11,6 +11,7 @@ verification suites to cross-check.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iproduct
@@ -18,14 +19,7 @@ from itertools import product as iproduct
 import numpy as np
 
 from .combinatorics import binom
-from .systems import (
-    FatPointGroup,
-    LinearSystem,
-    Space,
-    expected_dim,
-    point_conditions,
-    virtual_dim,
-)
+from .systems import LinearSystem, Space, dim_report
 
 DEFAULT_PRIME = 2147483647  # 2^31 - 1, the largest prime below MAX_PRIME
 SECOND_PRIME = 2147483629
@@ -34,6 +28,7 @@ DEFAULT_SEED = 271828
 MAX_PRIME = 2**31  # exclusive bound that keeps rank_mod_p's float64 products exact
 PANEL = 64  # columns per elimination panel, and inner dimension of every product
 CHUNK = 256  # rows per trailing update, which bounds its temporaries
+REDRAWS = 64  # draws allowed for each sampled point before sampling gives up
 
 Point = tuple[tuple[int, ...], ...]  # homogeneous coordinates, one tuple per factor
 LineScheme = tuple[int, int, int]  # (point index, point index, alpha)
@@ -179,8 +174,10 @@ def _mulmod(X: np.ndarray, Y: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def rank_mod_p(A: np.ndarray, p: int) -> int:
-    """Rank of an integer matrix over F_p, for a prime p < 2^31.
+def _pivot_columns(A: np.ndarray, p: int) -> list[int]:
+    """Pivot columns of an integer matrix over F_p, for a prime p < 2^31:
+    column c is listed exactly when it is independent of the columns before
+    it (the column rank profile).
 
     Right-looking blocked LU. Each PANEL-column panel of the unreduced rows is
     factored in place in int64, keeping the multipliers L where the panel's
@@ -191,10 +188,11 @@ def rank_mod_p(A: np.ndarray, p: int) -> int:
     if not 1 < p < MAX_PRIME:
         raise ValueError(f"rank_mod_p needs a prime below 2^31, got {p}")
     if A.size == 0:
-        return 0
-    A = np.asarray(A, dtype=np.int64) % p
+        return []
+    A = np.remainder(np.asarray(A, dtype=np.int64), p, order="C")
     m, n = A.shape
     r = 0
+    out: list[int] = []
     for c0 in range(0, n, PANEL):
         if r == m:
             break
@@ -232,8 +230,14 @@ def rank_mod_p(A: np.ndarray, p: int) -> int:
                 block = below[s : s + CHUNK]
                 block -= _mulmod(L[k + s : k + s + CHUNK], U, p)
                 block %= p
+        out += [c0 + c for c in pivots]
         r += k
-    return r
+    return out
+
+
+def rank_mod_p(A: np.ndarray, p: int) -> int:
+    """Rank of an integer matrix over F_p, for a prime p < 2^31."""
+    return len(_pivot_columns(A, p))
 
 
 def _normalize_factor(coords: tuple[int, ...], p: int) -> tuple[int, ...]:
@@ -273,20 +277,21 @@ def sample_points(
     rng = random.Random(f"{cfg.seed}:{trial}:{p}:{salt}")
     points: list[Point] = []
     seen: set[Point] = set()
-    attempts = 0
-    while len(points) < h:
-        attempts += 1
-        if attempts > 64 * (h + 1):
+    for _ in range(h):
+        # the redraw bound is per point, so the first h points of a call for
+        # more points are exactly this call's points, or both calls raise
+        for _ in range(REDRAWS):
+            factors = []
+            for n in space.factors:
+                width = (sub_s + 1) if sub_s is not None else (n + 1)
+                coords = [rng.randrange(1, p) for _ in range(width)]
+                coords += [0] * (n + 1 - width)
+                factors.append(_normalize_factor(tuple(coords), p))
+            pt: Point = tuple(factors)
+            if pt not in seen:
+                break
+        else:
             raise OracleSamplingError("could not sample distinct points in general position")
-        factors = []
-        for n in space.factors:
-            width = (sub_s + 1) if sub_s is not None else (n + 1)
-            coords = [rng.randrange(1, p) for _ in range(width)]
-            coords += [0] * (n + 1 - width)
-            factors.append(_normalize_factor(tuple(coords), p))
-        pt: Point = tuple(factors)
-        if pt in seen:
-            continue
         seen.add(pt)
         points.append(pt)
     return points
@@ -423,6 +428,126 @@ class _RowBuilder:
         return self.rows(on_line, alpha)
 
 
+def _condition_matrix(
+    builder: _RowBuilder,
+    sys: LinearSystem,
+    cfg: OracleConfig,
+    trial: int,
+    extra_schemes: tuple[LineScheme, ...] | list[LineScheme],
+    subspace: SubspaceScheme | None,
+) -> np.ndarray:
+    """The condition rows of one trial: the fat points in group order, then
+    the line schemes, then the subspace-vanishing rows."""
+    if subspace is None:
+        points = sample_points(sys.space, sys.total_points, cfg, trial=trial)
+    else:
+        on = sample_points(
+            sys.space, subspace.points_on, cfg, constraint=("subspace", subspace.s), trial=trial
+        )
+        off = sample_points(
+            sys.space, sys.total_points - subspace.points_on, cfg, trial=trial, salt="off"
+        )
+        points = on + off
+    blocks = []
+    start = 0
+    for g in sys.points:
+        blocks.append(builder.rows(points[start : start + g.count], g.multiplicity))
+        start += g.count
+    for i, j, alpha in extra_schemes:
+        blocks.append(builder.line_rows((points[i], points[j]), alpha))
+    if subspace is not None and subspace.vanish:
+        span = binom(sys.multidegree[0] + subspace.s, subspace.s)
+        extra_pts = sample_points(
+            sys.space, span, cfg, constraint=("subspace", subspace.s), trial=trial, salt="vanish"
+        )
+        blocks.append(builder.rows(extra_pts, 1))
+    return np.vstack(blocks) if blocks else np.zeros((0, builder.cols), dtype=np.int64)
+
+
+def _oracle_series(
+    sys: LinearSystem,
+    cfg: OracleConfig,
+    counts: list[int],
+    extra_schemes: tuple[LineScheme, ...] | list[LineScheme] = (),
+    subspace: SubspaceScheme | None = None,
+) -> list[OracleResult]:
+    """h0_oracle of sys cut to its first h points, for each h in counts.
+
+    sample_points is prefix-consistent, so trial t of the cut to h uses the
+    first h points of trial t of any longer cut, and its condition rows are
+    the first rows of that longer matrix. Trial t therefore runs once, on
+    the largest h still above its floor, and every shorter cut reads its
+    rank off that matrix A: the first k rows of A have rank equal to the
+    number of pivot columns of A^T below k. Line schemes and subspaces break
+    the row order, so they take a single count, the whole system.
+    """
+    p = cfg.prime.p
+    if p <= max(sys.multidegree, default=0):
+        raise ValueError(
+            f"prime {p} must exceed the largest degree {max(sys.multidegree)}: "
+            "the derivative factors vanish mod p otherwise"
+        )
+    npoints = sys.total_points
+    for i, j, alpha in extra_schemes:
+        if i == j or not (0 <= i < npoints) or not (0 <= j < npoints):
+            raise ValueError(f"line scheme ({i},{j}) must join two distinct base points")
+        if alpha < 1:
+            raise ValueError("line multiplicity must be >= 1")
+    pure = not extra_schemes and subspace is None
+
+    builder = _RowBuilder(sys, p)
+    cols = builder.cols
+    cuts = [sys.first_points(h) for h in counts]
+    dims = [dim_report(cut) for cut in cuts]
+    best = [cols] * len(cuts)
+    rows = [0] * len(cuts)
+    used = [0] * len(cuts)
+    pending = list(range(len(cuts)))
+    for t in range(cfg.trials):
+        top = max(pending, key=lambda i: counts[i])
+        A = _condition_matrix(builder, cuts[top], cfg, t, extra_schemes, subspace)
+        if len(pending) == 1:
+            ranks = [rank_mod_p(A, p)]
+            rows[top] = A.shape[0]
+        else:
+            # a cut's rows are its naive conditions, the first rows of A
+            assert A.shape[0] == dims[top].conditions
+            pivots = _pivot_columns(A.T, p)
+            for i in pending:
+                rows[i] = dims[i].conditions
+            ranks = [bisect_left(pivots, rows[i]) for i in pending]
+        still = []
+        for i, rank in zip(pending, ranks):
+            h0_t = cols - rank
+            floor = max(dims[i].virtual_dim + 1, 0) if pure else max(cols - rows[i], 0)
+            if pure and h0_t < floor:
+                raise OracleSamplingError(
+                    f"semicontinuity violated: h0 trial value {h0_t} below {floor}"
+                )
+            best[i] = min(best[i], h0_t)
+            used[i] += 1
+            if best[i] != floor:
+                still.append(i)
+        pending = still
+        if not pending:
+            break
+
+    return [
+        OracleResult(
+            h0=best[i],
+            h1=dims[i].conditions - (cols - best[i]) if pure else None,
+            rank=cols - best[i],
+            rows=rows[i],
+            cols=cols,
+            special=(best[i] - 1) > dims[i].expected_dim if pure else None,
+            trials_used=used[i],
+            prime=p,
+            seed=cfg.seed,
+        )
+        for i in range(len(cuts))
+    ]
+
+
 def h0_oracle(
     sys: LinearSystem,
     cfg: OracleConfig | None = None,
@@ -438,84 +563,15 @@ def h0_oracle(
     fat-point systems; with extra schemes or a subspace they are None.
     """
     cfg = cfg or OracleConfig()
-    p = cfg.prime.p
-    if p <= max(sys.multidegree, default=0):
-        raise ValueError(
-            f"prime {p} must exceed the largest degree {max(sys.multidegree)}: "
-            "the derivative factors vanish mod p otherwise"
-        )
-    builder = _RowBuilder(sys, p)
-    cols = builder.cols
-    mults = list(sys.point_multiplicities())
-    conditions = sum(point_conditions(m, sys.space) for m in mults)
-    pure = not extra_schemes and subspace is None
-    nu = virtual_dim(sys)
-    eps = expected_dim(sys)
-
-    for i, j, alpha in extra_schemes:
-        if i == j or not (0 <= i < len(mults)) or not (0 <= j < len(mults)):
-            raise ValueError(f"line scheme ({i},{j}) must join two distinct base points")
-        if alpha < 1:
-            raise ValueError("line multiplicity must be >= 1")
-
-    best_h0: int | None = None
-    rows_built = 0
-    trials_used = 0
-    for t in range(cfg.trials):
-        trials_used += 1
-        if subspace is None:
-            points = sample_points(sys.space, len(mults), cfg, trial=t)
-        else:
-            on = sample_points(
-                sys.space, subspace.points_on, cfg, constraint=("subspace", subspace.s), trial=t
-            )
-            off = sample_points(sys.space, len(mults) - subspace.points_on, cfg, trial=t, salt="off")
-            points = on + off
-        blocks = []
-        start = 0
-        for g in sys.points:
-            blocks.append(builder.rows(points[start : start + g.count], g.multiplicity))
-            start += g.count
-        for i, j, alpha in extra_schemes:
-            blocks.append(builder.line_rows((points[i], points[j]), alpha))
-        if subspace is not None and subspace.vanish:
-            span = binom(sys.multidegree[0] + subspace.s, subspace.s)
-            extra_pts = sample_points(
-                sys.space, span, cfg, constraint=("subspace", subspace.s), trial=t, salt="vanish"
-            )
-            blocks.append(builder.rows(extra_pts, 1))
-        A = np.vstack(blocks) if blocks else np.zeros((0, cols), dtype=np.int64)
-        rows_built = A.shape[0]
-        h0_t = cols - rank_mod_p(A, p)
-        if pure and h0_t < max(nu + 1, 0):
-            raise OracleSamplingError(
-                f"semicontinuity violated: h0 trial value {h0_t} below {max(nu + 1, 0)}"
-            )
-        best_h0 = h0_t if best_h0 is None else min(best_h0, h0_t)
-        floor = max(nu + 1, 0) if pure else max(cols - rows_built, 0)
-        if best_h0 == floor:
-            break
-
-    assert best_h0 is not None
-    h1 = conditions - (cols - best_h0) if pure else None
-    return OracleResult(
-        h0=best_h0,
-        h1=h1,
-        rank=cols - best_h0,
-        rows=rows_built,
-        cols=cols,
-        special=(best_h0 - 1) > eps if pure else None,
-        trials_used=trials_used,
-        prime=p,
-        seed=cfg.seed,
-    )
+    return _oracle_series(sys, cfg, [sys.total_points], extra_schemes, subspace)[0]
 
 
-def h1_oracle(sys: LinearSystem, cfg: OracleConfig | None = None) -> int:
-    """h^1 of a pure fat-point system: naive conditions minus the rank."""
-    res = h0_oracle(sys, cfg)
-    assert res.h1 is not None
-    return res.h1
+def h0_prefix_oracle(sys: LinearSystem, cfg: OracleConfig | None = None) -> list[OracleResult]:
+    """h0_oracle of a pure fat-point system cut to its first h points, for
+    h = 0..total_points: entry h equals h0_oracle(sys.first_points(h), cfg)
+    field by field, at one elimination per trial for the whole series."""
+    cfg = cfg or OracleConfig()
+    return _oracle_series(sys, cfg, list(range(sys.total_points + 1)))
 
 
 def restrict_to_subspace(sys: LinearSystem, s: int, points_on: int | None = None) -> LinearSystem:
@@ -530,14 +586,13 @@ def restrict_to_subspace(sys: LinearSystem, s: int, points_on: int | None = None
     keep = sys.total_points if points_on is None else points_on
     if not (0 <= keep <= sys.total_points):
         raise ValueError(f"points_on out of range: {keep}")
-    groups: list[FatPointGroup] = []
-    for g in sys.points:
-        if keep <= 0:
-            break
-        take = min(g.count, keep)
-        groups.append(FatPointGroup(g.multiplicity, take))
-        keep -= take
-    return LinearSystem(Space((s,)), sys.multidegree, tuple(groups))
+    return LinearSystem(Space((s,)), sys.multidegree, sys.first_points(keep).points)
+
+
+def _second_config(cfg: OracleConfig) -> OracleConfig:
+    """The cross-check's second prime and seed."""
+    p2 = SECOND_PRIME if cfg.prime.p != SECOND_PRIME else DEFAULT_PRIME
+    return OracleConfig(PrimeField(p2), cfg.trials, cfg.seed + 1)
 
 
 def cross_checked_h0(
@@ -548,14 +603,10 @@ def cross_checked_h0(
     """h^0 computed with two distinct primes and seeds; on disagreement a
     third prime is tried and the minimum (the generic value) is kept."""
     cfg = cfg or OracleConfig()
-    p1 = cfg.prime.p
-    p2 = SECOND_PRIME if p1 != SECOND_PRIME else DEFAULT_PRIME
+    cfg2 = _second_config(cfg)
+    p1, p2 = cfg.prime.p, cfg2.prime.p
     r1 = h0_oracle(sys, cfg, extra_schemes=extra_schemes)
-    r2 = h0_oracle(
-        sys,
-        OracleConfig(PrimeField(p2), cfg.trials, cfg.seed + 1),
-        extra_schemes=extra_schemes,
-    )
+    r2 = h0_oracle(sys, cfg2, extra_schemes=extra_schemes)
     if r1.h0 == r2.h0:
         return CrossCheckedH0(r1.h0, True, (r1.h0, r2.h0), (p1, p2))
     p3 = next(p for p in (THIRD_PRIME, SECOND_PRIME, DEFAULT_PRIME) if p not in (p1, p2))
@@ -567,3 +618,18 @@ def cross_checked_h0(
     return CrossCheckedH0(
         min(r1.h0, r2.h0, r3.h0), False, (r1.h0, r2.h0, r3.h0), (p1, p2, p3)
     )
+
+
+def cross_checked_prefix(sys: LinearSystem, cfg: OracleConfig | None = None) -> list[CrossCheckedH0]:
+    """cross_checked_h0 of a pure fat-point system cut to its first h points,
+    for h = 0..total_points: one prefix series per prime, and every h where
+    the two disagree is handed to cross_checked_h0 on its cut system."""
+    cfg = cfg or OracleConfig()
+    first = h0_prefix_oracle(sys, cfg)
+    second = h0_prefix_oracle(sys, _second_config(cfg))
+    return [
+        CrossCheckedH0(a.h0, True, (a.h0, b.h0), (a.prime, b.prime))
+        if a.h0 == b.h0
+        else cross_checked_h0(sys.first_points(h), cfg)
+        for h, (a, b) in enumerate(zip(first, second))
+    ]

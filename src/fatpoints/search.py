@@ -29,7 +29,8 @@ from .effect_varieties import (
     classify_configuration,
     rnc_double_residual_nu,
 )
-from .oracle import OracleConfig, cross_checked_h0, h0_oracle
+# h0_oracle is not called here, but perfbench's tracer test reads search.h0_oracle
+from .oracle import OracleConfig, cross_checked_prefix, h0_oracle, h0_prefix_oracle  # noqa: F401
 from .systems import expected_dim, make_system
 
 
@@ -323,20 +324,27 @@ def verify_cgg(
     cfg = cfg or OracleConfig()
     records: list[ScanRecord] = []
 
-    def actual_h0(sys) -> int:
-        if cross_check:
-            cc = cross_checked_h0(sys, cfg)
+    def actual_h0s(factors: list[int], degree: list[int], h_max: int) -> list[int]:
+        """h0 with h = 0..h_max double points, from one prefix series."""
+        if h_max < 1:
+            return []
+        sys = make_system(factors, degree, [(2, h_max)])
+        if not cross_check:
+            return [r.h0 for r in h0_prefix_oracle(sys, cfg)]
+        out = []
+        for h, cc in enumerate(cross_checked_prefix(sys, cfg)):
             if not cc.agreed:
-                raise CggMismatchError(f"prime disagreement for {sys}: {cc.values}")
-            return cc.h0
-        return h0_oracle(sys, cfg).h0
+                raise CggMismatchError(f"prime disagreement for {sys.first_points(h)}: {cc.values}")
+            out.append(cc.h0)
+        return out
 
     found2: set[tuple[int, int, int]] = set()
     for a1 in range(1, a2_max + 1):
         for a2 in range(1, a1 + 1):
+            h0s = actual_h0s([1, 1], [a1, a2], h2_max)
             for h in range(1, h2_max + 1):
                 sys = make_system([1, 1], [a1, a2], [(2, h)])
-                h0 = actual_h0(sys)
+                h0 = h0s[h]
                 if h0 - 1 > expected_dim(sys):
                     found2.add((a1, a2, h))
                     records.append(
@@ -357,9 +365,10 @@ def verify_cgg(
     for degree in combinations_with_replacement(range(1, a3_max + 1), 3):
         a3, a2_, a1 = degree
         ordered = (a1, a2_, a3)  # nonincreasing
+        h0s = actual_h0s([1, 1, 1], list(ordered), h3_max)
         for h in range(1, h3_max + 1):
             sys = make_system([1, 1, 1], list(ordered), [(2, h)])
-            h0 = actual_h0(sys)
+            h0 = h0s[h]
             if h0 - 1 > expected_dim(sys):
                 found3.add((*ordered, h))
                 records.append(

@@ -65,6 +65,18 @@ class LinearSystem:
     def total_points(self) -> int:
         return sum(g.count for g in self.points)
 
+    def first_points(self, h: int) -> LinearSystem:
+        """The system cut to its first h points, groups taken in order."""
+        if not (0 <= h <= self.total_points):
+            raise ValueError(f"point count out of range: {h}")
+        groups: list[FatPointGroup] = []
+        for g in self.points:
+            if h <= 0:
+                break
+            groups.append(FatPointGroup(g.multiplicity, min(g.count, h)))
+            h -= g.count
+        return LinearSystem(self.space, self.multidegree, tuple(groups))
+
     def point_multiplicities(self) -> tuple[int, ...]:
         """Multiplicities of the individual points, flattened in group order."""
         out: list[int] = []

@@ -16,7 +16,13 @@ import numpy as np
 
 from . import search
 from .combinatorics import A_ratio, binom, phi_hyp, psi_hyp_alpha1, rising
-from .oracle import OracleConfig, cross_checked_h0, h0_oracle
+from .oracle import (
+    OracleConfig,
+    cross_checked_h0,
+    cross_checked_prefix,
+    h0_oracle,
+    h0_prefix_oracle,
+)
 from .systems import expected_dim, make_system
 
 
@@ -171,12 +177,15 @@ def verify_ah(cfg: OracleConfig | None = None, cross: bool = True) -> list[Check
     falsely_special = []
     for n in range(1, 5):
         for d in range(2, 6):
+            grid = make_system([n], [d], [(2, 20)])
+            series = cross_checked_prefix(grid, cfg) if cross else h0_prefix_oracle(grid, cfg)
             for h in range(1, 21):
                 if (n, d, h) in ah:
                     continue
-                sys = make_system([n], [d], [(2, h)])
-                h0 = _oracle_h0(sys, cfg, cross, disagreements)
-                if h0 - 1 > expected_dim(sys):
+                sys = grid.first_points(h)
+                if cross and not series[h].agreed:
+                    disagreements.append((str(sys), series[h].values))
+                if series[h].h0 - 1 > expected_dim(sys):
                     falsely_special.append((n, d, h))
     checks.append(Check("ah-complement-nonspecial", not falsely_special, _fail_detail(falsely_special)))
     if cross:
@@ -185,16 +194,14 @@ def verify_ah(cfg: OracleConfig | None = None, cross: bool = True) -> list[Check
 
 
 def verify_h1_values(cfg: OracleConfig | None = None) -> list[Check]:
-    from .oracle import h1_oracle
-
     cfg = cfg or OracleConfig()
     bad = []
     for n in range(2, 7):
         for h in range(2, n + 1):
-            got = h1_oracle(make_system([n], [2], [(2, h)]), cfg)
+            got = h0_oracle(make_system([n], [2], [(2, h)]), cfg).h1
             if got != h * (h - 1) // 2:
                 bad.append((n, h, got))
-    got = h1_oracle(make_system([3], [4], [(2, 9)]), cfg)
+    got = h0_oracle(make_system([3], [4], [(2, 9)]), cfg).h1
     if got != 2:
         bad.append((3, 4, 9, got))
     return [Check("h1-values", not bad, _fail_detail(bad))]

@@ -1,8 +1,11 @@
 import random
+from bisect import bisect_left
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from fatpoints import oracle
 from fatpoints.oracle import (
     DEFAULT_PRIME,
     PANEL,
@@ -13,9 +16,11 @@ from fatpoints.oracle import (
     _RowBuilder,
     _basis,
     _mulmod,
+    _pivot_columns,
     cross_checked_h0,
+    cross_checked_prefix,
     h0_oracle,
-    h1_oracle,
+    h0_prefix_oracle,
     rank_mod_p,
     restrict_to_subspace,
     sample_points,
@@ -87,6 +92,39 @@ def test_rank_against_independent_elimination():
     assert rank_mod_p(full, p) == slow_rank_mod_p(full.tolist(), p) == 1
 
 
+def _profile_matrix(rng, m, n, fresh, p):
+    """An m x n matrix whose rows are random at the indices in fresh and
+    random combinations of two earlier rows elsewhere (zero before any)."""
+    rows = []
+    for i in range(m):
+        if i in fresh or not rows:
+            rows.append([rng.randrange(p) if i in fresh else 0 for _ in range(n)])
+            continue
+        a, b = rng.choice(rows), rng.choice(rows)
+        x, y = rng.randrange(p), rng.randrange(p)
+        rows.append([(x * u + y * v) % p for u, v in zip(a, b)])
+    return np.array(rows, dtype=np.int64)
+
+
+def test_pivot_profile_gives_every_prefix_rank():
+    # the rank of the first k rows is the number of pivot columns of the
+    # transpose below k; the row counts put independent rows in the first,
+    # second and third PANEL of the transpose, so its trailing updates run
+    rng = random.Random(11)
+    p = DEFAULT_PRIME
+    fresh = {0, 1, 4, 30, 61, 62, 65, 90, 127, 128, 129}
+    for m, n in [(63, 12), (64, 12), (65, 12), (129, 12), (130, 12), (130, 8)]:
+        mat = _profile_matrix(rng, m, n, fresh, p)
+        # fresh row 61 duplicated across the panel boundary (as the last row
+        # when m < 65)
+        mat[min(PANEL, m - 1)] = mat[61]
+        pivots = _pivot_columns(np.ascontiguousarray(mat.T), p)
+        assert pivots == sorted(set(pivots))
+        assert len(pivots) == rank_mod_p(mat, p)
+        for k in range(m + 1):
+            assert bisect_left(pivots, k) == slow_rank_mod_p(mat[:k].tolist(), p), (m, n, k)
+
+
 def test_exact_product_at_the_bound():
     # every entry p - 1 over PANEL inner terms is the largest sum _mulmod forms
     p = DEFAULT_PRIME
@@ -118,6 +156,18 @@ def test_sample_points_deterministic():
         assert coords[-1] == 1 and all(c != 0 for c in coords)
     # a different trial gives different points
     assert pts1 != sample_points(Space((3,)), 5, CFG, trial=1)
+
+
+def test_sample_points_prefix_consistent():
+    for space, kwargs in [
+        (Space((3,)), {}),
+        (Space((1, 1)), {}),
+        (Space((4,)), {"constraint": ("subspace", 2)}),
+        (Space((2,)), {"salt": "off", "trial": 2}),
+    ]:
+        many = sample_points(space, 12, CFG, **kwargs)
+        for h in range(13):
+            assert many[:h] == sample_points(space, h, CFG, **kwargs)
 
 
 def test_sample_points_subspace_constraint():
@@ -274,9 +324,9 @@ def test_h0_oracle_with_triple_line_scheme():
 
 
 def test_h1_oracle_values():
-    assert h1_oracle(make_system([3], [2], [(2, 3)]), CFG) == 3
-    assert h1_oracle(make_system([3], [4], [(2, 9)]), CFG) == 2
-    assert h1_oracle(make_system([3], [3], [(2, 4)]), CFG) == 0
+    assert h0_oracle(make_system([3], [2], [(2, 3)]), CFG).h1 == 3
+    assert h0_oracle(make_system([3], [4], [(2, 9)]), CFG).h1 == 2
+    assert h0_oracle(make_system([3], [3], [(2, 4)]), CFG).h1 == 0
 
 
 def test_h1_oracle_rejects_line_schemes():
@@ -341,6 +391,52 @@ def test_adding_point_never_increases_h0():
         a = h0_oracle(make_system([3], [4], pts_before), CFG).h0
         b = h0_oracle(make_system([3], [4], pts_after), CFG).h0
         assert b <= a
+
+
+def test_prefix_series_matches_each_cut():
+    for spec in [
+        ([3], [4], [(3, 2), (2, 6), (1, 3)]),
+        ([1, 1], [4, 2], [(2, 8)]),
+        ([1, 1, 1], [2, 2, 2], [(1, 2), (2, 6)]),
+        ([2], [5], [(2, 9)]),
+    ]:
+        sys = make_system(*spec)
+        series = h0_prefix_oracle(sys, CFG)
+        assert len(series) == sys.total_points + 1
+        for h, res in enumerate(series):
+            assert res == h0_oracle(sys.first_points(h), CFG), (spec, h)
+    # the (2, 2) double-point series on P1xP1: special only at h = 3
+    series = h0_prefix_oracle(make_system([1, 1], [2, 2], [(2, 5)]), CFG)
+    assert [r.h0 for r in series] == [9, 6, 3, 1, 0, 0]
+    assert [r.special for r in series] == [False, False, False, True, False, False]
+    assert [r.trials_used for r in series] == [1, 1, 1, 2, 1, 1]
+
+
+def test_cross_checked_prefix_matches_each_cut():
+    sys = make_system([2], [4], [(2, 7)])
+    assert cross_checked_prefix(sys, CFG) == [
+        cross_checked_h0(sys.first_points(h), CFG) for h in range(8)
+    ]
+
+
+def test_cross_checked_prefix_hands_disagreements_to_cross_checked_h0(monkeypatch):
+    sys = make_system([2], [4], [(2, 6)])
+    real_series = oracle.h0_prefix_oracle
+
+    def skewed_series(sys_, cfg):
+        # the second prime reads one more at h = 3
+        series = real_series(sys_, cfg)
+        if cfg.prime.p == SECOND_PRIME:
+            series[3] = replace(series[3], h0=series[3].h0 + 1)
+        return series
+
+    handed = []
+    monkeypatch.setattr(oracle, "h0_prefix_oracle", skewed_series)
+    monkeypatch.setattr(oracle, "cross_checked_h0", lambda cut, cfg: handed.append(cut) or "third")
+    got = cross_checked_prefix(sys, CFG)
+    assert handed == [sys.first_points(3)]
+    assert got[3] == "third"
+    assert all(cc.agreed for h, cc in enumerate(got) if h != 3)
 
 
 def test_restrict_to_subspace():

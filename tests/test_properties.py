@@ -2,7 +2,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fatpoints.oracle import OracleConfig, h0_oracle
+from fatpoints.oracle import OracleConfig, cross_checked_prefix, h0_oracle, h0_prefix_oracle
 from fatpoints.systems import make_system, virtual_dim
 
 CFG = OracleConfig(trials=2, seed=1357)
@@ -47,3 +47,23 @@ def test_h0_independent_of_group_order(sys, rnd):
     rnd.shuffle(shuffled)
     other = make_system(sys.space.factors, sys.multidegree, [(g.multiplicity, g.count) for g in shuffled])
     assert h0_oracle(other, CFG).h0 == h0_oracle(sys, CFG).h0
+
+
+@SMALL
+@given(systems)
+def test_prefix_series_equals_each_cut(sys):
+    series = h0_prefix_oracle(sys, CFG)
+    assert series == [h0_oracle(sys.first_points(h), CFG) for h in range(sys.total_points + 1)]
+
+
+@SMALL
+@given(systems)
+def test_adding_a_point_never_raises_h0(sys):
+    h0s = [res.h0 for res in h0_prefix_oracle(sys, CFG)]
+    assert all(after <= before for before, after in zip(h0s, h0s[1:]))
+
+
+@SMALL
+@given(systems)
+def test_two_primes_agree(sys):
+    assert all(cc.agreed for cc in cross_checked_prefix(sys, CFG))

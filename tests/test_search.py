@@ -1,7 +1,8 @@
 import pytest
 
 from fatpoints.combinatorics import binom
-from fatpoints.oracle import OracleConfig
+from fatpoints import search
+from fatpoints.oracle import CrossCheckedH0, OracleConfig
 from fatpoints.search import (
     CggMismatchError,
     records_to_csv,
@@ -150,3 +151,16 @@ def test_verify_cgg_detects_wrong_expectation():
 
 def test_verify_cgg_mismatch_error_type():
     assert issubclass(CggMismatchError, RuntimeError)
+
+
+def test_verify_cgg_reports_prime_disagreement(monkeypatch):
+    def disagree_at_two(sys, cfg):
+        return [
+            CrossCheckedH0(9 - h, h != 2, (9 - h, 8 - h) if h == 2 else (9 - h, 9 - h), (1, 2))
+            for h in range(sys.total_points + 1)
+        ]
+
+    monkeypatch.setattr(search, "cross_checked_prefix", disagree_at_two)
+    with pytest.raises(CggMismatchError) as err:
+        verify_cgg(a2_max=2, h2_max=3, a3_max=1, h3_max=2, cfg=CFG, cross_check=True)
+    assert str(err.value) == "prime disagreement for L_{P1xP1;(1,1)}(2^2): (7, 6)"

@@ -120,3 +120,14 @@ def test_json_errors():
         system_from_json({"space": [3], "degree": [2], "points": [{"count": 2}]})
     with pytest.raises(ValueError):
         system_from_json("[1,2]")
+
+
+def test_first_points():
+    sys = make_system([3], [2], [(2, 5), (1, 2)])
+    assert sys.first_points(6) == make_system([3], [2], [(2, 5), (1, 1)])
+    assert sys.first_points(3) == make_system([3], [2], [(2, 3)])
+    assert sys.first_points(0) == make_system([3], [2], [])
+    assert sys.first_points(7) == sys
+    for bad in (-1, 8):
+        with pytest.raises(ValueError, match="out of range"):
+            sys.first_points(bad)

@@ -1,7 +1,8 @@
 from itertools import product as iproduct
 
 from fatpoints.combinatorics import binom
-from fatpoints.oracle import OracleConfig
+from fatpoints import verify
+from fatpoints.oracle import CrossCheckedH0, OracleConfig
 from fatpoints.verify import (
     SUITES,
     _eta_grid_monotone,
@@ -92,3 +93,20 @@ def test_eta_grid_against_pointwise_python_ints():
         want = _eta_failures(*grid)
         assert _eta_grid_monotone(*grid) == want, grid
     assert (0, 1) in _eta_grid_monotone(2, 0, 3, 0, 4) and (1, 0) in _eta_grid_monotone(2, 0, 3, 0, 4)
+
+
+def test_ah_complement_reports_prime_disagreement(monkeypatch):
+    real = verify.cross_checked_prefix
+
+    def disagree_on_conics(sys, cfg):
+        series = real(sys, cfg)
+        if sys.space.factors == (1,) and sys.multidegree == (2,):
+            series[5] = CrossCheckedH0(0, False, (0, 1, 0), (1, 2, 3))
+        return series
+
+    monkeypatch.setattr(verify, "cross_checked_prefix", disagree_on_conics)
+    checks = {c.name: c for c in verify_ah(CFG, cross=True)}
+    assert checks["ah-complement-nonspecial"].ok
+    agreement = checks["ah-two-prime-agreement"]
+    assert not agreement.ok
+    assert agreement.detail == "failed at [('L_{P1;(2)}(2^5)', (0, 1, 0))]"
