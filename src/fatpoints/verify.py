@@ -16,13 +16,8 @@ import numpy as np
 
 from . import search
 from .combinatorics import A_ratio, binom, phi_hyp, psi_hyp_alpha1, rising
-from .oracle import (
-    OracleConfig,
-    cross_checked_h0,
-    cross_checked_prefix,
-    h0_oracle,
-    h0_prefix_oracle,
-)
+# h0_oracle is not called here, but perfbench's tracer test reads verify.h0_oracle
+from .oracle import OracleConfig, cross_checked_prefix, h0_oracle, h0_prefix_oracle  # noqa: F401
 from .systems import expected_dim, make_system
 
 
@@ -143,50 +138,46 @@ def ah_special_keys(n_max: int = 6) -> set[tuple[int, int, int]]:
     return keys
 
 
-def _oracle_h0(sys, cfg: OracleConfig, cross: bool, disagreements: list) -> int:
-    if cross:
-        cc = cross_checked_h0(sys, cfg)
-        if not cc.agreed:
-            disagreements.append((str(sys), cc.values))
-        return cc.h0
-    return h0_oracle(sys, cfg).h0
+AH_GRID = {(n, d): 20 for n in range(1, 5) for d in range(2, 6)}  # (n, d) -> largest h
+
+
+def _ah_table(cfg: OracleConfig, cross: bool) -> tuple[dict, list]:
+    """h0 of every double-point system that verify_ah reads, keyed by
+    (n, d, h) with its system, from one prefix series per (n, d) family: the
+    complement grid AH_GRID, and the AH quadrics on P^5 and P^6 up to h = n.
+    Also returns the two-prime disagreements, one per system, in key order."""
+    top = dict(AH_GRID)
+    for n, d, h in ah_special_keys():
+        top[n, d] = max(top.get((n, d), 0), h)
+    table: dict[tuple[int, int, int], tuple] = {}  # (n, d, h) -> (system, h0)
+    disagreements: list = []
+    for (n, d), h_max in sorted(top.items()):
+        family = make_system([n], [d], [(2, h_max)])
+        series = cross_checked_prefix(family, cfg) if cross else h0_prefix_oracle(family, cfg)
+        for h in range(1, h_max + 1):
+            sys = family.first_points(h)
+            if cross and not series[h].agreed:
+                disagreements.append((str(sys), series[h].values))
+            table[n, d, h] = (sys, series[h].h0)
+    return table, disagreements
 
 
 def verify_ah(cfg: OracleConfig | None = None, cross: bool = True) -> list[Check]:
     cfg = cfg or OracleConfig()
-    checks: list[Check] = []
-    disagreements: list = []
-
-    not_special = []
-    for n, d, h in sorted(ah_special_keys()):
-        sys = make_system([n], [d], [(2, h)])
-        h0 = _oracle_h0(sys, cfg, cross, disagreements)
-        if not h0 - 1 > expected_dim(sys):
-            not_special.append((n, d, h))
-    checks.append(Check("ah-rows-special", not not_special, _fail_detail(not_special)))
-
-    bad_h0 = []
-    for n, d, h in AH_QUARTIC_CUBIC:
-        sys = make_system([n], [d], [(2, h)])
-        h0 = _oracle_h0(sys, cfg, cross, disagreements)
-        if h0 != 1:
-            bad_h0.append((n, d, h, h0))
-    checks.append(Check("ah-quartic-cubic-h0-is-1", not bad_h0, _fail_detail(bad_h0)))
-
     ah = ah_special_keys()
-    falsely_special = []
-    for n in range(1, 5):
-        for d in range(2, 6):
-            grid = make_system([n], [d], [(2, 20)])
-            series = cross_checked_prefix(grid, cfg) if cross else h0_prefix_oracle(grid, cfg)
-            for h in range(1, 21):
-                if (n, d, h) in ah:
-                    continue
-                sys = grid.first_points(h)
-                if cross and not series[h].agreed:
-                    disagreements.append((str(sys), series[h].values))
-                if series[h].h0 - 1 > expected_dim(sys):
-                    falsely_special.append((n, d, h))
+    table, disagreements = _ah_table(cfg, cross)
+
+    def special(key: tuple[int, int, int]) -> bool:
+        sys, h0 = table[key]
+        return h0 - 1 > expected_dim(sys)
+
+    not_special = [key for key in sorted(ah) if not special(key)]
+    checks = [Check("ah-rows-special", not not_special, _fail_detail(not_special))]
+    bad_h0 = [(*key, table[key][1]) for key in AH_QUARTIC_CUBIC if table[key][1] != 1]
+    checks.append(Check("ah-quartic-cubic-h0-is-1", not bad_h0, _fail_detail(bad_h0)))
+    falsely_special = [
+        key for key in sorted(table) if key[:2] in AH_GRID and key not in ah and special(key)
+    ]
     checks.append(Check("ah-complement-nonspecial", not falsely_special, _fail_detail(falsely_special)))
     if cross:
         checks.append(Check("ah-two-prime-agreement", not disagreements, _fail_detail(disagreements)))
@@ -194,14 +185,14 @@ def verify_ah(cfg: OracleConfig | None = None, cross: bool = True) -> list[Check
 
 
 def verify_h1_values(cfg: OracleConfig | None = None) -> list[Check]:
+    """h1 of the double-point quadrics and of the quartic in P^3, read from
+    one prefix series per family."""
     cfg = cfg or OracleConfig()
     bad = []
     for n in range(2, 7):
-        for h in range(2, n + 1):
-            got = h0_oracle(make_system([n], [2], [(2, h)]), cfg).h1
-            if got != h * (h - 1) // 2:
-                bad.append((n, h, got))
-    got = h0_oracle(make_system([3], [4], [(2, 9)]), cfg).h1
+        series = h0_prefix_oracle(make_system([n], [2], [(2, n)]), cfg)
+        bad += [(n, h, series[h].h1) for h in range(2, n + 1) if series[h].h1 != h * (h - 1) // 2]
+    got = h0_prefix_oracle(make_system([3], [4], [(2, 9)]), cfg)[9].h1
     if got != 2:
         bad.append((3, 4, 9, got))
     return [Check("h1-values", not bad, _fail_detail(bad))]
@@ -242,7 +233,8 @@ def verify_paper_tables(cfg: OracleConfig | None = None, oracle_confirm: bool = 
     cfg = cfg or OracleConfig()
     checks: list[Check] = []
 
-    got = {(r.space[0], r.degree[0], r.variety[0], r.h) for r in search.scan_hypersurfaces()}
+    hyper = search.scan_hypersurfaces()
+    got = {(r.space[0], r.degree[0], r.variety[0], r.h) for r in hyper}
     want = {(n, 2, 1, n) for n in range(2, 6)} | {(2, 4, 2, 5), (3, 4, 2, 9), (4, 4, 2, 14)}
     checks.append(
         Check("hypersurface-table", got == want, _fail_detail(sorted(got.symmetric_difference(want))))
@@ -278,17 +270,16 @@ def verify_paper_tables(cfg: OracleConfig | None = None, oracle_confirm: bool = 
     checks.append(Check("product-t4-empty", not search.scan_product_divisors(4)))
 
     if oracle_confirm:
-        unconfirmed = []
-        for r in search.scan_hypersurfaces() + rnc + t2 + t3:
-            sys = make_system(list(r.space), list(r.degree), [(2, r.h)])
-            res = h0_oracle(sys, cfg)
-            if not res.special:
-                unconfirmed.append(r.key())
-        for r in curves:
-            if r.witness["general_position"]:
-                sys = make_system([3], list(r.degree), [(2, r.h)])
-                if not h0_oracle(sys, cfg).special:
-                    unconfirmed.append(r.key())
+        # one prefix series per (space, degree), up to the group's largest h
+        records = hyper + rnc + t2 + t3 + [r for r in curves if r.witness["general_position"]]
+        top: dict[tuple, int] = {}
+        for r in records:
+            top[r.space, r.degree] = max(top.get((r.space, r.degree), 0), r.h)
+        series = {
+            (space, degree): h0_prefix_oracle(make_system(list(space), list(degree), [(2, h)]), cfg)
+            for (space, degree), h in top.items()
+        }
+        unconfirmed = [r.key() for r in records if not series[r.space, r.degree][r.h].special]
         checks.append(Check("scan-records-oracle-special", not unconfirmed, _fail_detail(unconfirmed)))
     return checks
 

@@ -1,5 +1,5 @@
 """Properties of the oracle on small random fat-point systems."""
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fatpoints.oracle import OracleConfig, cross_checked_prefix, h0_oracle, h0_prefix_oracle
@@ -67,3 +67,16 @@ def test_adding_a_point_never_raises_h0(sys):
 @given(systems)
 def test_two_primes_agree(sys):
     assert all(cc.agreed for cc in cross_checked_prefix(sys, CFG))
+
+
+@SMALL
+@given(systems, st.integers(0, 8))
+def test_raising_a_multiplicity_never_raises_h0(sys, pick):
+    # one group per point keeps every point's flattened index, so both
+    # systems sample the same points; products allow multiplicity 2 at most
+    mults = list(sys.point_multiplicities())
+    raisable = [i for i, m in enumerate(mults) if sys.space.nfactors == 1 or m < 2]
+    assume(raisable)
+    mults[raisable[pick % len(raisable)]] += 1
+    raised = make_system(sys.space.factors, sys.multidegree, [(m, 1) for m in mults])
+    assert h0_oracle(raised, CFG).h0 <= h0_oracle(sys, CFG).h0

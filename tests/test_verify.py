@@ -1,8 +1,9 @@
 from itertools import product as iproduct
 
 from fatpoints.combinatorics import binom
-from fatpoints import verify
-from fatpoints.oracle import CrossCheckedH0, OracleConfig
+from fatpoints import oracle, verify
+from fatpoints.oracle import CrossCheckedH0, OracleConfig, cross_checked_h0
+from fatpoints.systems import make_system
 from fatpoints.verify import (
     SUITES,
     _eta_grid_monotone,
@@ -110,3 +111,46 @@ def test_ah_complement_reports_prime_disagreement(monkeypatch):
     agreement = checks["ah-two-prime-agreement"]
     assert not agreement.ok
     assert agreement.detail == "failed at [('L_{P1;(2)}(2^5)', (0, 1, 0))]"
+
+
+def test_ah_table_matches_each_system_cross_checked():
+    table, disagreements = verify._ah_table(CFG, cross=True)
+    assert not disagreements
+    for n, d, h in sorted(ah_special_keys()):
+        sys = make_system([n], [d], [(2, h)])
+        assert table[n, d, h] == (sys, cross_checked_h0(sys, CFG).h0)
+
+
+def test_elimination_counts_at_default_config(monkeypatch):
+    # one prefix series per (space, degree) family and prime, of 1-3 trials;
+    # per-system oracle calls took 246 and 123 eliminations
+    calls = []
+    real = oracle._pivot_columns
+
+    def counting(A, p):
+        calls.append(A.shape)
+        return real(A, p)
+
+    monkeypatch.setattr(oracle, "_pivot_columns", counting)
+    assert all(c.ok for c in SUITES["ah"](OracleConfig()))
+    assert len(calls) == 90
+    calls.clear()
+    assert all(c.ok for c in verify_paper_tables(OracleConfig()))
+    assert len(calls) == 90
+
+
+def test_ah_quartic_disagreement_reported_once(monkeypatch):
+    real = verify.cross_checked_prefix
+
+    def disagree_on_p3_quartics(sys, cfg):
+        series = real(sys, cfg)
+        if sys.space.factors == (3,) and sys.multidegree == (4,):
+            series[9] = CrossCheckedH0(1, False, (1, 2, 1), (1, 2, 3))
+        return series
+
+    monkeypatch.setattr(verify, "cross_checked_prefix", disagree_on_p3_quartics)
+    checks = {c.name: c for c in verify_ah(CFG, cross=True)}
+    assert checks["ah-rows-special"].ok and checks["ah-quartic-cubic-h0-is-1"].ok
+    agreement = checks["ah-two-prime-agreement"]
+    assert not agreement.ok
+    assert agreement.detail == "failed at [('L_{P3;(4)}(2^9)', (1, 2, 1))]"
