@@ -157,21 +157,78 @@ def _basis(factors: tuple[int, ...], multidegree: tuple[int, ...]) -> tuple[tupl
     return tuple(tuple(x for block in combo for x in block) for combo in iproduct(*per_factor))
 
 
-def _mulmod(X: np.ndarray, Y: np.ndarray, p: int) -> np.ndarray:
-    """(X @ Y) mod p, exactly, for residues below 2^31 and at most PANEL inner terms.
+def _halves(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Residues U = 2^16 Uh + Ul as float64 halves Uh < 2^15 and Ul < 2^16."""
+    return (U >> 16).astype(np.float64), (U & 0xFFFF).astype(np.float64)
 
-    Y is split as 2^16 * Yh + Yl. A residue times a half is below 2^31 * 2^16 =
-    2^47, and a sum of at most 64 such nonnegative products stays below 2^53,
-    so the float64 BLAS products X @ Yh and X @ Yl are exact in any summation
-    order. They are formed one after the other to halve the temporaries.
+
+def _sub_mulmod(B: np.ndarray, X: np.ndarray, Uh: np.ndarray, Ul: np.ndarray, p: int) -> None:
+    """B <- (B - X @ U) mod p in place, exactly, with one reduction per entry
+    of B, for residues below 2^31, U = 2^16 Uh + Ul split by _halves, and at
+    most PANEL inner terms. The float64 product (2^16 X mod p) @ Uh sums terms
+    below 2^31 * 2^15, so it stays below 2^52, and X @ Ul sums terms below
+    2^31 * 2^16, so it stays below 2^53: both are exact in any summation
+    order, and B minus both stays above -2^54 in int64."""
+    B -= (((X << 16) % p).astype(np.float64) @ Uh).astype(np.int64)
+    B -= (X.astype(np.float64) @ Ul).astype(np.int64)
+    B %= p
+
+
+def _eliminate_right(A: np.ndarray, r: int, pivots: list[int], c1: int, c2: int, p: int) -> None:
+    """Carry the elimination of the factored pivot columns of rows r: over to
+    columns c1:c2. The pivot rows become U12 = L11^-1 A12 and the rows below
+    A22 - L21 @ U12, CHUNK rows at a time, where L holds the multipliers kept
+    in the pivot columns."""
+    k = len(pivots)
+    if not k or c1 == c2 or r + k == A.shape[0]:
+        return
+    L = A[r:, pivots]
+    # L11 is unit lower triangular: invert by forward substitution
+    Linv = np.eye(k, dtype=np.int64)
+    for j in range(k - 1):
+        Linv[j + 1 :] -= L[j + 1 : k, j, None] * Linv[j]
+        Linv[j + 1 :] %= p
+    top = A[r : r + k, c1:c2]
+    # top - (I - L11^-1) @ top = U12
+    _sub_mulmod(top, (np.eye(k, dtype=np.int64) - Linv) % p, *_halves(top), p)
+    Uh, Ul = _halves(top)
+    below = A[r + k :, c1:c2]
+    for s in range(0, len(below), CHUNK):
+        _sub_mulmod(below[s : s + CHUNK], L[k + s : k + s + CHUNK], Uh, Ul, p)
+
+
+def _factor(A: np.ndarray, r: int, c0: int, c1: int, p: int) -> list[int]:
+    """Factor columns c0:c1 of rows r: in place and return their pivot columns,
+    each keeping its multipliers below the pivot. A panel wider than 8 columns
+    with more than 4 times as many rows is factored as two halves, the right
+    one after _eliminate_right by the left one; any other column by column.
+    Row swaps move whole rows, so the multipliers to the left stay with them.
     """
-    Xf = X.astype(np.float64)
-    out = (Xf @ (Y >> 16).astype(np.float64)).astype(np.int64)
-    out %= p
-    out <<= 16
-    out += (Xf @ (Y & 0xFFFF).astype(np.float64)).astype(np.int64)
-    out %= p
-    return out
+    m, w = A.shape[0], c1 - c0
+    if w > 8 and m - r > 4 * w:
+        mid = c0 + w // 2
+        left = _factor(A, r, c0, mid, p)
+        _eliminate_right(A, r, left, mid, c1, p)
+        return left + _factor(A, r + len(left), mid, c1, p)
+    P = A[r:, c0:c1]
+    pivots: list[int] = []
+    for c in range(w):
+        k = len(pivots)
+        if k == m - r:
+            break
+        nz = P[k:, c].nonzero()[0]
+        if nz.size == 0:
+            continue
+        if nz[0]:
+            i = r + k + int(nz[0])
+            A[[r + k, i]] = A[[i, r + k]]
+        f = P[k + 1 :, c] * pow(int(P[k, c]), -1, p) % p
+        P[k + 1 :, c] = f
+        rest = P[k + 1 :, c + 1 :]
+        rest -= f[:, None] * P[k, c + 1 :]
+        rest %= p
+        pivots.append(c0 + c)
+    return pivots
 
 
 def _pivot_columns(A: np.ndarray, p: int) -> list[int]:
@@ -179,11 +236,9 @@ def _pivot_columns(A: np.ndarray, p: int) -> list[int]:
     column c is listed exactly when it is independent of the columns before
     it (the column rank profile).
 
-    Right-looking blocked LU. Each PANEL-column panel of the unreduced rows is
-    factored in place in int64, keeping the multipliers L where the panel's
-    entries are eliminated. The pivot rows' trailing part becomes
-    U12 = L11^-1 A12, and the rows below are updated CHUNK rows at a time by
-    A22 -= L21 @ U12, both exact products mod p (see _mulmod).
+    Right-looking blocked LU in int64: each PANEL-column panel of the
+    unreduced rows is factored in place (_factor), then its elimination is
+    carried over to the columns right of it (_eliminate_right).
     """
     if not 1 < p < MAX_PRIME:
         raise ValueError(f"rank_mod_p needs a prime below 2^31, got {p}")
@@ -197,41 +252,10 @@ def _pivot_columns(A: np.ndarray, p: int) -> list[int]:
         if r == m:
             break
         c1 = min(c0 + PANEL, n)
-        P = A[r:, c0:c1]
-        pivots: list[int] = []
-        for c in range(c1 - c0):
-            k = len(pivots)
-            if k == m - r:
-                break
-            nz = np.flatnonzero(P[k:, c])
-            if nz.size == 0:
-                continue
-            if nz[0]:
-                # columns left of c0 hold earlier multipliers, never read again
-                i = r + k + int(nz[0])
-                A[[r + k, i], c0:] = A[[i, r + k], c0:]
-            f = P[k + 1 :, c] * pow(int(P[k, c]), -1, p) % p
-            P[k + 1 :, c] = f
-            rest = P[k + 1 :, c + 1 :]
-            rest -= np.outer(f, P[k, c + 1 :])
-            rest %= p
-            pivots.append(c)
-        k = len(pivots)
-        if k and c1 < n and r + k < m:
-            L = P[:, pivots]
-            # L11 is unit lower triangular: invert by forward substitution
-            Linv = np.eye(k, dtype=np.int64)
-            for j in range(k - 1):
-                Linv[j + 1 :] -= np.outer(L[j + 1 : k, j], Linv[j])
-                Linv[j + 1 :] %= p
-            U = _mulmod(Linv, A[r : r + k, c1:], p)
-            below = A[r + k :, c1:]
-            for s in range(0, m - r - k, CHUNK):
-                block = below[s : s + CHUNK]
-                block -= _mulmod(L[k + s : k + s + CHUNK], U, p)
-                block %= p
-        out += [c0 + c for c in pivots]
-        r += k
+        pivots = _factor(A, r, c0, c1, p)
+        _eliminate_right(A, r, pivots, c1, n, p)
+        out += pivots
+        r += len(pivots)
     return out
 
 

@@ -18,7 +18,7 @@ from . import search
 from .combinatorics import A_ratio, binom, phi_hyp, psi_hyp_alpha1, rising
 # h0_oracle is not called here, but perfbench's tracer test reads verify.h0_oracle
 from .oracle import OracleConfig, cross_checked_prefix, h0_oracle, h0_prefix_oracle  # noqa: F401
-from .systems import expected_dim, make_system
+from .systems import dim_report, expected_dim, make_system
 
 
 @dataclass(frozen=True)
@@ -181,21 +181,19 @@ def verify_ah(cfg: OracleConfig | None = None, cross: bool = True) -> list[Check
     checks.append(Check("ah-complement-nonspecial", not falsely_special, _fail_detail(falsely_special)))
     if cross:
         checks.append(Check("ah-two-prime-agreement", not disagreements, _fail_detail(disagreements)))
+
+    # h1 = conditions - (monomials - h0) of the double-point quadrics and of
+    # the quartic in P^3, from the same table
+    h1 = {}
+    for key in [(n, 2, h) for n in range(2, 7) for h in range(2, n + 1)] + [(3, 4, 9)]:
+        sys, h0 = table[key]
+        rep = dim_report(sys)
+        h1[key] = rep.conditions - (rep.monomials - h0)
+    bad = [(n, h, v) for (n, d, h), v in h1.items() if d == 2 and v != h * (h - 1) // 2]
+    if h1[3, 4, 9] != 2:
+        bad.append((3, 4, 9, h1[3, 4, 9]))
+    checks.append(Check("h1-values", not bad, _fail_detail(bad)))
     return checks
-
-
-def verify_h1_values(cfg: OracleConfig | None = None) -> list[Check]:
-    """h1 of the double-point quadrics and of the quartic in P^3, read from
-    one prefix series per family."""
-    cfg = cfg or OracleConfig()
-    bad = []
-    for n in range(2, 7):
-        series = h0_prefix_oracle(make_system([n], [2], [(2, n)]), cfg)
-        bad += [(n, h, series[h].h1) for h in range(2, n + 1) if series[h].h1 != h * (h - 1) // 2]
-    got = h0_prefix_oracle(make_system([3], [4], [(2, 9)]), cfg)[9].h1
-    if got != 2:
-        bad.append((3, 4, 9, got))
-    return [Check("h1-values", not bad, _fail_detail(bad))]
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +307,7 @@ def verify_cgg_suite(
 
 
 SUITES = {
-    "ah": lambda cfg: verify_ah(cfg) + verify_h1_values(cfg),
+    "ah": lambda cfg: verify_ah(cfg),
     "paper-tables": lambda cfg: verify_paper_tables(cfg),
     "cgg": lambda cfg: verify_cgg_suite(cfg),
     "lemmas": lambda cfg: verify_lemmas(),

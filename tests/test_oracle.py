@@ -15,8 +15,9 @@ from fatpoints.oracle import (
     THIRD_PRIME,
     _RowBuilder,
     _basis,
-    _mulmod,
+    _halves,
     _pivot_columns,
+    _sub_mulmod,
     cross_checked_h0,
     cross_checked_prefix,
     h0_oracle,
@@ -31,34 +32,47 @@ from fatpoints.systems import Space, expected_dim, make_system, virtual_dim
 CFG = OracleConfig(trials=2, seed=4242)
 
 
-def slow_rank_mod_p(rows, p):
-    """Independent elimination in plain Python lists."""
+def slow_pivot_columns(rows, p):
+    """Independent elimination in plain Python lists, one column at a time
+    and one row at a time. It reduces the columns in order, so its rank
+    after column c is the rank of the first c + 1 columns: the columns where
+    the rank grows are the column rank profile."""
     rows = [[int(x) % p for x in row] for row in rows]
     rank = 0
+    pivots = []
     ncols = len(rows[0]) if rows else 0
     for c in range(ncols):
         piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
         if piv is None:
             continue
+        pivots.append(c)
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][c], -1, p)
-        rows[rank] = [(x * inv) % p for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
+        top = rows[rank][c:]
+        inv = pow(top[0], -1, p)
+        # rows below the pivot row; columns left of c are never read again
+        for row in rows[rank + 1 :]:
+            if row[c]:
+                f = row[c] * inv % p
+                row[c:] = [(x - f * y) % p for x, y in zip(row[c:], top)]
         rank += 1
-    return rank
+    return pivots
+
+
+def slow_rank_mod_p(rows, p):
+    return len(slow_pivot_columns(rows, p))
 
 
 def _product_mod(rng, m, r, n, p):
     """A random m x n matrix of rank at most r: an m x r times r x n product mod p."""
-    a = np.array([[rng.randrange(p) for _ in range(r)] for _ in range(m)], dtype=object)
-    b = np.array([[rng.randrange(p) for _ in range(n)] for _ in range(r)], dtype=object)
-    return (a.dot(b) % p).astype(np.int64)
+    a = np.array([[rng.randrange(p) for _ in range(r)] for _ in range(m)], dtype=np.int64)
+    b = np.array([[rng.randrange(p) for _ in range(n)] for _ in range(r)], dtype=np.int64)
+    out = np.zeros((m, n), dtype=np.int64)
+    for k in range(r):  # one rank-one term at a time: each product is below 2^62
+        out = (out + a[:, k, None] * b[k] % p) % p
+    return out
 
 
-def test_rank_against_independent_elimination():
+def test_rank_against_independent_elimination(monkeypatch):
     rng = random.Random(7)
     for _ in range(20):
         m = rng.randrange(1, 8)
@@ -90,6 +104,38 @@ def test_rank_against_independent_elimination():
         assert got <= r
     full = np.full((130, 130), p - 1, dtype=np.int64)
     assert rank_mod_p(full, p) == slow_rank_mod_p(full.tolist(), p) == 1
+
+    # tall matrices, whose panels are factored as halves down to 8 or fewer
+    # columns; each half-panel boundary b gets a zero column and a column
+    # that depends only on the columns left of b in its panel, and the top
+    # rows start with 48 zeros, so that the pivot searches swap rows
+    widths = []
+    real_factor = oracle._factor
+
+    def recording(A, r, c0, c1, p):
+        widths.append(c1 - c0)
+        return real_factor(A, r, c0, c1, p)
+
+    monkeypatch.setattr(oracle, "_factor", recording)
+    for m, n, r, bounds in [
+        (170, 40, 36, (5, 10, 20)),
+        (280, 70, 60, (8, 16, 32, 65)),
+        (300, 64, 60, (8, 16, 32)),
+    ]:
+        mat = _product_mod(rng, m, r, n, p)
+        mat[: m // 4, :48] = 0
+        for b in bounds:
+            start = b - b % PANEL
+            mat[:, b] = 0
+            mix = [rng.randrange(p) for _ in range(start, b)]
+            mat[:, b + 1] = np.array(
+                [sum(x * int(v) for x, v in zip(mix, row[start:b])) % p for row in mat.tolist()]
+            )
+        widths.clear()
+        pivots = _pivot_columns(mat, p)
+        assert {min(n, PANEL) // 2**j for j in range(4)} <= set(widths), (m, n, sorted(set(widths)))
+        assert pivots == slow_pivot_columns(mat.tolist(), p), (m, n, r)
+        assert not {c for b in bounds for c in (b, b + 1)} & set(pivots)
 
 
 def _profile_matrix(rng, m, n, fresh, p):
@@ -126,12 +172,16 @@ def test_pivot_profile_gives_every_prefix_rank():
 
 
 def test_exact_product_at_the_bound():
-    # every entry p - 1 over PANEL inner terms is the largest sum _mulmod forms
-    p = DEFAULT_PRIME
-    x = np.full((3, PANEL), p - 1, dtype=np.int64)
-    y = np.full((PANEL, 2), p - 1, dtype=np.int64)
-    want = PANEL * (p - 1) ** 2 % p
-    assert _mulmod(x, y, p).tolist() == [[want, want]] * 3
+    # every entry p - 1 over PANEL inner terms gives the largest sums
+    # _sub_mulmod forms, from the smallest and the largest B
+    for p in (DEFAULT_PRIME, SECOND_PRIME):
+        x = np.full((3, PANEL), p - 1, dtype=np.int64)
+        u = np.full((PANEL, 2), p - 1, dtype=np.int64)
+        for b in (0, p - 1):
+            B = np.full((3, 2), b, dtype=np.int64)
+            _sub_mulmod(B, x, *_halves(u), p)
+            want = (b - PANEL * (p - 1) * (p - 1)) % p
+            assert B.tolist() == [[want, want]] * 3, (p, b)
 
 
 def _rows(sys, points, m, p=DEFAULT_PRIME):

@@ -10,7 +10,6 @@ from fatpoints.verify import (
     ah_special_keys,
     verify_ah,
     verify_cgg_suite,
-    verify_h1_values,
     verify_lemmas,
     verify_paper_tables,
 )
@@ -44,8 +43,9 @@ def test_table_suite_passes():
 
 
 def test_ah_suite_passes():
-    assert all(c.ok for c in verify_ah(CFG, cross=False))
-    assert all(c.ok for c in verify_h1_values(CFG))
+    checks = verify_ah(CFG, cross=False)
+    assert all(c.ok for c in checks)
+    assert "h1-values" in {c.name for c in checks}
 
 
 def test_cgg_suite_small():
@@ -122,8 +122,9 @@ def test_ah_table_matches_each_system_cross_checked():
 
 
 def test_elimination_counts_at_default_config(monkeypatch):
-    # one prefix series per (space, degree) family and prime, of 1-3 trials;
-    # per-system oracle calls took 246 and 123 eliminations
+    # one prefix series per (space, degree) family and prime, of 1-3 trials,
+    # and h1-values read from the AH table; per-system oracle calls took 246
+    # and 123 eliminations
     calls = []
     real = oracle._pivot_columns
 
@@ -133,7 +134,7 @@ def test_elimination_counts_at_default_config(monkeypatch):
 
     monkeypatch.setattr(oracle, "_pivot_columns", counting)
     assert all(c.ok for c in SUITES["ah"](OracleConfig()))
-    assert len(calls) == 90
+    assert len(calls) == 72
     calls.clear()
     assert all(c.ok for c in verify_paper_tables(OracleConfig()))
     assert len(calls) == 90
