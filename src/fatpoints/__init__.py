@@ -6,6 +6,7 @@ from .combinatorics import (
     A_ratio,
     binom,
     eta_product,
+    linear_expected_h0,
     phi_hyp,
     phi_product,
     psi_hyp_alpha1,
@@ -49,6 +50,7 @@ from .systems import (
     Space,
     dim_report,
     expected_dim,
+    lower_h0,
     make_system,
     monomial_count,
     point_conditions,

@@ -9,6 +9,7 @@ guards are needed.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 from typing import Sequence
 
@@ -109,3 +110,28 @@ def eta_product(e: Sequence[int], n: Sequence[int]) -> int:
     if any(ei < 1 for ei in e):
         raise ValueError("eta_product: need e_i >= 1")
     return phi_product([2 * ei for ei in e], e, n)
+
+
+def linear_expected_h0(n: int, d: int, mults: Sequence[int]) -> int:
+    """h0 of degree-d forms on P^n with multiplicity m_i at s <= n+2 general
+    points: the linear expected dimension plus one, C(n+d, n) +
+    sum_{r<n} sum_{|I|=r+1} (-1)^(r+1) C(n+k_I-r-1, n), where
+    k_I = max(sum_{i in I} m_i - r d, 0) is the multiplicity of the span of
+    the points I in the base locus. Brambilla, Dumitrescu and Postinghel ("On
+    a notion of speciality of linear systems in P^n", Trans. AMS 2015) prove
+    it is h0 for s <= n+2 points in general position with every m_i <= d and
+    sum m_i <= n d; for s <= n+1 it is the inclusion-exclusion count of the
+    monomials x^a with a_i <= d - m_i. Otherwise the system is empty: x^a
+    vanishes to order d - a_i at the i-th coordinate point, which sum to n d,
+    and the rational normal curves through n+2 general points cover P^n.
+    """
+    s = [m for m in mults if m > 0]
+    if n < 1 or d < 0 or len(s) > n + 2:
+        raise ValueError(f"linear_expected_h0: need n >= 1, d >= 0, at most n+2 points, got {(n, d, s)}")
+    if any(m > d for m in s) or sum(s) > n * d:
+        return 0
+    out = binom(n + d, n)
+    for r in range(min(n, len(s))):
+        for I in combinations(s, r + 1):
+            out += (-1) ** (r + 1) * binom(n + max(sum(I) - r * d, 0) - r - 1, n)
+    return out

@@ -3,10 +3,12 @@
 The generic dimension of a fat-point system is computed by interpolation:
 sample random points, build the matrix of vanishing conditions (Taylor rows
 up to the imposed multiplicity, plus optional vanishing-along-a-line rows),
-and row reduce modulo a word-sized prime. Specializing points can only
-inflate h^0, so the minimum over independent trials is the generic value
-with overwhelming probability; a second prime and seed are used by the
-verification suites to cross-check.
+and row reduce modulo a word-sized prime. For a pure fat-point system each
+trial value is a proven upper bound on the generic h^0 over Q, and
+systems.lower_h0 a proven lower bound: once they meet, the answer is
+certified. Otherwise the minimum over independent trials is the generic
+value with overwhelming probability, and a second prime and seed
+cross-check it.
 """
 from __future__ import annotations
 
@@ -19,11 +21,10 @@ from itertools import product as iproduct
 import numpy as np
 
 from .combinatorics import binom
-from .systems import LinearSystem, Space, dim_report
+from .systems import LinearSystem, Space, dim_report, lower_h0
 
 DEFAULT_PRIME = 2147483647  # 2^31 - 1, the largest prime below MAX_PRIME
 SECOND_PRIME = 2147483629
-THIRD_PRIME = 2147483587
 DEFAULT_SEED = 271828
 MAX_PRIME = 2**31  # exclusive bound that keeps rank_mod_p's float64 products exact
 PANEL = 64  # columns per elimination panel, and inner dimension of every product
@@ -114,6 +115,8 @@ class OracleResult:
     trials_used: int
     prime: int
     seed: int
+    lower: int  # proven lower bound on h0; the floor for non-pure systems
+    certified: bool  # h0 == lower on a pure system: exact over Q
 
     def to_json(self) -> dict:
         return {
@@ -126,17 +129,21 @@ class OracleResult:
             "prime": self.prime,
             "seed": self.seed,
             "trials": self.trials_used,
+            "lower": self.lower,
+            "certified": self.certified,
         }
 
 
 @dataclass(frozen=True)
 class CrossCheckedH0:
-    """Agreement record for the two-prime / two-seed consistency check."""
+    """Agreement record for the two-prime / two-seed consistency check; a
+    certified record holds the first prime's value only."""
 
     h0: int
     agreed: bool
     values: tuple[int, ...]
     primes: tuple[int, ...]
+    certified: bool = False
 
 
 @lru_cache(maxsize=None)
@@ -500,10 +507,18 @@ def _oracle_series(
     sample_points is prefix-consistent, so trial t of the cut to h uses the
     first h points of trial t of any longer cut, and its condition rows are
     the first rows of that longer matrix. Trial t therefore runs once, on
-    the largest h still above its floor, and every shorter cut reads its
-    rank off that matrix A: the first k rows of A have rank equal to the
+    the largest h still above its lower bound, and every shorter cut reads
+    its rank off that matrix A: the first k rows of A have rank equal to the
     number of pivot columns of A^T below k. Line schemes and subspaces break
     the row order, so they take a single count, the whole system.
+
+    A pure cut's rows reduce integer rows at integer points (chart
+    coordinate 1), and a nonzero minor mod p lifts to Z, so each trial value
+    bounds the generic h0 over Q from above. A cut stops when its best value
+    meets its lower bound: the floor max(virtual_dim + 1, 0), raised to
+    lower_h0 once a trial value is above it; a trial value below it raises.
+    Line points are collinear only mod p, so a non-pure system keeps the
+    floor max(cols - rows, 0) and is never certified.
     """
     p = cfg.prime.p
     if p <= max(sys.multidegree, default=0):
@@ -524,6 +539,7 @@ def _oracle_series(
     cuts = [sys.first_points(h) for h in counts]
     dims = [dim_report(cut) for cut in cuts]
     best = [cols] * len(cuts)
+    lower = [max(r.virtual_dim + 1, 0) for r in dims]
     rows = [0] * len(cuts)
     used = [0] * len(cuts)
     pending = list(range(len(cuts)))
@@ -543,14 +559,17 @@ def _oracle_series(
         still = []
         for i, rank in zip(pending, ranks):
             h0_t = cols - rank
-            floor = max(dims[i].virtual_dim + 1, 0) if pure else max(cols - rows[i], 0)
-            if pure and h0_t < floor:
+            if not pure:
+                lower[i] = max(cols - rows[i], 0)
+            elif h0_t > lower[i]:
+                lower[i] = lower_h0(cuts[i])
+            if pure and h0_t < lower[i]:
                 raise OracleSamplingError(
-                    f"semicontinuity violated: h0 trial value {h0_t} below {floor}"
+                    f"h0 trial value {h0_t} below the proven lower bound {lower[i]}"
                 )
             best[i] = min(best[i], h0_t)
             used[i] += 1
-            if best[i] != floor:
+            if best[i] != lower[i]:
                 still.append(i)
         pending = still
         if not pending:
@@ -567,6 +586,8 @@ def _oracle_series(
             trials_used=used[i],
             prime=p,
             seed=cfg.seed,
+            lower=lower[i],
+            certified=pure and best[i] == lower[i],
         )
         for i in range(len(cuts))
     ]
@@ -619,41 +640,45 @@ def _second_config(cfg: OracleConfig) -> OracleConfig:
     return OracleConfig(PrimeField(p2), cfg.trials, cfg.seed + 1)
 
 
+def _agreement(a: OracleResult, b: OracleResult) -> CrossCheckedH0:
+    """Both values bound the generic h0 from above, so the smaller is kept."""
+    low = min(a, b, key=lambda r: r.h0)
+    return CrossCheckedH0(low.h0, a.h0 == b.h0, (a.h0, b.h0), (a.prime, b.prime), low.certified)
+
+
+def _certified(r: OracleResult) -> CrossCheckedH0:
+    return CrossCheckedH0(r.h0, True, (r.h0,), (r.prime,), True)
+
+
 def cross_checked_h0(
     sys: LinearSystem,
     cfg: OracleConfig | None = None,
     extra_schemes: tuple[LineScheme, ...] | list[LineScheme] = (),
 ) -> CrossCheckedH0:
-    """h^0 computed with two distinct primes and seeds; on disagreement a
-    third prime is tried and the minimum (the generic value) is kept."""
+    """h^0 of a certified first answer as it is; otherwise computed with two
+    distinct primes and seeds, keeping the smaller on a disagreement."""
     cfg = cfg or OracleConfig()
-    cfg2 = _second_config(cfg)
-    p1, p2 = cfg.prime.p, cfg2.prime.p
     r1 = h0_oracle(sys, cfg, extra_schemes=extra_schemes)
-    r2 = h0_oracle(sys, cfg2, extra_schemes=extra_schemes)
-    if r1.h0 == r2.h0:
-        return CrossCheckedH0(r1.h0, True, (r1.h0, r2.h0), (p1, p2))
-    p3 = next(p for p in (THIRD_PRIME, SECOND_PRIME, DEFAULT_PRIME) if p not in (p1, p2))
-    r3 = h0_oracle(
-        sys,
-        OracleConfig(PrimeField(p3), cfg.trials, cfg.seed + 2),
-        extra_schemes=extra_schemes,
-    )
-    return CrossCheckedH0(
-        min(r1.h0, r2.h0, r3.h0), False, (r1.h0, r2.h0, r3.h0), (p1, p2, p3)
-    )
+    if r1.certified:
+        return _certified(r1)
+    return _agreement(r1, h0_oracle(sys, _second_config(cfg), extra_schemes=extra_schemes))
 
 
 def cross_checked_prefix(sys: LinearSystem, cfg: OracleConfig | None = None) -> list[CrossCheckedH0]:
     """cross_checked_h0 of a pure fat-point system cut to its first h points,
-    for h = 0..total_points: one prefix series per prime, and every h where
-    the two disagree is handed to cross_checked_h0 on its cut system."""
+    for h = 0..total_points: one prefix series at the first prime, one at
+    the second up to the largest uncertified h (none if every h is
+    certified), and every h where the two disagree is handed to
+    cross_checked_h0 on its cut system."""
     cfg = cfg or OracleConfig()
     first = h0_prefix_oracle(sys, cfg)
-    second = h0_prefix_oracle(sys, _second_config(cfg))
+    top = max((h for h, r in enumerate(first) if not r.certified), default=None)
+    second = [] if top is None else h0_prefix_oracle(sys.first_points(top), _second_config(cfg))
     return [
-        CrossCheckedH0(a.h0, True, (a.h0, b.h0), (a.prime, b.prime))
-        if a.h0 == b.h0
+        _certified(a)
+        if a.certified
+        else _agreement(a, second[h])
+        if a.h0 == second[h].h0
         else cross_checked_h0(sys.first_points(h), cfg)
-        for h, (a, b) in enumerate(zip(first, second))
+        for h, a in enumerate(first)
     ]

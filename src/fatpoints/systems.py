@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import product as iproduct
 from typing import Sequence
 
-from .combinatorics import binom
+from .combinatorics import binom, linear_expected_h0
 
 
 @dataclass(frozen=True)
@@ -170,6 +172,45 @@ def dim_report(sys: LinearSystem) -> DimReport:
     cond = sum(g.count * point_conditions(g.multiplicity, sys.space) for g in sys.points)
     nu = mono - 1 - cond
     return DimReport(mono, cond, nu, max(nu, -1))
+
+
+def lower_h0(sys: LinearSystem) -> int:
+    """A proven lower bound on the generic h0 of a fat-point system over Q,
+    the largest of three rules in integer arithmetic:
+
+    1. the floor max(virtual_dim + 1, 0);
+    2. a divisor witness: when monomial_count(e) > h, some divisor Y of
+       multidegree e passes through all h points, and multiplying by y^alpha
+       embeds residual_divisor(L, Y, alpha) (degree d - alpha e, each
+       multiplicity m - alpha floored at 0) in L, so lower(L) >=
+       lower(L - alpha Y) for alpha up to the largest multiplicity. Only
+       minimal e are tried: for e' >= e, L - alpha Y' embeds in L - alpha Y;
+    3. linear_expected_h0, on a single P^n with at most n+2 points.
+    """
+    mults = tuple(sorted(sys.point_multiplicities(), reverse=True))
+    return _lower_h0(sys.space.factors, sys.multidegree, mults)
+
+
+@lru_cache(maxsize=None)
+def _lower_h0(factors: tuple[int, ...], degree: tuple[int, ...], mults: tuple[int, ...]) -> int:
+    space = Space(factors)
+    best = max(monomial_count(space, degree) - sum(point_conditions(m, space) for m in mults), 0)
+    if len(factors) == 1 and len(mults) <= factors[0] + 2:
+        best = max(best, linear_expected_h0(factors[0], degree[0], mults))
+
+    def through(e: tuple[int, ...]) -> bool:
+        return any(e) and monomial_count(space, e) > len(mults)
+
+    # the e passing through form an up-set: e is minimal when no unit step down passes
+    for e in iproduct(*(range(d + 1) for d in degree)):
+        if not through(e) or any(k and through(e[:i] + (k - 1,) + e[i + 1 :]) for i, k in enumerate(e)):
+            continue
+        for alpha in range(1, max(mults, default=0) + 1):
+            rest = tuple(d - alpha * k for d, k in zip(degree, e))
+            if min(rest) < 0:
+                break
+            best = max(best, _lower_h0(factors, rest, tuple(m - alpha for m in mults if m > alpha)))
+    return best
 
 
 # JSON wire format, shared by the CLI and the oracle:

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from fatpoints.cli import main
-from fatpoints.oracle import DEFAULT_PRIME, SECOND_PRIME, THIRD_PRIME
+from fatpoints.oracle import DEFAULT_PRIME, SECOND_PRIME
 
 LU_SPEC = {"space": [3], "degree": [9], "points": [{"mult": 6, "count": 1}, {"mult": 4, "count": 8}]}
 
@@ -93,7 +93,9 @@ def test_oracle_json_shape(capsys):
     code, out, _ = run(capsys, "oracle", "--system", "P2:d=4:2x5", "--trials", "2")
     assert code == 0
     rep = json.loads(out)
-    assert set(rep) == {"h0", "h1", "rank", "rows", "cols", "special", "prime", "seed", "trials"}
+    assert set(rep) == {
+        "h0", "h1", "rank", "rows", "cols", "special", "prime", "seed", "trials", "lower", "certified"
+    }
     assert rep["h0"] == 1 and rep["special"]
     assert rep["cols"] == 15 and rep["rows"] == 15  # five double points in P2
 
@@ -175,7 +177,7 @@ def test_oracle_rejects_bad_primes(capsys):
     assert code == 2 and out == "" and "not prime" in err
     code, _, err = run(capsys, "oracle", "--system", "P3:d=4:2x9", "--prime", "3")
     assert code == 2 and "largest degree" in err
-    for p in (DEFAULT_PRIME, SECOND_PRIME, THIRD_PRIME):
+    for p in (DEFAULT_PRIME, SECOND_PRIME, 2147483587):
         code, out, _ = run(capsys, "oracle", "--system", "P3:d=4:2x9", "--prime", str(p))
         assert code == 0 and json.loads(out)["h0"] == 1
 

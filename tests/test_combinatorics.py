@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -6,6 +7,7 @@ from fatpoints.combinatorics import (
     A_ratio,
     binom,
     eta_product,
+    linear_expected_h0,
     phi_hyp,
     phi_product,
     psi_hyp_alpha1,
@@ -151,3 +153,42 @@ def test_rising_identity_small_grid():
                     rising(s, i - 1) * rising(r + s + i, t - i) for i in range(1, t + 1)
                 )
                 assert lhs >= rising(s, t - 1) * (s + t + r * t)
+
+
+def toric_count(n: int, d: int, mults) -> int:
+    """Independent route for s <= n+1 points, placed at coordinate points:
+    x^a vanishes to order d - a_i at the i-th, so count the exponents a with
+    a_i <= d - m_i, one by one."""
+    def count(free: int, left: int, caps) -> int:
+        if free == 0:
+            return int(left == 0)
+        cap = caps[0] if caps else left
+        return sum(count(free - 1, left - a, caps[1:]) for a in range(min(cap, left) + 1))
+    return count(n + 1, d, [d - m for m in mults])
+
+
+def test_linear_expected_h0_examples():
+    # the sextic with three quadruple points in P^3 and the octics of degree
+    # 14 with four 8-fold points: their lines are in the base locus, so h0
+    # is above the floor (24 and 200)
+    assert linear_expected_h0(3, 6, [4, 4, 4]) == 27
+    assert linear_expected_h0(3, 14, [8, 8, 8, 8]) == 206
+    # quadrics singular at h <= n points are the quadratic forms on the
+    # quotient by the span of the points
+    for n in range(1, 8):
+        for h in range(n + 1):
+            assert linear_expected_h0(n, 2, [2] * h) == binom(n - h + 2, 2), (n, h)
+    # empty: a multiplicity above d, or multiplicities summing above n d
+    assert linear_expected_h0(2, 3, [4]) == 0
+    assert linear_expected_h0(2, 3, [2, 2, 2, 2]) == 0
+    assert linear_expected_h0(3, 2, [2, 2, 2, 1]) == 0
+    with pytest.raises(ValueError):
+        linear_expected_h0(2, 3, [1] * 5)
+
+
+def test_linear_expected_h0_is_the_toric_count():
+    for n in range(1, 5):
+        for d in range(7 - n):
+            for s in range(n + 2):
+                for mults in combinations_with_replacement(range(1, d + 2), s):
+                    assert linear_expected_h0(n, d, mults) == toric_count(n, d, mults), (n, d, mults)

@@ -10,9 +10,9 @@ from fatpoints.oracle import (
     DEFAULT_PRIME,
     PANEL,
     OracleConfig,
+    OracleSamplingError,
     PrimeField,
     SECOND_PRIME,
-    THIRD_PRIME,
     _RowBuilder,
     _basis,
     _halves,
@@ -403,13 +403,13 @@ def test_is_special_examples():
 def test_result_json_shape():
     res = h0_oracle(make_system([2], [2], [(2, 1)]), CFG)
     assert set(res.to_json()) == {
-        "h0", "h1", "rank", "rows", "cols", "special", "prime", "seed", "trials"
+        "h0", "h1", "rank", "rows", "cols", "special", "prime", "seed", "trials", "lower", "certified"
     }
     assert (res.to_json()["rows"], res.to_json()["cols"]) == (3, 6)
 
 
 def test_prime_field_validation():
-    for p in (DEFAULT_PRIME, SECOND_PRIME, THIRD_PRIME, 2, 97):
+    for p in (DEFAULT_PRIME, SECOND_PRIME, 2147483587, 2, 97):
         assert PrimeField(p).p == p
     # 2^31 and up breaks the exactness of the float64 products; the rest are
     # composite (561 is a Carmichael number, 3215031751 a strong pseudoprime
@@ -422,6 +422,19 @@ def test_prime_field_validation():
     # falling factorials of degree 4 vanish mod 3
     with pytest.raises(ValueError, match="largest degree"):
         h0_oracle(make_system([3], [4], [(2, 9)]), OracleConfig(PrimeField(3)))
+
+
+def test_trial_below_lower_bound_raises(monkeypatch):
+    # h0 27 is above the floor 24, so the bound is computed; a rule that
+    # claimed one more than h0 must fail loudly, not certify a wrong answer
+    sys = make_system([3], [6], [(4, 3)])
+    res = h0_oracle(sys, CFG)
+    assert (res.h0, res.lower, res.certified, res.trials_used) == (27, 27, True, 1)
+    monkeypatch.setattr(oracle, "lower_h0", lambda cut: res.h0 + 1)
+    with pytest.raises(OracleSamplingError, match="lower bound 28"):
+        h0_oracle(sys, CFG)
+    with pytest.raises(OracleSamplingError):
+        h0_prefix_oracle(sys, CFG)
 
 
 def test_semicontinuity_floor_on_grid():
@@ -459,7 +472,11 @@ def test_prefix_series_matches_each_cut():
     series = h0_prefix_oracle(make_system([1, 1], [2, 2], [(2, 5)]), CFG)
     assert [r.h0 for r in series] == [9, 6, 3, 1, 0, 0]
     assert [r.special for r in series] == [False, False, False, True, False, False]
-    assert [r.trials_used for r in series] == [1, 1, 1, 2, 1, 1]
+    # the double (1,1)-divisor through 3 points certifies h0 = 1 at h = 3,
+    # above the floor 0, so every cut stops after its first trial
+    assert [r.trials_used for r in series] == [1, 1, 1, 1, 1, 1]
+    assert [r.lower for r in series] == [9, 6, 3, 1, 0, 0]
+    assert all(r.certified for r in series)
 
 
 def test_cross_checked_prefix_matches_each_cut():
@@ -470,23 +487,31 @@ def test_cross_checked_prefix_matches_each_cut():
 
 
 def test_cross_checked_prefix_hands_disagreements_to_cross_checked_h0(monkeypatch):
-    sys = make_system([2], [4], [(2, 6)])
+    # cubics double at 7 points of P4 contain the secant variety of the
+    # rational normal curve through them: h0 = 1, which no rule reaches
+    sys = make_system([4], [3], [(2, 9)])
     real_series = oracle.h0_prefix_oracle
+    seconds = []
 
     def skewed_series(sys_, cfg):
-        # the second prime reads one more at h = 3
+        # the second prime reads one more at h = 7
         series = real_series(sys_, cfg)
         if cfg.prime.p == SECOND_PRIME:
-            series[3] = replace(series[3], h0=series[3].h0 + 1)
+            seconds.append(sys_)
+            series[7] = replace(series[7], h0=series[7].h0 + 1)
         return series
 
     handed = []
     monkeypatch.setattr(oracle, "h0_prefix_oracle", skewed_series)
     monkeypatch.setattr(oracle, "cross_checked_h0", lambda cut, cfg: handed.append(cut) or "third")
     got = cross_checked_prefix(sys, CFG)
-    assert handed == [sys.first_points(3)]
-    assert got[3] == "third"
-    assert all(cc.agreed for h, cc in enumerate(got) if h != 3)
+    assert handed == [sys.first_points(7)]
+    assert got[7] == "third"
+    assert all(cc.agreed for h, cc in enumerate(got) if h != 7)
+    # the other cuts reach their floor, so they use one prime, and the
+    # second prime runs one series, up to the one open cut
+    assert all(cc.certified and len(cc.primes) == 1 for h, cc in enumerate(got) if h != 7)
+    assert seconds == [sys.first_points(7)]
 
 
 def test_restrict_to_subspace():
@@ -501,9 +526,17 @@ def test_restrict_to_subspace():
 
 
 def test_two_primes_two_seeds_agree():
+    # cuts the lower-bound rules leave open: the double rational normal
+    # curve case and two product systems above their bound
+    for spec in [([4], [3], [(2, 7)]), ([1, 2], [2, 2], [(2, 4)]), ([1, 3], [4, 2], [(2, 9)])]:
+        cc = cross_checked_h0(make_system(*spec), CFG)
+        assert not cc.certified
+        assert cc.agreed and cc.primes[0] != cc.primes[1]
+    # certified cuts use one prime
     for spec in [([3], [4], [(2, 9)]), ([1, 1], [4, 2], [(2, 5)]), ([3], [6], [(4, 3)])]:
         cc = cross_checked_h0(make_system(*spec), CFG)
-        assert cc.agreed and cc.primes[0] != cc.primes[1]
+        assert cc.certified and cc.agreed
+        assert cc.primes == (CFG.prime.p,) and cc.values == (cc.h0,)
 
 
 def test_explicit_second_prime_config():

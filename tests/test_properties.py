@@ -2,8 +2,9 @@
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fatpoints.combinatorics import linear_expected_h0
 from fatpoints.oracle import OracleConfig, cross_checked_prefix, h0_oracle, h0_prefix_oracle
-from fatpoints.systems import make_system, virtual_dim
+from fatpoints.systems import lower_h0, make_system, virtual_dim
 
 CFG = OracleConfig(trials=2, seed=1357)
 # derandomized: every run draws the same examples, so tier-1 stays reproducible
@@ -80,3 +81,21 @@ def test_raising_a_multiplicity_never_raises_h0(sys, pick):
     mults[raisable[pick % len(raisable)]] += 1
     raised = make_system(sys.space.factors, sys.multidegree, [(m, 1) for m in mults])
     assert h0_oracle(raised, CFG).h0 <= h0_oracle(sys, CFG).h0
+
+
+@SMALL
+@given(systems)
+def test_lower_bound_never_exceeds_h0(sys):
+    assert lower_h0(sys) <= h0_oracle(sys, CFG).h0
+
+
+@SMALL
+@given(st.integers(2, 4).flatmap(
+    lambda n: st.tuples(
+        st.just(n), st.integers(0, 5), st.lists(st.integers(1, 6), max_size=n + 2)
+    )
+))
+def test_linear_expected_h0_is_h0_for_at_most_n_plus_2_points(case):
+    n, d, mults = case
+    sys = make_system([n], [d], [(m, 1) for m in mults])
+    assert linear_expected_h0(n, d, mults) == h0_oracle(sys, CFG).h0

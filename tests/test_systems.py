@@ -8,6 +8,7 @@ from fatpoints.systems import (
     Space,
     dim_report,
     expected_dim,
+    lower_h0,
     make_system,
     monomial_count,
     point_conditions,
@@ -131,3 +132,25 @@ def test_first_points():
     for bad in (-1, 8):
         with pytest.raises(ValueError, match="out of range"):
             sys.first_points(bad)
+
+
+def test_lower_h0_examples():
+    # P1xP1, bidegree (2d, 2), 2d+1 double points: the floor is 0, and the
+    # (d, 1)-curve through the points, taken twice, leaves the constants
+    for d in range(1, 5):
+        sys = make_system([1, 1], [2 * d, 2], [(2, 2 * d + 1)])
+        assert virtual_dim(sys) + 1 == 0
+        assert lower_h0(sys) == 1
+    # the degree-9 counterexample in P^3: the quadric through the nine points
+    # leaves the degree-7 system with a 5-fold and eight triple points
+    sys = make_system([3], [9], [(6, 1), (4, 8)])
+    assert virtual_dim(sys) + 1 == 4
+    assert lower_h0(sys) == 5
+    # no points, and the floor where nothing else applies
+    assert lower_h0(make_system([2], [3], [])) == 10
+    assert lower_h0(make_system([4], [3], [(2, 7)])) == 0
+    assert lower_h0(make_system([2], [5], [(2, 3), (1, 2)])) == virtual_dim(
+        make_system([2], [5], [(2, 3), (1, 2)])
+    ) + 1
+    # group order does not matter
+    assert lower_h0(make_system([3], [9], [(4, 8), (6, 1)])) == 5

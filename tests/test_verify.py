@@ -122,9 +122,10 @@ def test_ah_table_matches_each_system_cross_checked():
 
 
 def test_elimination_counts_at_default_config(monkeypatch):
-    # one prefix series per (space, degree) family and prime, of 1-3 trials,
-    # and h1-values read from the AH table; per-system oracle calls took 246
-    # and 123 eliminations
+    # one prefix series per (space, degree) family, of 1-3 trials, a second
+    # prime only up to the largest cut not certified by its lower bound, and
+    # h1-values read from the AH table; per-system oracle calls took 246 and
+    # 123 eliminations, and two primes on every cut 72, 142 and 90
     calls = []
     real = oracle._pivot_columns
 
@@ -134,10 +135,13 @@ def test_elimination_counts_at_default_config(monkeypatch):
 
     monkeypatch.setattr(oracle, "_pivot_columns", counting)
     assert all(c.ok for c in SUITES["ah"](OracleConfig()))
-    assert len(calls) == 72
+    assert len(calls) == 23
+    calls.clear()
+    assert all(c.ok for c in SUITES["cgg"](OracleConfig()))
+    assert len(calls) == 58
     calls.clear()
     assert all(c.ok for c in verify_paper_tables(OracleConfig()))
-    assert len(calls) == 90
+    assert len(calls) == 58
 
 
 def test_ah_quartic_disagreement_reported_once(monkeypatch):
