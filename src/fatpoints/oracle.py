@@ -3,11 +3,11 @@
 The generic dimension of a fat-point system is computed by interpolation:
 sample random points, build the matrix of vanishing conditions (Taylor rows
 up to the imposed multiplicity, plus optional vanishing-along-a-line rows),
-and row reduce modulo a word-sized prime. For a pure fat-point system each
-trial value is a proven upper bound on the generic h^0 over Q, and
-systems.lower_h0 a proven lower bound: once they meet, the answer is
-certified. Otherwise the minimum over independent trials is the generic
-value with overwhelming probability, and a second prime and seed
+and row reduce modulo a word-sized prime. For a fat-point system, with or
+without lines, each trial value is a proven upper bound on the generic h^0
+over Q, and systems.lower_h0 a proven lower bound: once they meet, the
+answer is certified. Otherwise the minimum over independent trials is the
+generic value with overwhelming probability, and a second prime and seed
 cross-check it.
 """
 from __future__ import annotations
@@ -115,8 +115,8 @@ class OracleResult:
     trials_used: int
     prime: int
     seed: int
-    lower: int  # proven lower bound on h0; the floor for non-pure systems
-    certified: bool  # h0 == lower on a pure system: exact over Q
+    lower: int  # proven lower bound on h0; the floor with a subspace scheme
+    certified: bool  # h0 == lower without a subspace scheme: exact over Q
 
     def to_json(self) -> dict:
         return {
@@ -512,13 +512,15 @@ def _oracle_series(
     number of pivot columns of A^T below k. Line schemes and subspaces break
     the row order, so they take a single count, the whole system.
 
-    A pure cut's rows reduce integer rows at integer points (chart
-    coordinate 1), and a nonzero minor mod p lifts to Z, so each trial value
-    bounds the generic h0 over Q from above. A cut stops when its best value
-    meets its lower bound: the floor max(virtual_dim + 1, 0), raised to
-    lower_h0 once a trial value is above it; a trial value below it raises.
-    Line points are collinear only mod p, so a non-pure system keeps the
-    floor max(cols - rows, 0) and is never certified.
+    A cut's rows reduce integer rows at integer points (chart coordinate 1),
+    and a nonzero minor mod p lifts to Z, so each trial value bounds the
+    generic h0 over Q from above. With lines this holds too: the rows of a
+    line ab are, up to a unit x_c^(d-|beta|) per row, those of the distinct
+    integer points a + t b, t = 0..d, collinear over Q. A cut stops when its
+    best value meets its lower bound: the floor max(virtual_dim + 1, 0), or
+    0 with lines, raised to lower_h0 once a trial value is above it; a trial
+    value below it raises. A subspace scheme keeps the floor
+    max(cols - rows, 0) and is never certified.
     """
     p = cfg.prime.p
     if p <= max(sys.multidegree, default=0):
@@ -539,7 +541,7 @@ def _oracle_series(
     cuts = [sys.first_points(h) for h in counts]
     dims = [dim_report(cut) for cut in cuts]
     best = [cols] * len(cuts)
-    lower = [max(r.virtual_dim + 1, 0) for r in dims]
+    lower = [0 if extra_schemes else max(r.virtual_dim + 1, 0) for r in dims]
     rows = [0] * len(cuts)
     used = [0] * len(cuts)
     pending = list(range(len(cuts)))
@@ -559,11 +561,11 @@ def _oracle_series(
         still = []
         for i, rank in zip(pending, ranks):
             h0_t = cols - rank
-            if not pure:
+            if subspace is not None:
                 lower[i] = max(cols - rows[i], 0)
             elif h0_t > lower[i]:
-                lower[i] = lower_h0(cuts[i])
-            if pure and h0_t < lower[i]:
+                lower[i] = lower_h0(cuts[i], extra_schemes)
+            if subspace is None and h0_t < lower[i]:
                 raise OracleSamplingError(
                     f"h0 trial value {h0_t} below the proven lower bound {lower[i]}"
                 )
@@ -587,7 +589,7 @@ def _oracle_series(
             prime=p,
             seed=cfg.seed,
             lower=lower[i],
-            certified=pure and best[i] == lower[i],
+            certified=subspace is None and best[i] == lower[i],
         )
         for i in range(len(cuts))
     ]
@@ -666,19 +668,12 @@ def cross_checked_h0(
 
 def cross_checked_prefix(sys: LinearSystem, cfg: OracleConfig | None = None) -> list[CrossCheckedH0]:
     """cross_checked_h0 of a pure fat-point system cut to its first h points,
-    for h = 0..total_points: one prefix series at the first prime, one at
+    for h = 0..total_points: one prefix series at the first prime and one at
     the second up to the largest uncertified h (none if every h is
-    certified), and every h where the two disagree is handed to
-    cross_checked_h0 on its cut system."""
+    certified). Entry h of each series is h0_oracle of the cut, so each
+    record is built from the two series values."""
     cfg = cfg or OracleConfig()
     first = h0_prefix_oracle(sys, cfg)
     top = max((h for h, r in enumerate(first) if not r.certified), default=None)
     second = [] if top is None else h0_prefix_oracle(sys.first_points(top), _second_config(cfg))
-    return [
-        _certified(a)
-        if a.certified
-        else _agreement(a, second[h])
-        if a.h0 == second[h].h0
-        else cross_checked_h0(sys.first_points(h), cfg)
-        for h, a in enumerate(first)
-    ]
+    return [_certified(a) if a.certified else _agreement(a, second[h]) for h, a in enumerate(first)]

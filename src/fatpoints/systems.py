@@ -174,7 +174,7 @@ def dim_report(sys: LinearSystem) -> DimReport:
     return DimReport(mono, cond, nu, max(nu, -1))
 
 
-def lower_h0(sys: LinearSystem) -> int:
+def lower_h0(sys: LinearSystem, lines: Sequence[tuple[int, int, int]] = ()) -> int:
     """A proven lower bound on the generic h0 of a fat-point system over Q,
     the largest of three rules in integer arithmetic:
 
@@ -186,9 +186,29 @@ def lower_h0(sys: LinearSystem) -> int:
        lower(L - alpha Y) for alpha up to the largest multiplicity. Only
        minimal e are tried: for e' >= e, L - alpha Y' embeds in L - alpha Y;
     3. linear_expected_h0, on a single P^n with at most n+2 points.
+
+    Each line (i, j, alpha) through base points i and j of a single P^n,
+    n >= 2, then subtracts at most its excess. In normal coordinates x' of
+    the line, F = sum_beta x'^beta F_beta, and vanishing to order alpha
+    along it means F_beta = 0 for |beta| < alpha. F_beta of order r is a
+    binary form of degree d - r vanishing to order (m_i - r)+ and (m_j - r)+
+    at the two points, so the line costs at most sum over r < alpha of
+    C(n-2+r, r) max(d - r + 1 - (m_i - r)+ - (m_j - r)+, 0) conditions: none
+    when alpha <= m_i + m_j - d, where the line is in the base locus.
     """
-    mults = tuple(sorted(sys.point_multiplicities(), reverse=True))
-    return _lower_h0(sys.space.factors, sys.multidegree, mults)
+    mults = sys.point_multiplicities()
+    bound = _lower_h0(sys.space.factors, sys.multidegree, tuple(sorted(mults, reverse=True)))
+    if not lines:
+        return bound
+    if sys.space.nfactors != 1 or sys.space.n < 2:
+        raise ValueError("a line bound needs a single P^n with n >= 2")
+    n, d = sys.space.n, sys.multidegree[0]
+    for i, j, alpha in lines:
+        bound -= sum(
+            binom(n - 2 + r, r) * max(d - r + 1 - max(mults[i] - r, 0) - max(mults[j] - r, 0), 0)
+            for r in range(alpha)
+        )
+    return max(bound, 0)
 
 
 @lru_cache(maxsize=None)

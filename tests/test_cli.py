@@ -108,6 +108,9 @@ def test_oracle_with_lines(capsys):
     assert json.loads(out)["h0"] == 27
     # speciality is only defined against the pure system's expected dimension
     assert '"special": null' in out
+    # the doubled lines lie in the base locus, so the bound 27 certifies trial 1
+    assert '"certified": true' in out
+    assert (json.loads(out)["trials"], json.loads(out)["lower"]) == (1, 27)
 
 
 def test_oracle_seed_env(capsys, monkeypatch):

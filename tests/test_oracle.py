@@ -13,6 +13,8 @@ from fatpoints.oracle import (
     OracleSamplingError,
     PrimeField,
     SECOND_PRIME,
+    CrossCheckedH0,
+    SubspaceScheme,
     _RowBuilder,
     _basis,
     _halves,
@@ -373,6 +375,47 @@ def test_h0_oracle_with_triple_line_scheme():
     assert res.special is None  # so is the pure system's expected dimension
 
 
+THREE_LINES = ((0, 1, 2), (0, 2, 2), (1, 2, 2))
+
+
+def test_line_calls_certify_at_one_trial():
+    # the benchmark's line calls: h0 (pinned at two primes and five seeds)
+    # meets the restriction bound, so the first trial certifies it
+    cfg = OracleConfig()
+    for spec, lines, h0, rank, rows, lower in [
+        (([3], [14], [(8, 4)]), THREE_LINES, 206, 474, 660, 206),
+        (([4], [8], [(5, 5)]), THREE_LINES, 155, 340, 485, 155),
+        (([3], [9], [(6, 1), (4, 8)]), THREE_LINES[:2], 1, 219, 296, 1),
+        (([3], [6], [(4, 3)]), THREE_LINES, 27, 57, 144, 27),
+    ]:
+        res = h0_oracle(make_system(*spec), cfg, extra_schemes=lines)
+        assert (res.h0, res.rank, res.rows) == (h0, rank, rows), spec
+        assert (res.lower, res.certified, res.trials_used) == (lower, True, 1), spec
+    # triple lines through two pairs of triple points: each costs at most 14
+    # conditions, but together they cost 24, so the gap stays open
+    res = h0_oracle(make_system([3], [6], [(3, 3)]), cfg, extra_schemes=((0, 1, 3), (0, 2, 3)))
+    assert (res.h0, res.lower, res.certified, res.trials_used) == (30, 26, False, 3)
+    # a subspace scheme keeps the floor and is never certified, even when
+    # its trial value meets the floor: 3 of 9 points on a plane, quadrics
+    res = h0_oracle(make_system([3], [2], [(1, 9)]), cfg, subspace=SubspaceScheme(2, 3))
+    assert (res.h0, res.lower, res.certified, res.trials_used) == (1, 1, False, 1)
+
+
+def test_lines_in_the_base_locus_add_no_rank():
+    # Bezout: a degree-d form with multiplicities m_i, m_j at two points
+    # vanishes to order m_i + m_j - d along the line joining them, so rows
+    # of that order or less add no rank, and one order more adds some
+    for n, d, mi, mj in [(2, 5, 4, 3), (3, 6, 4, 4), (3, 7, 5, 3), (4, 4, 3, 3)]:
+        sys = make_system([n], [d], [(mi, 1), (mj, 1)])
+        builder = _RowBuilder(sys, DEFAULT_PRIME)
+        a, b = sample_points(sys.space, 2, CFG)
+        points = np.vstack([builder.rows([a], mi), builder.rows([b], mj)])
+        base = rank_mod_p(points, DEFAULT_PRIME)
+        for alpha in range(1, mi + mj - d + 2):
+            rank = rank_mod_p(np.vstack([points, builder.line_rows((a, b), alpha)]), DEFAULT_PRIME)
+            assert (rank == base) == (alpha <= mi + mj - d), (n, d, mi, mj, alpha)
+
+
 def test_h1_oracle_values():
     assert h0_oracle(make_system([3], [2], [(2, 3)]), CFG).h1 == 3
     assert h0_oracle(make_system([3], [4], [(2, 9)]), CFG).h1 == 2
@@ -430,11 +473,14 @@ def test_trial_below_lower_bound_raises(monkeypatch):
     sys = make_system([3], [6], [(4, 3)])
     res = h0_oracle(sys, CFG)
     assert (res.h0, res.lower, res.certified, res.trials_used) == (27, 27, True, 1)
-    monkeypatch.setattr(oracle, "lower_h0", lambda cut: res.h0 + 1)
+    monkeypatch.setattr(oracle, "lower_h0", lambda cut, lines=(): res.h0 + 1)
     with pytest.raises(OracleSamplingError, match="lower bound 28"):
         h0_oracle(sys, CFG)
     with pytest.raises(OracleSamplingError):
         h0_prefix_oracle(sys, CFG)
+    # a line call starts at 0, so its first trial computes the bound too
+    with pytest.raises(OracleSamplingError, match="lower bound 28"):
+        h0_oracle(sys, CFG, extra_schemes=THREE_LINES)
 
 
 def test_semicontinuity_floor_on_grid():
@@ -486,7 +532,7 @@ def test_cross_checked_prefix_matches_each_cut():
     ]
 
 
-def test_cross_checked_prefix_hands_disagreements_to_cross_checked_h0(monkeypatch):
+def test_cross_checked_prefix_builds_disagreements_from_both_series(monkeypatch):
     # cubics double at 7 points of P4 contain the secant variety of the
     # rational normal curve through them: h0 = 1, which no rule reaches
     sys = make_system([4], [3], [(2, 9)])
@@ -501,12 +547,15 @@ def test_cross_checked_prefix_hands_disagreements_to_cross_checked_h0(monkeypatc
             series[7] = replace(series[7], h0=series[7].h0 + 1)
         return series
 
-    handed = []
+    def no_cut_calls(*args, **kwargs):
+        raise AssertionError("cross_checked_h0 called on a cut")
+
     monkeypatch.setattr(oracle, "h0_prefix_oracle", skewed_series)
-    monkeypatch.setattr(oracle, "cross_checked_h0", lambda cut, cfg: handed.append(cut) or "third")
+    monkeypatch.setattr(oracle, "cross_checked_h0", no_cut_calls)
     got = cross_checked_prefix(sys, CFG)
-    assert handed == [sys.first_points(7)]
-    assert got[7] == "third"
+    # both series values bound h0 from above: the smaller is kept, and no
+    # cut is run again
+    assert got[7] == CrossCheckedH0(1, False, (1, 2), (CFG.prime.p, SECOND_PRIME))
     assert all(cc.agreed for h, cc in enumerate(got) if h != 7)
     # the other cuts reach their floor, so they use one prime, and the
     # second prime runs one series, up to the one open cut

@@ -1,4 +1,6 @@
 """Properties of the oracle on small random fat-point systems."""
+from itertools import combinations
+
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -99,3 +101,24 @@ def test_linear_expected_h0_is_h0_for_at_most_n_plus_2_points(case):
     n, d, mults = case
     sys = make_system([n], [d], [(m, 1) for m in mults])
     assert linear_expected_h0(n, d, mults) == h0_oracle(sys, CFG).h0
+
+
+@st.composite
+def line_systems(draw):
+    """A system on P^2, P^3 or P^4 with 2 to 4 points and 1 to 3 distinct
+    lines through pairs of them, each of multiplicity at most 3."""
+    n = draw(st.integers(2, 4))
+    d = draw(st.integers(1, 10 - 2 * n))
+    mults = draw(st.lists(st.integers(1, d), min_size=2, max_size=4))
+    lines = draw(st.lists(
+        st.tuples(st.sampled_from(list(combinations(range(len(mults)), 2))), st.integers(1, 3)),
+        min_size=1, max_size=3, unique_by=lambda line: line[0],
+    ))
+    return make_system([n], [d], [(m, 1) for m in mults]), tuple((i, j, a) for (i, j), a in lines)
+
+
+@SMALL
+@given(line_systems())
+def test_line_bound_never_exceeds_h0(case):
+    sys, lines = case
+    assert lower_h0(sys, lines) <= h0_oracle(sys, CFG, extra_schemes=lines).h0

@@ -154,3 +154,29 @@ def test_lower_h0_examples():
     ) + 1
     # group order does not matter
     assert lower_h0(make_system([3], [9], [(4, 8), (6, 1)])) == 5
+
+
+def test_lower_h0_with_lines():
+    # double lines through 8-fold points of degree-14 forms and through
+    # 5-fold points of octics in P^4 lie in the base locus (Bezout): no excess
+    three = ((0, 1, 2), (0, 2, 2), (1, 2, 2))
+    assert lower_h0(make_system([3], [14], [(8, 4)]), three) == 206
+    assert lower_h0(make_system([4], [8], [(5, 5)]), three) == 155
+    # the sextic with three quadruple points: 23 + 3 lines = 26, plus one
+    assert lower_h0(make_system([3], [6], [(4, 3)]), three) == 27
+    # a double line through the 6-fold point and a 4-fold point of the
+    # degree-9 system: its first normal derivatives are binary forms of
+    # degree 8 with a 5-fold and a triple point, 2 x 1 conditions
+    sys = make_system([3], [9], [(6, 1), (4, 8)])
+    assert lower_h0(sys, ((0, 1, 2), (0, 2, 2))) == lower_h0(sys) - 2 - 2 == 1
+    # triple lines through triple points of sextics: 1 + 2 x 2 + 3 x 3 = 14
+    # conditions each, from the 54 of the pure system
+    assert lower_h0(make_system([3], [6], [(3, 3)]), ((0, 1, 3), (0, 2, 3))) == 54 - 14 - 14
+    # plane quartics triple along a line are its cube times a linear form: 3,
+    # and none contain two triple lines, where the bound is floored at 0
+    assert lower_h0(make_system([2], [4], [(1, 2)]), ((0, 1, 3),)) == 3
+    assert lower_h0(make_system([2], [4], [(1, 3)]), ((0, 1, 3), (0, 2, 3))) == 0
+    # the line bound needs a single P^n, n >= 2
+    for spec in [([1], [3], [(1, 2)]), ([1, 1], [2, 2], [(1, 2)])]:
+        with pytest.raises(ValueError):
+            lower_h0(make_system(*spec), ((0, 1, 1),))
