@@ -26,7 +26,6 @@ from .effect_varieties import (
     classify_configuration,
     curve_restriction_cohomology,
     h1_sev_check,
-    homogeneous_linear_sev_range,
     linear_space_residual_nu,
     p3_rational_curve_chi,
     residual_divisor,

@@ -13,9 +13,11 @@ so runs are replayable; SEV_SEED overrides the default seed.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from . import search, verify
 from .effect_varieties import (
@@ -101,6 +103,19 @@ def _add_oracle_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trials", type=int, default=3, help="independent point samples")
 
 
+def _add_variety_args(p: argparse.ArgumentParser, extra_kinds: tuple[str, ...] = ()) -> None:
+    _add_system_args(p)
+    _add_oracle_args(p)
+    p.add_argument("--variety", required=True,
+                   choices=["quadric", "hypersurface", "linear", "rnc", "curve", "line", *extra_kinds])
+    p.add_argument("--e", help="divisor multidegree, comma separated")
+    p.add_argument("--c", type=int, default=1, help="divisor multiplicity at each point group")
+    p.add_argument("--s", type=int, help="linear subspace dimension")
+    p.add_argument("--through", type=int, help="points lying on the subspace (default s+1)")
+    p.add_argument("--curve-degree", type=int, help="degree of the rational curve in P^3")
+    p.add_argument("--pair", help="point indices of a line, e.g. 0,1")
+
+
 def _parse_pairs(text: str, default_alpha: int) -> list[tuple[int, int, int]]:
     """0-1:2,0-2:2 -> [(0,1,2), (0,2,2)]; the :alpha part is optional."""
     out = []
@@ -184,6 +199,18 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _emit(fmt: str, header: list[str], cells: list, objs: list[dict]) -> None:
+    """Write a table to stdout: csv or md from the header and row cells, json
+    from one object per row."""
+    if fmt == "json":
+        print(json.dumps(objs, indent=2))
+    elif fmt == "csv":
+        csv.writer(sys.stdout, lineterminator="\n").writerows([header, *cells])
+    else:
+        for row in [header, ["---"] * len(header), *cells]:
+            print("| " + " | ".join(row) + " |")
+
+
 def cmd_scan(args: argparse.Namespace) -> int:
     kw = {}
     if args.n_max is not None:
@@ -202,12 +229,9 @@ def cmd_scan(args: argparse.Namespace) -> int:
         )
     else:
         records = search.scan_product_divisors(args.t, **kw)
-    if args.format == "csv":
-        sys.stdout.write(search.records_to_csv(records))
-    elif args.format == "md":
-        sys.stdout.write(search.records_to_markdown(records))
-    else:
-        print(json.dumps([{**dict(zip(("space", "degree", "variety", "h"), r.key()[1:])), "notes": list(r.notes)} for r in records], indent=2))
+    header = ["space", "degree", "variety", "h", "notes"]
+    _emit(args.format, header, [r.cells() for r in records],
+          [{k: getattr(r, k) for k in header} for r in records])
     return EXIT_OK
 
 
@@ -215,23 +239,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     cfg = _oracle_cfg(args)
     _echo_cfg(cfg)
     checks = verify.SUITES[args.suite](cfg)
-    if args.format == "json":
-        print(json.dumps([{"name": c.name, "ok": c.ok, "detail": c.detail} for c in checks], indent=2))
-    elif args.format == "csv":
-        import csv as _csv
-
-        writer = _csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["check", "ok", "detail"])
-        for c in checks:
-            writer.writerow([c.name, "pass" if c.ok else "fail", c.detail])
-    elif args.format == "md":
-        print("| check | ok | detail |")
-        print("| --- | --- | --- |")
-        for c in checks:
-            print(f"| {c.name} | {'pass' if c.ok else 'fail'} | {c.detail} |")
-    else:
+    if args.format == "text":
         for c in checks:
             print(c.line())
+    else:
+        _emit(args.format, ["check", "ok", "detail"],
+              [(c.name, "pass" if c.ok else "fail", c.detail) for c in checks],
+              [asdict(c) for c in checks])
     return EXIT_OK if all(c.ok for c in checks) else EXIT_NEGATIVE
 
 
@@ -247,31 +261,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_dim)
 
     p = sub.add_parser("classify", help="alpha-special-effect classification")
-    _add_system_args(p)
-    _add_oracle_args(p)
-    p.add_argument("--variety", required=True,
-                   choices=["quadric", "hypersurface", "linear", "rnc", "curve", "line", "lines"])
-    p.add_argument("--e", help="divisor multidegree, comma separated")
-    p.add_argument("--c", type=int, default=1, help="divisor multiplicity at each point group")
-    p.add_argument("--s", type=int, help="linear subspace dimension")
-    p.add_argument("--through", type=int, help="points lying on the subspace (default s+1)")
-    p.add_argument("--curve-degree", type=int, help="degree of the rational curve in P^3")
-    p.add_argument("--pair", help="point indices of a line, e.g. 0,1")
+    _add_variety_args(p, ("lines",))
     p.add_argument("--pairs", help="line configuration steps, e.g. 0-1:2,0-2:2,1-2:2")
     p.add_argument("--alpha", type=int, default=2, help="default step multiplicity for --pairs")
     p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("h1check", help="cohomological special-effect check")
-    _add_system_args(p)
-    _add_oracle_args(p)
-    p.add_argument("--variety", required=True,
-                   choices=["quadric", "hypersurface", "linear", "rnc", "curve", "line"])
-    p.add_argument("--e", help="divisor multidegree, comma separated")
-    p.add_argument("--c", type=int, default=1)
-    p.add_argument("--s", type=int)
-    p.add_argument("--through", type=int)
-    p.add_argument("--curve-degree", type=int)
-    p.add_argument("--pair")
+    _add_variety_args(p)
     p.set_defaults(fn=cmd_h1check)
 
     p = sub.add_parser("oracle", help="actual h0/h1/speciality by finite-field rank")

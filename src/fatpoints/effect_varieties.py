@@ -20,8 +20,7 @@ with effective residual, and smooth rational curves through double points.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from math import isqrt
+from dataclasses import asdict, dataclass, field
 from typing import Sequence, Union
 
 from .combinatorics import binom
@@ -100,6 +99,8 @@ class Line:
         i, j = self.through_pair
         if i == j:
             raise ValueError("a line needs two distinct points")
+        if min(i, j) < 0:
+            raise ValueError(f"line point indices must be >= 0, got {self.through_pair}")
 
 
 EffectVariety = Union[Hypersurface, LinearSubspace, RationalNormalCurve, RationalCurveP3, Line]
@@ -116,15 +117,7 @@ class SevReport:
     values: dict[str, object] = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "holds_property": self.holds_property,
-            "is_sev": self.is_sev,
-            "alpha_max": self.alpha_max,
-            "nu_system": self.nu_system,
-            "nu_residual": self.nu_residual,
-            "checks": dict(self.checks),
-            "values": dict(self.values),
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -241,35 +234,22 @@ def line_point_overlap(m: int, alpha: int, n: int) -> int:
     return sum(binom(k + n - 2, n - 2) * (m - k) for k in range(min(alpha, m)))
 
 
-def _line_step_chi(sys: LinearSystem, pair: tuple[int, int], alpha: int) -> tuple[int, dict]:
-    """chi of the restriction of the accumulated system to a new alpha-fold
-    line; its negative is the change in virtual dimension."""
-    n = sys.space.n
-    d = sys.multidegree[0]
+def _pair_mults(sys: LinearSystem, pair: tuple[int, int]) -> tuple[int, int]:
+    """Multiplicities of the two base points a line joins."""
     mults = sys.point_multiplicities()
     i, j = pair
     if not (0 <= i < len(mults) and 0 <= j < len(mults)):
         raise ValueError(f"line pair {pair} references missing points")
-    cond = multiple_subspace_conditions(d, n, 1, alpha)
-    overlap = line_point_overlap(mults[i], alpha, n) + line_point_overlap(mults[j], alpha, n)
+    return mults[i], mults[j]
+
+
+def _line_step_chi(sys: LinearSystem, pair: tuple[int, int], alpha: int) -> tuple[int, dict]:
+    """chi of the restriction of the accumulated system to a new alpha-fold
+    line; its negative is the change in virtual dimension."""
+    n = sys.space.n
+    cond = multiple_subspace_conditions(sys.multidegree[0], n, 1, alpha)
+    overlap = sum(line_point_overlap(m, alpha, n) for m in _pair_mults(sys, pair))
     return cond - overlap, {"line_conditions": cond, "point_overlap": overlap}
-
-
-def homogeneous_linear_sev_range(n: int, s: int, m: int) -> tuple[int, int]:
-    """Admissible degree interval [d_lo, d_hi] in which P^s is an m-special
-    effect variety for the homogeneous system with s+1 points of multiplicity
-    m in P^3. Supported: the line (s=1) and plane (s=2) in P^3. Empty when
-    d_hi < d_lo."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if (n, s) == (3, 1):
-        # strict bound d < (4m-1)/3 from 4m^2 + 3m - 1 - 3d - 3md > 0
-        return m, (4 * m + 1) // 3 - 1
-    if (n, s) == (3, 2):
-        # d <= m/2 - 2 + sqrt(84 + 108m + 33m^2)/6, floored exactly
-        radicand = 84 + 108 * m + 33 * m * m
-        return m, (isqrt(radicand) + 3 * m - 12) // 6
-    raise NotImplementedError(f"no closed-form degree range for (n, s) = {(n, s)}")
 
 
 def curve_restriction_cohomology(
@@ -425,9 +405,7 @@ def _classify_line(sys: LinearSystem, Y: Line) -> SevReport:
     checks: dict[str, bool] = {}
     values: dict[str, object] = {}
     nu_sys = virtual_dim(sys)
-    mults = sys.point_multiplicities()
-    i, j = Y.through_pair
-    max_alpha = max(mults[i], mults[j])
+    max_alpha = max(_pair_mults(sys, Y.through_pair))
     nu_of_alpha = {}
     for a in range(1, max_alpha + 1):
         chi, _ = _line_step_chi(sys, Y.through_pair, a)
@@ -460,15 +438,16 @@ def classify_configuration(
     steps: Sequence[ConfigStep],
     oracle_cfg: OracleConfig | None = None,
 ) -> SevReport:
-    """Check a sequence of removals (Y_1, alpha_1), ..., (Y_r, alpha_r).
+    """Check a sequence of removals (Y_1, alpha_1), ..., (Y_r, alpha_r), all
+    divisors or all lines; a single variety goes through classify_alpha_sev.
 
     Each step must not decrease the running virtual dimension and the total
     change must be strictly positive (the chained special-effect property; the
     known product-space configurations realize one step with equality, so
     strictness is demanded of the sum rather than of every step). The final
-    residual must be effective; for divisor and line configurations this is
-    additionally confirmed through the oracle by the sufficient condition
-    h^0(L - X) >= 1, reported as "oracle_h0_positive" (sufficient-only).
+    residual must be effective; this is additionally confirmed through the
+    oracle by the sufficient condition h^0(L - X) >= 1, reported as
+    "oracle_h0_positive" (sufficient-only).
     """
     if not steps:
         raise ValueError("a configuration needs at least one step")
@@ -505,7 +484,7 @@ def classify_configuration(
             )
             nus.append(monomial_count(sys.space, deg) - 1 - cond)
         checks["alpha_admissible"] = admissible
-        oracle_sys: LinearSystem | None = LinearSystem(
+        oracle_sys = LinearSystem(
             sys.space,
             tuple(deg),
             tuple(FatPointGroup(m, c) for m, c in zip(mults, counts) if m >= 1),
@@ -532,33 +511,10 @@ def classify_configuration(
         checks["line_overlaps_absorbed"] = absorbed
         oracle_sys = sys
         oracle_lines = [(s.variety.through_pair[0], s.variety.through_pair[1], s.alpha) for s in steps]  # type: ignore[union-attr]
-    elif len(steps) == 1:
-        # single-step configurations coincide with the plain classification
-        step = steps[0]
-        Y = step.variety
-        if isinstance(Y, LinearSubspace):
-            if Y.s == sys.space.n - 1:
-                nus.append(_hyperplane_residual_nu(sys, Y.through_first, step.alpha))
-            else:
-                nus.append(
-                    linear_space_residual_nu(sys, Y.s, step.alpha, points_on=Y.through_first)
-                )
-        elif isinstance(Y, RationalNormalCurve):
-            if step.alpha != 2:
-                raise NotImplementedError("only the double rational normal curve is supported")
-            rep = _classify_rnc(sys, Y)
-            nus.append(rep.values["nu_by_alpha"][2])  # type: ignore[index]
-        elif isinstance(Y, RationalCurveP3):
-            if step.alpha != 2:
-                raise NotImplementedError("only double curve removals are supported in P^3")
-            nus.append(p3_rational_curve_chi(sys.multidegree[0], Y.e) - 1)
-        else:
-            raise NotImplementedError(f"unsupported step class {type(Y).__name__}")
-        oracle_sys = None
-        oracle_lines = []
     else:
         raise NotImplementedError(
-            "mixed-class configurations are not supported (use all divisors or all lines)"
+            "configurations chain all divisors or all lines; classify a single "
+            "variety with classify_alpha_sev"
         )
 
     deltas = [b - a for a, b in zip(nus, nus[1:])]
@@ -568,15 +524,14 @@ def classify_configuration(
     values["nu_steps"] = nus
     values["step_deltas"] = deltas
 
-    if oracle_sys is not None:
-        res = h0_oracle(oracle_sys, oracle_cfg, extra_schemes=tuple(oracle_lines))
-        checks["oracle_h0_positive"] = res.h0 >= 1
-        values["oracle_h0"] = res.h0
-        values["oracle_check"] = "sufficient-only"
+    res = h0_oracle(oracle_sys, oracle_cfg, extra_schemes=tuple(oracle_lines))
+    checks["oracle_h0_positive"] = res.h0 >= 1
+    values["oracle_h0"] = res.h0
+    values["oracle_check"] = "sufficient-only"
 
     effectiveness = ("residual_nonneg", "oracle_h0_positive")
     holds = all(v for k, v in checks.items() if k not in effectiveness)
-    is_sev = holds and all(checks.get(k, True) for k in effectiveness)
+    is_sev = holds and all(checks[k] for k in effectiveness)
     return SevReport(
         holds,
         is_sev,
@@ -601,8 +556,7 @@ def _curve_data(sys: LinearSystem, Y: EffectVariety) -> tuple[int, list[int]] | 
         cap = {1: 2, 2: 3}.get(Y.e, 2 * Y.e)
         return Y.e, mults[: min(len(mults), cap)]
     if isinstance(Y, Line):
-        i, j = Y.through_pair
-        return 1, [mults[i], mults[j]]
+        return 1, list(_pair_mults(sys, Y.through_pair))
     return None
 
 

@@ -282,28 +282,21 @@ def sample_points(
     space: Space,
     h: int,
     cfg: OracleConfig,
-    constraint: str | tuple[str, int] | None = None,
+    subspace: int | None = None,
     trial: int = 0,
     salt: str = "",
 ) -> list[Point]:
     """Draw h deterministic pseudo-random points in general position.
 
-    constraint: None, or ("subspace", s) restricting to x_{s+1} = ... = x_n = 0.
+    subspace: None, or s to restrict the points to x_{s+1} = ... = x_n = 0.
     Unconstrained coordinates are sampled nonzero so every chart works; a
     repeated point triggers resampling.
     """
     if h < 0:
         raise ValueError("point count must be >= 0")
     p = cfg.prime.p
-    sub_s: int | None = None
-    if isinstance(constraint, tuple):
-        kind, sub_s = constraint
-        if kind != "subspace":
-            raise ValueError(f"unknown sampling constraint {constraint!r}")
-        if space.nfactors != 1 or not (1 <= sub_s <= space.n):
-            raise ValueError("subspace constraint needs a single factor and 1 <= s <= n")
-    elif constraint is not None:
-        raise ValueError(f"unknown sampling constraint {constraint!r}")
+    if subspace is not None and (space.nfactors != 1 or not (1 <= subspace <= space.n)):
+        raise ValueError("subspace constraint needs a single factor and 1 <= s <= n")
 
     rng = random.Random(f"{cfg.seed}:{trial}:{p}:{salt}")
     points: list[Point] = []
@@ -314,7 +307,7 @@ def sample_points(
         for _ in range(REDRAWS):
             factors = []
             for n in space.factors:
-                width = (sub_s + 1) if sub_s is not None else (n + 1)
+                width = (subspace + 1) if subspace is not None else (n + 1)
                 coords = [rng.randrange(1, p) for _ in range(width)]
                 coords += [0] * (n + 1 - width)
                 factors.append(_normalize_factor(tuple(coords), p))
@@ -472,9 +465,7 @@ def _condition_matrix(
     if subspace is None:
         points = sample_points(sys.space, sys.total_points, cfg, trial=trial)
     else:
-        on = sample_points(
-            sys.space, subspace.points_on, cfg, constraint=("subspace", subspace.s), trial=trial
-        )
+        on = sample_points(sys.space, subspace.points_on, cfg, subspace=subspace.s, trial=trial)
         off = sample_points(
             sys.space, sys.total_points - subspace.points_on, cfg, trial=trial, salt="off"
         )
@@ -488,9 +479,7 @@ def _condition_matrix(
         blocks.append(builder.line_rows((points[i], points[j]), alpha))
     if subspace is not None and subspace.vanish:
         span = binom(sys.multidegree[0] + subspace.s, subspace.s)
-        extra_pts = sample_points(
-            sys.space, span, cfg, constraint=("subspace", subspace.s), trial=trial, salt="vanish"
-        )
+        extra_pts = sample_points(sys.space, span, cfg, subspace=subspace.s, trial=trial, salt="vanish")
         blocks.append(builder.rows(extra_pts, 1))
     return np.vstack(blocks) if blocks else np.zeros((0, builder.cols), dtype=np.int64)
 

@@ -15,11 +15,9 @@ are flagged in the record notes.
 """
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement, product as iproduct
-from math import isqrt, prod
+from math import prod
 
 from .combinatorics import binom
 from .effect_varieties import (
@@ -55,22 +53,6 @@ class ScanRecord:
         return space, fmt(self.degree), fmt(self.variety), str(self.h), ";".join(self.notes)
 
 
-def records_to_csv(records: list[ScanRecord]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["space", "degree", "variety", "h", "notes"])
-    for rec in records:
-        writer.writerow(rec.cells())
-    return buf.getvalue()
-
-
-def records_to_markdown(records: list[ScanRecord]) -> str:
-    lines = ["| space | degree | variety | h | notes |", "| --- | --- | --- | --- | --- |"]
-    for rec in records:
-        lines.append("| " + " | ".join(rec.cells()) + " |")
-    return "\n".join(lines) + "\n"
-
-
 def _strict_lower(numerator: int, denominator: int) -> int:
     """Smallest integer h with h * denominator > numerator."""
     return numerator // denominator + 1
@@ -103,28 +85,6 @@ def scan_hypersurfaces(n_max: int = 5, e_max: int = 3, d_max: int = 7) -> list[S
                     )
     records.sort(key=ScanRecord.key)
     return records
-
-
-# ---------------------------------------------------------------------------
-# linear subspaces
-
-def rho_linear(n: int, h: int) -> int:
-    """Smallest subspace dimension s for which P^s is a 2-special-effect
-    variety for the quadric system with h double points in P^n.
-
-    The defining condition is (2s+1)^2 >= 1 - 12n - 4n^2 + 8hn + 8h, solved
-    exactly over the integers (so the returned s always satisfies it; a
-    floored square-root evaluation would not at non-square radicands)."""
-    if not (2 <= h <= n):
-        raise ValueError(f"need 2 <= h <= n, got h={h}, n={n}")
-    if 2 * h * (n + 1) > n * n + 3 * n:
-        radicand = 1 - 12 * n - 4 * n * n + 8 * h * n + 8 * h
-        if radicand >= 0:
-            root = isqrt(radicand)
-            if root * root < radicand:
-                root += 1
-            return max(1, root // 2)
-    return 1
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ exist only inside the oracle module.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import product as iproduct
 from typing import Sequence
@@ -104,12 +104,7 @@ class DimReport:
     expected_dim: int
 
     def to_json(self) -> dict:
-        return {
-            "monomials": self.monomials,
-            "conditions": self.conditions,
-            "virtual_dim": self.virtual_dim,
-            "expected_dim": self.expected_dim,
-        }
+        return asdict(self)
 
 
 def make_system(
@@ -157,21 +152,21 @@ def point_conditions(m: int, space: Space) -> int:
     )
 
 
-def virtual_dim(sys: LinearSystem) -> int:
-    """monomial_count - 1 - sum of naive point conditions."""
-    cond = sum(g.count * point_conditions(g.multiplicity, sys.space) for g in sys.points)
-    return monomial_count(sys.space, sys.multidegree) - 1 - cond
-
-
-def expected_dim(sys: LinearSystem) -> int:
-    return max(virtual_dim(sys), -1)
-
-
 def dim_report(sys: LinearSystem) -> DimReport:
+    """The virtual dimension is monomial_count - 1 - the sum of the naive
+    point conditions; the expected dimension floors it at -1."""
     mono = monomial_count(sys.space, sys.multidegree)
     cond = sum(g.count * point_conditions(g.multiplicity, sys.space) for g in sys.points)
     nu = mono - 1 - cond
     return DimReport(mono, cond, nu, max(nu, -1))
+
+
+def virtual_dim(sys: LinearSystem) -> int:
+    return dim_report(sys).virtual_dim
+
+
+def expected_dim(sys: LinearSystem) -> int:
+    return dim_report(sys).expected_dim
 
 
 def lower_h0(sys: LinearSystem, lines: Sequence[tuple[int, int, int]] = ()) -> int:

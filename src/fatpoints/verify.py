@@ -227,7 +227,7 @@ def _expected_product_t2(n_max: int = 4, e_max: int = 3, d_max: int = 6) -> set[
     return rows
 
 
-def verify_paper_tables(cfg: OracleConfig | None = None, oracle_confirm: bool = True) -> list[Check]:
+def verify_paper_tables(cfg: OracleConfig | None = None) -> list[Check]:
     cfg = cfg or OracleConfig()
     checks: list[Check] = []
 
@@ -267,18 +267,17 @@ def verify_paper_tables(cfg: OracleConfig | None = None, oracle_confirm: bool = 
     )
     checks.append(Check("product-t4-empty", not search.scan_product_divisors(4)))
 
-    if oracle_confirm:
-        # one prefix series per (space, degree), up to the group's largest h
-        records = hyper + rnc + t2 + t3 + [r for r in curves if r.witness["general_position"]]
-        top: dict[tuple, int] = {}
-        for r in records:
-            top[r.space, r.degree] = max(top.get((r.space, r.degree), 0), r.h)
-        series = {
-            (space, degree): h0_prefix_oracle(make_system(list(space), list(degree), [(2, h)]), cfg)
-            for (space, degree), h in top.items()
-        }
-        unconfirmed = [r.key() for r in records if not series[r.space, r.degree][r.h].special]
-        checks.append(Check("scan-records-oracle-special", not unconfirmed, _fail_detail(unconfirmed)))
+    # one prefix series per (space, degree), up to the group's largest h
+    records = hyper + rnc + t2 + t3 + [r for r in curves if r.witness["general_position"]]
+    top: dict[tuple, int] = {}
+    for r in records:
+        top[r.space, r.degree] = max(top.get((r.space, r.degree), 0), r.h)
+    series = {
+        (space, degree): h0_prefix_oracle(make_system(list(space), list(degree), [(2, h)]), cfg)
+        for (space, degree), h in top.items()
+    }
+    unconfirmed = [r.key() for r in records if not series[r.space, r.degree][r.h].special]
+    checks.append(Check("scan-records-oracle-special", not unconfirmed, _fail_detail(unconfirmed)))
     return checks
 
 

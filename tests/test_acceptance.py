@@ -2,7 +2,9 @@
 with the stated runtime ceilings. Criteria 1-6 run every oracle call under
 the two-prime/two-seed cross check; criterion 7 collects the always-on
 property grids."""
+import io
 import time
+from contextlib import redirect_stdout
 
 from fatpoints.combinatorics import binom
 from fatpoints.effect_varieties import (
@@ -20,7 +22,8 @@ from fatpoints.oracle import (
     h0_oracle,
     restrict_to_subspace,
 )
-from fatpoints.search import records_to_csv, scan_hypersurfaces, scan_product_divisors, scan_rnc, verify_cgg
+from fatpoints.cli import main
+from fatpoints.search import scan_product_divisors, verify_cgg
 from fatpoints.systems import expected_dim, make_system, virtual_dim
 from fatpoints import verify
 
@@ -184,16 +187,23 @@ P1xP1xP3,"(2,2,2)","(1,1,1)",15,
 """
 
 
+def _scan_csv(*argv: str) -> str:
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["scan", "--what", *argv]) == 0
+    return out.getvalue()
+
+
 def test_criterion_5_table_regressions():
     t0 = time.monotonic()
     failures = []
-    if records_to_csv(scan_hypersurfaces()) != GOLDEN_HYPERSURFACES:
+    if _scan_csv("hypersurfaces") != GOLDEN_HYPERSURFACES:
         failures.append("hypersurfaces")
-    if records_to_csv(scan_rnc()) != GOLDEN_RNC:
+    if _scan_csv("rnc") != GOLDEN_RNC:
         failures.append("rnc")
-    if records_to_csv(scan_product_divisors(2)) != GOLDEN_PRODUCTS_T2:
+    if _scan_csv("products") != GOLDEN_PRODUCTS_T2:
         failures.append("products-t2")
-    if records_to_csv(scan_product_divisors(3)) != GOLDEN_PRODUCTS_T3:
+    if _scan_csv("products", "--t", "3") != GOLDEN_PRODUCTS_T3:
         failures.append("products-t3")
     if scan_product_divisors(4) != []:
         failures.append("products-t4")

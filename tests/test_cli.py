@@ -42,6 +42,14 @@ def test_classify_quadric_affirmative(capsys):
     rep = json.loads(out)
     assert rep["is_sev"] and rep["alpha_max"] == 1
     assert "seed=" in err and "prime=" in err
+    # the quadric is the hypersurface of degree 2
+    code, out_e, _ = run(
+        capsys, "classify", "--system", "P3:d=9:6,4x8", "--variety", "hypersurface", "--e", "2"
+    )
+    assert code == 0 and out_e == out
+    code, out, _ = run(capsys, "classify", "--system", "P3:d=6:4x3", "--variety", "line", "--pair", "0,1")
+    rep = json.loads(out)
+    assert code == 0 and rep["alpha_max"] == 2 and rep["nu_residual"] == 24
 
 
 def test_classify_linear_on_quartic(capsys):
@@ -151,6 +159,7 @@ def test_verify_json_format(capsys):
     code, out, _ = run(capsys, "verify", "lemmas", "--format", "json")
     assert code == 0
     assert all(c["ok"] for c in json.loads(out))
+    assert json.loads(out)[0] == {"name": "rising-factorial-identity", "ok": True, "detail": ""}
 
 
 def test_exit_code_input_error(capsys):
@@ -213,6 +222,19 @@ def test_scan_curves3_csv(capsys):
 def test_verify_md_format(capsys):
     code, out, _ = run(capsys, "verify", "lemmas", "--format", "md")
     assert code == 0 and out.startswith("| check | ok | detail |")
+    assert out.splitlines()[2] == "| rising-factorial-identity | pass |  |"
+    code, out, _ = run(capsys, "verify", "lemmas", "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[:2] == ["check,ok,detail", "rising-factorial-identity,pass,"]
+
+
+def test_line_pair_out_of_range(capsys):
+    # a pair naming a missing point, or a negative index that would wrap
+    # around, is malformed input rather than a negative verdict
+    for cmd in ("classify", "h1check"):
+        for system, pair in (("P3:d=6:4x3", "0,9"), ("P3:d=4:3x4", "-1,0")):
+            code, out, err = run(capsys, cmd, "--system", system, "--variety", "line", f"--pair={pair}")
+            assert code == 2 and out == "" and "input error" in err, (cmd, pair)
 
 
 def test_same_seed_byte_identical(capsys):

@@ -12,7 +12,6 @@ from fatpoints.effect_varieties import (
     classify_configuration,
     curve_restriction_cohomology,
     h1_sev_check,
-    homogeneous_linear_sev_range,
     linear_space_residual_nu,
     p3_rational_curve_chi,
     residual_divisor,
@@ -84,29 +83,6 @@ def test_p3_curve_chi_values():
     assert p3_rational_curve_chi(3, 1) == 10
 
 
-def test_homogeneous_ranges():
-    assert homogeneous_linear_sev_range(3, 1, 4) == (4, 4)
-    assert homogeneous_linear_sev_range(3, 1, 3) == (3, 3)
-    assert homogeneous_linear_sev_range(3, 2, 2) == (2, 2)
-    with pytest.raises(NotImplementedError):
-        homogeneous_linear_sev_range(4, 1, 2)
-
-
-def test_homogeneous_range_matches_inequality():
-    # the line interval is cut out by 4m^2 + 3m - 1 - 3d - 3md > 0
-    for m in range(1, 12):
-        lo, hi = homogeneous_linear_sev_range(3, 1, m)
-        for d in range(m, hi + 2):
-            holds = 4 * m * m + 3 * m - 1 - 3 * d - 3 * m * d > 0
-            assert holds == (d <= hi)
-    # the plane interval by (6d - 3m + 12)^2 <= 84 + 108m + 33m^2
-    for m in range(1, 12):
-        lo, hi = homogeneous_linear_sev_range(3, 2, m)
-        for d in range(m, hi + 2):
-            holds = (6 * d - 3 * m + 12) ** 2 <= 84 + 108 * m + 33 * m * m
-            assert holds == (d <= hi)
-
-
 def test_classify_quadric_laface_ugaglia():
     rep = classify_alpha_sev(LAFACE_UGAGLIA, Hypersurface.through_all(LAFACE_UGAGLIA, [2]))
     assert rep.is_sev and rep.alpha_max == 1
@@ -159,6 +135,16 @@ def test_classify_line_matches_subspace_rule():
     sys = make_system([3], [2], [(2, 2)])
     rep = classify_alpha_sev(sys, Line((0, 1)))
     assert rep.is_sev and rep.alpha_max == 2 and rep.nu_residual == 2
+
+
+def test_line_rejects_bad_pairs():
+    for pair in ((1, 1), (-1, 0)):
+        with pytest.raises(ValueError):
+            Line(pair)
+    with pytest.raises(ValueError, match="missing points"):
+        classify_alpha_sev(QUARTIC43, Line((0, 3)))
+    with pytest.raises(ValueError, match="missing points"):
+        h1_sev_check(QUARTIC43, Line((3, 0)), CFG)
 
 
 def test_classify_unsupported_class():
@@ -287,6 +273,18 @@ def test_h1_check_line_on_quartic43():
     rep = h1_sev_check(QUARTIC43, Line((0, 1)), CFG)
     assert rep.cond_a and rep.cond_b
     assert not rep.h2_handled  # points are 4-fold, outside the double-point case
+
+
+def test_h1_check_p3_curve():
+    # the line through two double points of P^3 has restriction degree 2 - 4:
+    # no sections, h1 = 1, and h0 of the quadrics is the residual's
+    rep = h1_sev_check(make_system([3], [2], [(2, 2)]), RationalCurveP3(1), CFG)
+    assert rep.is_h1_sev
+    assert rep.values["h1_restriction"] == 1 and rep.values["h0_residual"] == 3
+    # quartics restrict with degree 0, so only the exact-sequence bound 27 - 1
+    rep = h1_sev_check(make_system([3], [4], [(2, 2)]), RationalCurveP3(1), CFG)
+    assert not rep.cond_a
+    assert rep.values["h0_residual_lower_bound"] == 26
 
 
 def test_h1_check_product_divisor():

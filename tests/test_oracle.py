@@ -214,7 +214,7 @@ def test_sample_points_prefix_consistent():
     for space, kwargs in [
         (Space((3,)), {}),
         (Space((1, 1)), {}),
-        (Space((4,)), {"constraint": ("subspace", 2)}),
+        (Space((4,)), {"subspace": 2}),
         (Space((2,)), {"salt": "off", "trial": 2}),
     ]:
         many = sample_points(space, 12, CFG, **kwargs)
@@ -223,12 +223,12 @@ def test_sample_points_prefix_consistent():
 
 
 def test_sample_points_subspace_constraint():
-    pts = sample_points(Space((4,)), 6, CFG, constraint=("subspace", 2))
+    pts = sample_points(Space((4,)), 6, CFG, subspace=2)
     for (coords,) in pts:
         assert coords[3] == coords[4] == 0 and coords[2] == 1
-    for bad in ("coordinate-points", ("plane", 2)):
-        with pytest.raises(ValueError, match="unknown sampling constraint"):
-            sample_points(Space((4,)), 2, CFG, constraint=bad)
+    for bad in (0, 5):
+        with pytest.raises(ValueError, match="1 <= s <= n"):
+            sample_points(Space((4,)), 2, CFG, subspace=bad)
 
 
 def test_fat_point_row_counts():
@@ -297,8 +297,8 @@ def test_batched_rows_match_single_points():
     # (chart x_1) interleaved with free points (chart x_3)
     sys = make_system([3], [4], [])
     builder = _RowBuilder(sys, DEFAULT_PRIME)
-    plane = sample_points(Space((3,)), 3, CFG, constraint=("subspace", 2))
-    line = sample_points(Space((3,)), 2, CFG, constraint=("subspace", 1))
+    plane = sample_points(Space((3,)), 3, CFG, subspace=2)
+    line = sample_points(Space((3,)), 2, CFG, subspace=1)
     free = sample_points(Space((3,)), 3, CFG, salt="free")
     pts = [plane[0], free[0], line[0], free[1], plane[1], plane[2], line[1], free[2]]
     for m in (1, 2, 3):

@@ -1,13 +1,13 @@
+from math import isqrt
+
 import pytest
 
+from fatpoints.cli import main
 from fatpoints.combinatorics import binom
 from fatpoints import search
 from fatpoints.oracle import CrossCheckedH0, OracleConfig
 from fatpoints.search import (
     CggMismatchError,
-    records_to_csv,
-    records_to_markdown,
-    rho_linear,
     scan_hypersurfaces,
     scan_product_divisors,
     scan_rational_curves_p3,
@@ -40,6 +40,23 @@ def test_scan_hypersurfaces_records_satisfy_inequalities():
         assert d >= 2 * e
         # no rows in the regime the numerical lemma excludes
         assert not (d >= 2 * e >= 6 and n >= 3)
+
+
+def rho_linear(n: int, h: int) -> int:
+    """Smallest subspace dimension s for which P^s is a 2-special-effect
+    variety for the quadric system with h double points in P^n: the paper's
+    closed form (2s+1)^2 >= 1 - 12n - 4n^2 + 8hn + 8h, solved exactly over
+    the integers (a floored square root would fail at non-square radicands)."""
+    if not (2 <= h <= n):
+        raise ValueError(f"need 2 <= h <= n, got h={h}, n={n}")
+    if 2 * h * (n + 1) > n * n + 3 * n:
+        radicand = 1 - 12 * n - 4 * n * n + 8 * h * n + 8 * h
+        if radicand >= 0:
+            root = isqrt(radicand)
+            if root * root < radicand:
+                root += 1
+            return max(1, root // 2)
+    return 1
 
 
 def test_rho_window_matches_classification():
@@ -124,13 +141,13 @@ def test_scan_determinism():
     assert scan_hypersurfaces() == scan_hypersurfaces()
 
 
-def test_rendering():
-    records = scan_rnc()
-    csv_text = records_to_csv(records)
+def test_rendering(capsys):
+    assert main(["scan", "--what", "rnc"]) == 0
+    csv_text = capsys.readouterr().out
     assert csv_text.splitlines()[0] == "space,degree,variety,h,notes"
     assert "P2,4,2,5," in csv_text
-    md = records_to_markdown(records)
-    assert md.startswith("| space | degree | variety | h | notes |")
+    assert main(["scan", "--what", "rnc", "--format", "md"]) == 0
+    assert capsys.readouterr().out.startswith("| space | degree | variety | h | notes |")
 
 
 def test_verify_cgg_small_grid():
