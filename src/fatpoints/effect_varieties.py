@@ -235,7 +235,9 @@ def line_point_overlap(m: int, alpha: int, n: int) -> int:
 
 
 def _pair_mults(sys: LinearSystem, pair: tuple[int, int]) -> tuple[int, int]:
-    """Multiplicities of the two base points a line joins."""
+    """Multiplicities of the two base points a line joins, in a P^n, n >= 2."""
+    if sys.space.factors == (1,):
+        raise ValueError("line candidates need n >= 2")
     mults = sys.point_multiplicities()
     i, j = pair
     if not (0 <= i < len(mults) and 0 <= j < len(mults)):
@@ -547,15 +549,22 @@ def classify_configuration(
 # h1-special-effect check
 
 def _curve_data(sys: LinearSystem, Y: EffectVariety) -> tuple[int, list[int]] | None:
-    """Curve degree and the multiplicities of the base points on it."""
+    """Curve degree and the multiplicities of the base points on it; a curve
+    class lives where classify_alpha_sev accepts it."""
     mults = list(sys.point_multiplicities())
     if isinstance(Y, RationalNormalCurve):
+        if sys.space.nfactors != 1:
+            raise NotImplementedError("rational normal curves live in a single P^n")
         n = sys.space.n
         return n, mults[: min(len(mults), n + 3)]
     if isinstance(Y, RationalCurveP3):
+        if sys.space.factors != (3,):
+            raise NotImplementedError("this curve class lives in P^3")
         cap = {1: 2, 2: 3}.get(Y.e, 2 * Y.e)
         return Y.e, mults[: min(len(mults), cap)]
     if isinstance(Y, Line):
+        if sys.space.nfactors != 1:
+            raise NotImplementedError("line candidates live in a single P^n")
         return 1, list(_pair_mults(sys, Y.through_pair))
     return None
 

@@ -21,7 +21,14 @@ from itertools import product as iproduct
 import numpy as np
 
 from .combinatorics import binom
-from .systems import LinearSystem, Space, dim_report, lower_h0
+from .systems import (
+    LinearSystem,
+    Space,
+    dim_report,
+    lower_h0,
+    monomial_count,
+    point_conditions,
+)
 
 DEFAULT_PRIME = 2147483647  # 2^31 - 1, the largest prime below MAX_PRIME
 SECOND_PRIME = 2147483629
@@ -109,7 +116,7 @@ class OracleResult:
     h0: int
     h1: int | None
     rank: int
-    rows: int
+    rows: int  # the cut's condition count, not the rows a trial eliminated
     cols: int
     special: bool | None
     trials_used: int
@@ -181,20 +188,37 @@ def _sub_mulmod(B: np.ndarray, X: np.ndarray, Uh: np.ndarray, Ul: np.ndarray, p:
     B %= p
 
 
-def _eliminate_right(A: np.ndarray, r: int, pivots: list[int], c1: int, c2: int, p: int) -> None:
+def _unit_lower_inverse(L: np.ndarray, p: int) -> np.ndarray:
+    """Inverse mod p of a unit lower triangular L, by forward substitution."""
+    k = len(L)
+    Linv = np.eye(k, dtype=np.int64)
+    for j in range(k - 1):
+        Linv[j + 1 :] -= L[j + 1 :, j, None] * Linv[j]
+        Linv[j + 1 :] %= p
+    return Linv
+
+
+def _join_inverses(Ainv: np.ndarray, C: np.ndarray, Binv: np.ndarray, p: int) -> np.ndarray:
+    """Inverse mod p of the unit lower triangular [[A, 0], [C, B]] from the
+    inverses of A and B: [[A^-1, 0], [-B^-1 C A^-1, B^-1]]."""
+    CAinv = np.zeros(C.shape, dtype=np.int64)
+    _sub_mulmod(CAinv, C, *_halves(Ainv), p)  # -C A^-1
+    low = np.zeros(C.shape, dtype=np.int64)
+    _sub_mulmod(low, (-Binv) % p, *_halves(CAinv), p)
+    return np.block([[Ainv, np.zeros(C.T.shape, dtype=np.int64)], [low, Binv]])
+
+
+def _eliminate_right(
+    A: np.ndarray, r: int, pivots: list[int], Linv: np.ndarray, c1: int, c2: int, p: int
+) -> None:
     """Carry the elimination of the factored pivot columns of rows r: over to
     columns c1:c2. The pivot rows become U12 = L11^-1 A12 and the rows below
     A22 - L21 @ U12, CHUNK rows at a time, where L holds the multipliers kept
-    in the pivot columns."""
+    in the pivot columns and Linv is L11^-1."""
     k = len(pivots)
     if not k or c1 == c2 or r + k == A.shape[0]:
         return
     L = A[r:, pivots]
-    # L11 is unit lower triangular: invert by forward substitution
-    Linv = np.eye(k, dtype=np.int64)
-    for j in range(k - 1):
-        Linv[j + 1 :] -= L[j + 1 : k, j, None] * Linv[j]
-        Linv[j + 1 :] %= p
     top = A[r : r + k, c1:c2]
     # top - (I - L11^-1) @ top = U12
     _sub_mulmod(top, (np.eye(k, dtype=np.int64) - Linv) % p, *_halves(top), p)
@@ -204,19 +228,29 @@ def _eliminate_right(A: np.ndarray, r: int, pivots: list[int], c1: int, c2: int,
         _sub_mulmod(below[s : s + CHUNK], L[k + s : k + s + CHUNK], Uh, Ul, p)
 
 
-def _factor(A: np.ndarray, r: int, c0: int, c1: int, p: int) -> list[int]:
+def _factor(
+    A: np.ndarray, r: int, c0: int, c1: int, p: int, inverse: bool
+) -> tuple[list[int], np.ndarray | None]:
     """Factor columns c0:c1 of rows r: in place and return their pivot columns,
-    each keeping its multipliers below the pivot. A panel wider than 8 columns
-    with more than 4 times as many rows is factored as two halves, the right
-    one after _eliminate_right by the left one; any other column by column.
-    Row swaps move whole rows, so the multipliers to the left stay with them.
+    each keeping its multipliers below the pivot, and, if inverse is set, the
+    inverse of the unit lower triangular L11 those multipliers form in the
+    pivot rows. A panel wider than 8 columns with more than 4 times as many
+    rows is factored as two halves, the right one after _eliminate_right by
+    the left one, and L11^-1 is joined from theirs; any other column by
+    column. Row swaps move whole rows, so the multipliers to the left stay
+    with them.
     """
     m, w = A.shape[0], c1 - c0
     if w > 8 and m - r > 4 * w:
         mid = c0 + w // 2
-        left = _factor(A, r, c0, mid, p)
-        _eliminate_right(A, r, left, mid, c1, p)
-        return left + _factor(A, r + len(left), mid, c1, p)
+        left, Ainv = _factor(A, r, c0, mid, p, True)
+        _eliminate_right(A, r, left, Ainv, mid, c1, p)
+        k = len(left)
+        right, Binv = _factor(A, r + k, mid, c1, p, inverse)
+        if not inverse:
+            return left + right, None
+        C = A[r + k : r + k + len(right)][:, left]
+        return left + right, _join_inverses(Ainv, C, Binv, p)
     P = A[r:, c0:c1]
     pivots: list[int] = []
     for c in range(w):
@@ -235,7 +269,9 @@ def _factor(A: np.ndarray, r: int, c0: int, c1: int, p: int) -> list[int]:
         rest -= f[:, None] * P[k, c + 1 :]
         rest %= p
         pivots.append(c0 + c)
-    return pivots
+    if not inverse:
+        return pivots, None
+    return pivots, _unit_lower_inverse(A[r : r + len(pivots)][:, pivots], p)
 
 
 def _pivot_columns(A: np.ndarray, p: int) -> list[int]:
@@ -259,8 +295,8 @@ def _pivot_columns(A: np.ndarray, p: int) -> list[int]:
         if r == m:
             break
         c1 = min(c0 + PANEL, n)
-        pivots = _factor(A, r, c0, c1, p)
-        _eliminate_right(A, r, pivots, c1, n, p)
+        pivots, Linv = _factor(A, r, c0, c1, p, c1 < n)
+        _eliminate_right(A, r, pivots, Linv, c1, n, p)
         out += pivots
         r += len(pivots)
     return out
@@ -484,6 +520,27 @@ def _condition_matrix(
     return np.vstack(blocks) if blocks else np.zeros((0, builder.cols), dtype=np.int64)
 
 
+def _shortest_prefix(sys: LinearSystem, h: int, bound: int) -> int:
+    """The fewest points k <= h whose cut of sys has a proven lower bound at
+    most bound, or h if none does: a shorter cut's trial value is above it."""
+    need = monomial_count(sys.space, sys.multidegree) - bound  # floor <= bound
+    conditions = 0
+    for k, m in enumerate(sys.point_multiplicities()[:h]):
+        if conditions >= need and lower_h0(sys.first_points(k)) <= bound:
+            return k
+        conditions += point_conditions(m, sys.space)
+    return h
+
+
+def _prefix_ranks(A: np.ndarray, row_counts: list[int], p: int) -> list[int]:
+    """Rank of the first r rows of A for each r in row_counts: the number of
+    pivot columns of A^T below r, or the rank of A when every r is all of A."""
+    if all(r == A.shape[0] for r in row_counts):
+        return [rank_mod_p(A, p)] * len(row_counts)
+    pivots = _pivot_columns(A.T, p)
+    return [bisect_left(pivots, r) for r in row_counts]
+
+
 def _oracle_series(
     sys: LinearSystem,
     cfg: OracleConfig,
@@ -495,11 +552,11 @@ def _oracle_series(
 
     sample_points is prefix-consistent, so trial t of the cut to h uses the
     first h points of trial t of any longer cut, and its condition rows are
-    the first rows of that longer matrix. Trial t therefore runs once, on
-    the largest h still above its lower bound, and every shorter cut reads
-    its rank off that matrix A: the first k rows of A have rank equal to the
-    number of pivot columns of A^T below k. Line schemes and subspaces break
-    the row order, so they take a single count, the whole system.
+    the first rows of that longer matrix. Trial t therefore runs once for
+    all pending cuts, and every cut up to the matrix's points reads its rank
+    off it: the first r rows of A have rank equal to the number of pivot
+    columns of A^T below r. Line schemes and subspaces break the row order,
+    so they take a single count, the whole system.
 
     A cut's rows reduce integer rows at integer points (chart coordinate 1),
     and a nonzero minor mod p lifts to Z, so each trial value bounds the
@@ -510,6 +567,14 @@ def _oracle_series(
     0 with lines, raised to lower_h0 once a trial value is above it; a trial
     value below it raises. A subspace scheme keeps the floor
     max(cols - rows, 0) and is never certified.
+
+    The first trial of a pure system builds only the rows of its shortest
+    prefix whose lower_h0 is at most the largest cut's bound. A longer cut
+    has the same points and more rows, so its trial value lies between its
+    proven lower bound and the prefix's value: where these meet, it is
+    exact. A longer cut left open reads its value from the largest cut's
+    whole matrix, built from the same points. Later trials run on pending
+    cuts only, each of which was above its bound, so they build it whole.
     """
     p = cfg.prime.p
     if p <= max(sys.multidegree, default=0):
@@ -531,34 +596,35 @@ def _oracle_series(
     dims = [dim_report(cut) for cut in cuts]
     best = [cols] * len(cuts)
     lower = [0 if extra_schemes else max(r.virtual_dim + 1, 0) for r in dims]
-    rows = [0] * len(cuts)
+    rows = [r.conditions for r in dims]  # a cut's naive conditions are its first rows
     used = [0] * len(cuts)
     pending = list(range(len(cuts)))
     for t in range(cfg.trials):
         top = max(pending, key=lambda i: counts[i])
-        A = _condition_matrix(builder, cuts[top], cfg, t, extra_schemes, subspace)
-        if len(pending) == 1:
-            ranks = [rank_mod_p(A, p)]
+        h = _shortest_prefix(sys, counts[top], lower[top]) if pure and t == 0 else counts[top]
+        A = _condition_matrix(builder, sys.first_points(h), cfg, t, extra_schemes, subspace)
+        if not pure:
             rows[top] = A.shape[0]
-        else:
-            # a cut's rows are its naive conditions, the first rows of A
-            assert A.shape[0] == dims[top].conditions
-            pivots = _pivot_columns(A.T, p)
-            for i in pending:
-                rows[i] = dims[i].conditions
-            ranks = [bisect_left(pivots, rows[i]) for i in pending]
-        still = []
-        for i, rank in zip(pending, ranks):
-            h0_t = cols - rank
+        need = [rows[i] if counts[i] <= h else A.shape[0] for i in pending]
+        value = {i: cols - rank for i, rank in zip(pending, _prefix_ranks(A, need, p))}
+        for i in pending:
             if subspace is not None:
                 lower[i] = max(cols - rows[i], 0)
-            elif h0_t > lower[i]:
+            elif value[i] > lower[i]:
                 lower[i] = lower_h0(cuts[i], extra_schemes)
-            if subspace is None and h0_t < lower[i]:
+        # a longer cut's value is the prefix's only where it meets its bound
+        retry = [i for i in pending if counts[i] > h and value[i] != lower[i]]
+        if retry:
+            A = _condition_matrix(builder, cuts[top], cfg, t, extra_schemes, subspace)
+            ranks = _prefix_ranks(A, [rows[i] for i in retry], p)
+            value.update((i, cols - rank) for i, rank in zip(retry, ranks))
+        still = []
+        for i in pending:
+            if subspace is None and value[i] < lower[i]:
                 raise OracleSamplingError(
-                    f"h0 trial value {h0_t} below the proven lower bound {lower[i]}"
+                    f"h0 trial value {value[i]} below the proven lower bound {lower[i]}"
                 )
-            best[i] = min(best[i], h0_t)
+            best[i] = min(best[i], value[i])
             used[i] += 1
             if best[i] != lower[i]:
                 still.append(i)
@@ -605,7 +671,8 @@ def h0_oracle(
 def h0_prefix_oracle(sys: LinearSystem, cfg: OracleConfig | None = None) -> list[OracleResult]:
     """h0_oracle of a pure fat-point system cut to its first h points, for
     h = 0..total_points: entry h equals h0_oracle(sys.first_points(h), cfg)
-    field by field, at one elimination per trial for the whole series."""
+    field by field, at one elimination per trial for the whole series (two
+    when a cut past the first trial's prefix misses its bound)."""
     cfg = cfg or OracleConfig()
     return _oracle_series(sys, cfg, list(range(sys.total_points + 1)))
 

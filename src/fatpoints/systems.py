@@ -171,7 +171,7 @@ def expected_dim(sys: LinearSystem) -> int:
 
 def lower_h0(sys: LinearSystem, lines: Sequence[tuple[int, int, int]] = ()) -> int:
     """A proven lower bound on the generic h0 of a fat-point system over Q,
-    the largest of three rules in integer arithmetic:
+    the largest of four rules in integer arithmetic:
 
     1. the floor max(virtual_dim + 1, 0);
     2. a divisor witness: when monomial_count(e) > h, some divisor Y of
@@ -180,7 +180,14 @@ def lower_h0(sys: LinearSystem, lines: Sequence[tuple[int, int, int]] = ()) -> i
        multiplicity m - alpha floored at 0) in L, so lower(L) >=
        lower(L - alpha Y) for alpha up to the largest multiplicity. Only
        minimal e are tried: for e' >= e, L - alpha Y' embeds in L - alpha Y;
-    3. linear_expected_h0, on a single P^n with at most n+2 points.
+    3. linear_expected_h0, on a single P^n with at most n+2 points;
+    4. the double rational normal curve, on a single P^n, n >= 2, d >= 2,
+       with at most n+3 points, none of multiplicity above 2: the forms
+       singular along the curve C of degree n through the points lie in L,
+       and C(n+d, n) - h0(O_2C(d)) of them are independent. From
+       0 -> N*_C -> O_2C -> O_C -> 0 and N_C = O(n+2)^(n-1),
+       h0(O_2C(d)) <= h0(O_C(d)) + h0(N*_C(d)) = dn+1 + (n-1)(dn-n-1)
+       = (d-1)n^2 + 2.
 
     Each line (i, j, alpha) through base points i and j of a single P^n,
     n >= 2, then subtracts at most its excess. In normal coordinates x' of
@@ -210,8 +217,12 @@ def lower_h0(sys: LinearSystem, lines: Sequence[tuple[int, int, int]] = ()) -> i
 def _lower_h0(factors: tuple[int, ...], degree: tuple[int, ...], mults: tuple[int, ...]) -> int:
     space = Space(factors)
     best = max(monomial_count(space, degree) - sum(point_conditions(m, space) for m in mults), 0)
-    if len(factors) == 1 and len(mults) <= factors[0] + 2:
-        best = max(best, linear_expected_h0(factors[0], degree[0], mults))
+    if len(factors) == 1:
+        (n,), (d,) = factors, degree
+        if len(mults) <= n + 2:
+            best = max(best, linear_expected_h0(n, d, mults))
+        if n >= 2 and d >= 2 and len(mults) <= n + 3 and max(mults, default=0) <= 2:
+            best = max(best, binom(n + d, n) - (d - 1) * n * n - 2)
 
     def through(e: tuple[int, ...]) -> bool:
         return any(e) and monomial_count(space, e) > len(mults)

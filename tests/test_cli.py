@@ -237,6 +237,28 @@ def test_line_pair_out_of_range(capsys):
             assert code == 2 and out == "" and "input error" in err, (cmd, pair)
 
 
+def test_curves_checked_where_they_live(capsys):
+    # h1check rejects a curve class off its space as classify does: no smooth
+    # rational plane cubic, no P^3 curve in P^4, no rational normal curve or
+    # line on a product
+    for system, variety in (
+        ("P2:d=4:2x5", ["curve", "--curve-degree", "3"]),
+        ("P4:d=2:2x2", ["curve", "--curve-degree", "1"]),
+        ("P1xP1:d=2,2:2x3", ["rnc"]),
+        ("P1xP1:d=2,2:2x3", ["line", "--pair", "0,1"]),
+    ):
+        for cmd in ("classify", "h1check"):
+            code, out, err = run(capsys, cmd, "--system", system, "--variety", *variety)
+            assert code == 3 and out == "" and "unsupported" in err, (cmd, system)
+
+
+def test_line_needs_n_at_least_2(capsys):
+    # a line of P^1 is the whole space: an input error, not a binom failure
+    for cmd in ("classify", "h1check"):
+        code, out, err = run(capsys, cmd, "--system", "P1:d=3:2x2", "--variety", "line", "--pair", "0,1")
+        assert code == 2 and out == "" and "line candidates need n >= 2" in err, cmd
+
+
 def test_same_seed_byte_identical(capsys):
     _, out1, _ = run(capsys, "oracle", "--system", "P3:d=4:2x9", "--seed", "11")
     _, out2, _ = run(capsys, "oracle", "--system", "P3:d=4:2x9", "--seed", "11")

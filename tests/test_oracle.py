@@ -14,12 +14,16 @@ from fatpoints.oracle import (
     PrimeField,
     SECOND_PRIME,
     CrossCheckedH0,
+    OracleResult,
     SubspaceScheme,
     _RowBuilder,
     _basis,
+    _condition_matrix,
     _halves,
+    _join_inverses,
     _pivot_columns,
     _sub_mulmod,
+    _unit_lower_inverse,
     cross_checked_h0,
     cross_checked_prefix,
     h0_oracle,
@@ -29,7 +33,7 @@ from fatpoints.oracle import (
     sample_points,
 )
 from fatpoints.combinatorics import binom
-from fatpoints.systems import Space, expected_dim, make_system, virtual_dim
+from fatpoints.systems import Space, dim_report, expected_dim, make_system, virtual_dim
 
 CFG = OracleConfig(trials=2, seed=4242)
 
@@ -114,9 +118,9 @@ def test_rank_against_independent_elimination(monkeypatch):
     widths = []
     real_factor = oracle._factor
 
-    def recording(A, r, c0, c1, p):
+    def recording(A, r, c0, c1, p, inverse):
         widths.append(c1 - c0)
-        return real_factor(A, r, c0, c1, p)
+        return real_factor(A, r, c0, c1, p, inverse)
 
     monkeypatch.setattr(oracle, "_factor", recording)
     for m, n, r, bounds in [
@@ -138,6 +142,21 @@ def test_rank_against_independent_elimination(monkeypatch):
         assert {min(n, PANEL) // 2**j for j in range(4)} <= set(widths), (m, n, sorted(set(widths)))
         assert pivots == slow_pivot_columns(mat.tolist(), p), (m, n, r)
         assert not {c for b in bounds for c in (b, b + 1)} & set(pivots)
+
+
+def test_join_inverses_matches_forward_substitution():
+    # a split panel's L11^-1 is joined from its halves' inverses
+    rng = np.random.default_rng(3)
+    p = DEFAULT_PRIME
+    for k1, k2 in [(1, 1), (5, 3), (32, 32), (8, 0), (0, 4)]:
+        k = k1 + k2
+        L = np.tril(rng.integers(0, p, (k, k)), -1) + np.eye(k, dtype=np.int64)
+        joined = _join_inverses(
+            _unit_lower_inverse(L[:k1, :k1], p), L[k1:, :k1], _unit_lower_inverse(L[k1:, k1:], p), p
+        )
+        assert np.array_equal(joined, _unit_lower_inverse(L, p)), (k1, k2)
+        product = [[sum(int(a) * int(b) for a, b in zip(row, col)) % p for col in joined.T] for row in L]
+        assert product == np.eye(k, dtype=np.int64).tolist()
 
 
 def _profile_matrix(rng, m, n, fresh, p):
@@ -502,6 +521,112 @@ def test_adding_point_never_increases_h0():
         assert b <= a
 
 
+def reference_oracle(sys, cfg):
+    """h0_oracle the plain way: every trial builds the whole matrix and takes
+    its rank, until the best value meets lower_h0. The oracle's lower bound
+    is lower_h0 whether or not it rose above the floor: a trial value at the
+    floor squeezes lower_h0 down to it."""
+    p = cfg.prime.p
+    builder = _RowBuilder(sys, p)
+    cols, dims, lower = builder.cols, dim_report(sys), oracle.lower_h0(sys)
+    best = cols
+    for used in range(1, cfg.trials + 1):
+        A = _condition_matrix(builder, sys, cfg, used - 1, (), None)
+        best = min(best, cols - rank_mod_p(A, p))
+        if best == lower:
+            break
+    return OracleResult(
+        h0=best,
+        h1=dims.conditions - (cols - best),
+        rank=cols - best,
+        rows=dims.conditions,
+        cols=cols,
+        special=best - 1 > dims.expected_dim,
+        trials_used=used,
+        prime=p,
+        seed=cfg.seed,
+        lower=lower,
+        certified=best == lower,
+    )
+
+
+def assert_matches_reference(sys, cfg, cuts=None):
+    """h0_oracle of sys, and its prefix series at each cut h (every h by
+    default), equal reference_oracle field by field."""
+    whole = reference_oracle(sys, cfg)
+    assert h0_oracle(sys, cfg) == whole, sys
+    series = h0_prefix_oracle(sys, cfg)
+    for h in range(sys.total_points + 1) if cuts is None else cuts:
+        want = whole if h == sys.total_points else reference_oracle(sys.first_points(h), cfg)
+        assert series[h] == want, (sys, h)
+
+
+def count_eliminations(monkeypatch):
+    shapes = []
+    real = oracle._pivot_columns
+
+    def counting(A, p):
+        shapes.append(A.shape)
+        return real(A, p)
+
+    monkeypatch.setattr(oracle, "_pivot_columns", counting)
+    return shapes
+
+
+def test_shortest_prefix_matches_whole_matrices():
+    # a trial builds only the rows of its shortest prefix with lower bound 0;
+    # the longer cuts are squeezed between their bound and its value
+    for spec in [
+        ([3], [9], [(6, 1), (4, 8)]),
+        ([4], [3], [(2, 9)]),
+        ([2], [4], [(2, 20)]),
+        ([3], [4], [(2, 20)]),
+    ]:
+        assert_matches_reference(make_system(*spec), CFG)
+
+
+def test_shortest_prefix_matches_whole_matrices_large():
+    # 13 quintuple points fill the 455 columns: cuts below, at and past it
+    assert_matches_reference(make_system([3], [12], [(5, 20)]), CFG, cuts=(0, 12, 13, 14, 20))
+    # 12 septuple points (1008 of the 1344 rows) reach rank 969
+    assert_matches_reference(make_system([3], [16], [(7, 16)]), CFG, cuts=(12, 16))
+
+
+def test_shortest_prefix_row_counts(monkeypatch):
+    shapes = count_eliminations(monkeypatch)
+    # 12 septuple points (1008 rows) already have rank 969, of the 1344 rows
+    res = h0_oracle(make_system([3], [16], [(7, 16)]), CFG)
+    assert (res.h0, res.rows, res.trials_used, res.certified) == (0, 1344, 1, True)
+    assert shapes == [(1008, 969)]
+    shapes.clear()
+    res = h0_oracle(make_system([3], [12], [(5, 20)]), CFG)
+    assert (res.h0, res.rows, res.certified) == (0, 700, True)
+    assert shapes == [(455, 455)]
+    # 7 double points of P^4 leave the cubic the bound reaches; 8 leave none
+    shapes.clear()
+    assert h0_oracle(make_system([4], [3], [(2, 9)]), CFG).h0 == 0
+    assert shapes == [(40, 35)]
+
+
+def test_shortest_prefix_retry(monkeypatch):
+    # with the floor as the only rule, the 7-point prefix of P^4 cubics has
+    # value 1 above the bound 0 of the 8- and 9-point cuts: the trial runs
+    # again on the 9-point matrix, with the same points
+    monkeypatch.setattr(oracle, "lower_h0", lambda cut, lines=(): max(virtual_dim(cut) + 1, 0))
+    sys = make_system([4], [3], [(2, 9)])
+    shapes = count_eliminations(monkeypatch)
+    res = h0_oracle(sys, CFG)
+    assert (res.h0, res.lower, res.certified, res.trials_used) == (0, 0, True, 1)
+    assert shapes == [(35, 35), (45, 35)]
+    shapes.clear()
+    series = h0_prefix_oracle(sys, CFG)
+    assert [r.certified for r in series] == [True] * 7 + [False, True, True]
+    # the 8- and 9-point cuts read the 9-point profile after the 7-point
+    # one, and the open 7-point cut's second trial builds its own 35 rows
+    assert shapes == [(35, 35), (35, 45), (35, 35)]
+    assert_matches_reference(sys, CFG)
+
+
 def test_prefix_series_matches_each_cut():
     for spec in [
         ([3], [4], [(3, 2), (2, 6), (1, 3)]),
@@ -533,18 +658,18 @@ def test_cross_checked_prefix_matches_each_cut():
 
 
 def test_cross_checked_prefix_builds_disagreements_from_both_series(monkeypatch):
-    # cubics double at 7 points of P4 contain the secant variety of the
-    # rational normal curve through them: h0 = 1, which no rule reaches
-    sys = make_system([4], [3], [(2, 9)])
+    # (2, 2) forms double at 4 points of P1xP2: h0 = 3, one above the bound 2
+    # that every rule leaves; every other cut of the series meets its bound
+    sys = make_system([1, 2], [2, 2], [(2, 6)])
     real_series = oracle.h0_prefix_oracle
     seconds = []
 
     def skewed_series(sys_, cfg):
-        # the second prime reads one more at h = 7
+        # the second prime reads one more at h = 4
         series = real_series(sys_, cfg)
         if cfg.prime.p == SECOND_PRIME:
             seconds.append(sys_)
-            series[7] = replace(series[7], h0=series[7].h0 + 1)
+            series[4] = replace(series[4], h0=series[4].h0 + 1)
         return series
 
     def no_cut_calls(*args, **kwargs):
@@ -555,12 +680,12 @@ def test_cross_checked_prefix_builds_disagreements_from_both_series(monkeypatch)
     got = cross_checked_prefix(sys, CFG)
     # both series values bound h0 from above: the smaller is kept, and no
     # cut is run again
-    assert got[7] == CrossCheckedH0(1, False, (1, 2), (CFG.prime.p, SECOND_PRIME))
-    assert all(cc.agreed for h, cc in enumerate(got) if h != 7)
-    # the other cuts reach their floor, so they use one prime, and the
+    assert got[4] == CrossCheckedH0(3, False, (3, 4), (CFG.prime.p, SECOND_PRIME))
+    assert all(cc.agreed for h, cc in enumerate(got) if h != 4)
+    # the other cuts reach their bound, so they use one prime, and the
     # second prime runs one series, up to the one open cut
-    assert all(cc.certified and len(cc.primes) == 1 for h, cc in enumerate(got) if h != 7)
-    assert seconds == [sys.first_points(7)]
+    assert all(cc.certified and len(cc.primes) == 1 for h, cc in enumerate(got) if h != 4)
+    assert seconds == [sys.first_points(4)]
 
 
 def test_restrict_to_subspace():
@@ -575,14 +700,15 @@ def test_restrict_to_subspace():
 
 
 def test_two_primes_two_seeds_agree():
-    # cuts the lower-bound rules leave open: the double rational normal
-    # curve case and two product systems above their bound
-    for spec in [([4], [3], [(2, 7)]), ([1, 2], [2, 2], [(2, 4)]), ([1, 3], [4, 2], [(2, 9)])]:
+    # cuts the lower-bound rules leave open: product systems above their bound
+    for spec in [([1, 2], [4, 2], [(2, 7)]), ([1, 2], [2, 2], [(2, 4)]), ([1, 3], [4, 2], [(2, 9)])]:
         cc = cross_checked_h0(make_system(*spec), CFG)
         assert not cc.certified
         assert cc.agreed and cc.primes[0] != cc.primes[1]
-    # certified cuts use one prime
-    for spec in [([3], [4], [(2, 9)]), ([1, 1], [4, 2], [(2, 5)]), ([3], [6], [(4, 3)])]:
+    # certified cuts use one prime, the double rational normal curve case too
+    for spec in [
+        ([3], [4], [(2, 9)]), ([1, 1], [4, 2], [(2, 5)]), ([3], [6], [(4, 3)]), ([4], [3], [(2, 7)])
+    ]:
         cc = cross_checked_h0(make_system(*spec), CFG)
         assert cc.certified and cc.agreed
         assert cc.primes == (CFG.prime.p,) and cc.values == (cc.h0,)

@@ -148,7 +148,11 @@ def test_lower_h0_examples():
     assert lower_h0(sys) == 5
     # no points, and the floor where nothing else applies
     assert lower_h0(make_system([2], [3], [])) == 10
-    assert lower_h0(make_system([4], [3], [(2, 7)])) == 0
+    # cubics double at 7 points of P^4: the floor is 0, and the forms singular
+    # along the rational normal curve through them leave 35 - 2 x 16 - 2 = 1;
+    # plane quartics double at 5 points: the double conic, 15 - 12 - 2 = 1
+    assert lower_h0(make_system([4], [3], [(2, 7)])) == 1
+    assert lower_h0(make_system([2], [4], [(2, 5)])) == 1
     assert lower_h0(make_system([2], [5], [(2, 3), (1, 2)])) == virtual_dim(
         make_system([2], [5], [(2, 3), (1, 2)])
     ) + 1

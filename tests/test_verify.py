@@ -125,7 +125,8 @@ def test_elimination_counts_at_default_config(monkeypatch):
     # one prefix series per (space, degree) family, of 1-3 trials, a second
     # prime only up to the largest cut not certified by its lower bound, and
     # h1-values read from the AH table; per-system oracle calls took 246 and
-    # 123 eliminations, and two primes on every cut 72, 142 and 90
+    # 123 eliminations, two primes on every cut 72, 142 and 90, and before
+    # the double rational normal curve bound closed (4, 3, 7) 23, 58 and 58
     calls = []
     real = oracle._pivot_columns
 
@@ -135,13 +136,13 @@ def test_elimination_counts_at_default_config(monkeypatch):
 
     monkeypatch.setattr(oracle, "_pivot_columns", counting)
     assert all(c.ok for c in SUITES["ah"](OracleConfig()))
-    assert len(calls) == 23
+    assert len(calls) == 18
     calls.clear()
     assert all(c.ok for c in SUITES["cgg"](OracleConfig()))
     assert len(calls) == 58
     calls.clear()
     assert all(c.ok for c in verify_paper_tables(OracleConfig()))
-    assert len(calls) == 58
+    assert len(calls) == 56
 
 
 def test_ah_quartic_disagreement_reported_once(monkeypatch):
