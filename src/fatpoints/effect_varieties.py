@@ -105,6 +105,9 @@ class Line:
 
 EffectVariety = Union[Hypersurface, LinearSubspace, RationalNormalCurve, RationalCurveP3, Line]
 
+# the most points of P^3 in general position on a line (2) and on a conic (3)
+GENERAL_POSITION_CAP = {1: 2, 2: 3}
+
 
 @dataclass
 class SevReport:
@@ -294,8 +297,8 @@ def _scan_report(
     return SevReport(holds, holds and nu_res >= 0, alpha_max, nu_sys, nu_res, checks, values)
 
 
-def _classify_divisor(sys: LinearSystem, Y: Hypersurface) -> SevReport:
-    checks: dict[str, bool] = {}
+def _classify_divisor(sys: LinearSystem, Y: Hypersurface, checks: dict[str, bool]) -> SevReport:
+    """The divisor verdict, which also requires the caller's own checks."""
     values: dict[str, object] = {}
     bounds = [d // e for d, e in zip(sys.multidegree, Y.multidegree) if e > 0]
     for g, c in Y.point_mults:
@@ -312,48 +315,29 @@ def _classify_divisor(sys: LinearSystem, Y: Hypersurface) -> SevReport:
     return _scan_report(sys, nu_of_alpha, checks, values)
 
 
-def _hyperplane_residual_nu(sys: LinearSystem, points_on: int, alpha: int) -> int:
-    """Divisor-rule residual for a hyperplane through the first points_on
-    points: degree drops by alpha, their multiplicities drop by alpha."""
-    n = sys.space.n
-    d = sys.multidegree[0] - alpha
-    mults = sys.point_multiplicities()
-    cond = sum(binom(m - alpha + n - 1, n) for m in mults[:points_on] if m > alpha)
-    cond += sum(binom(m + n - 1, n) for m in mults[points_on:])
-    return binom(d + n, n) - 1 - cond
+def _check_subspace(sys: LinearSystem, Y: LinearSubspace) -> None:
+    if sys.space.nfactors != 1:
+        raise NotImplementedError("linear subspace candidates live in a single P^n")
+    if not (1 <= Y.s <= sys.space.n - 1):
+        raise ValueError(f"need 1 <= s <= n-1, got s={Y.s} in P^{sys.space.n}")
 
 
 def _classify_subspace(sys: LinearSystem, Y: LinearSubspace) -> SevReport:
-    if sys.space.nfactors != 1:
-        raise NotImplementedError("linear subspace candidates live in a single P^n")
-    n = sys.space.n
-    if not (1 <= Y.s <= n - 1):
-        raise ValueError(f"need 1 <= s <= n-1, got s={Y.s} in P^{n}")
-    checks: dict[str, bool] = {}
-    values: dict[str, object] = {}
-    h = sys.total_points
-    if Y.through_first > h:
-        raise ValueError("subspace claims more incident points than the system has")
-    checks["points_span"] = Y.through_first >= Y.s + 1
+    _check_subspace(sys, Y)
     mults = sys.point_multiplicities()
-    if Y.s == n - 1:
-        # a hyperplane is a divisor: degree-subtraction rule, alpha capped by
-        # the degree and the incident multiplicities
-        on = mults[: Y.through_first]
-        bound = min([sys.multidegree[0]] + list(on))
-        values["alpha_bound"] = bound
-        checks["alpha_admissible"] = bound >= 1
-        if bound < 1:
-            return SevReport(False, False, 0, virtual_dim(sys), None, checks, values)
-        nu_of_alpha = {
-            a: _hyperplane_residual_nu(sys, Y.through_first, a) for a in range(1, bound + 1)
-        }
-    else:
-        nu_of_alpha = {
-            a: linear_space_residual_nu(sys, Y.s, a, points_on=Y.through_first)
-            for a in range(1, max(mults) + 1)
-        }
-    return _scan_report(sys, nu_of_alpha, checks, values)
+    if Y.through_first > len(mults):
+        raise ValueError("subspace claims more incident points than the system has")
+    checks = {"points_span": Y.through_first >= Y.s + 1}
+    if Y.s == sys.space.n - 1:
+        # a hyperplane is the degree-1 divisor through its points, one group each
+        groups = tuple(FatPointGroup(m, 1) for m in mults)
+        H = Hypersurface((1,), tuple((i, 1) for i in range(Y.through_first)))
+        return _classify_divisor(LinearSystem(sys.space, sys.multidegree, groups), H, checks)
+    nu_of_alpha = {
+        a: linear_space_residual_nu(sys, Y.s, a, points_on=Y.through_first)
+        for a in range(1, max(mults) + 1)
+    }
+    return _scan_report(sys, nu_of_alpha, checks, {})
 
 
 def _require_double_points(sys: LinearSystem, what: str) -> None:
@@ -388,8 +372,7 @@ def _classify_p3_curve(sys: LinearSystem, Y: RationalCurveP3) -> SevReport:
     checks: dict[str, bool] = {}
     values: dict[str, object] = {}
     checks["curve_through_points"] = 2 * e >= h
-    # a line/conic only contains 2/3 points of P^3 in general position
-    span_cap = {1: 2, 2: 3}.get(e)
+    span_cap = GENERAL_POSITION_CAP.get(e)
     if span_cap is not None:
         checks["points_general_position"] = h <= span_cap
     chi = p3_rational_curve_chi(d, e)
@@ -420,7 +403,7 @@ def classify_alpha_sev(sys: LinearSystem, Y: EffectVariety) -> SevReport:
     has the special-effect property for sys (and is a special-effect variety,
     i.e. the best residual is also effective)."""
     if isinstance(Y, Hypersurface):
-        return _classify_divisor(sys, Y)
+        return _classify_divisor(sys, Y, {})
     if isinstance(Y, LinearSubspace):
         return _classify_subspace(sys, Y)
     if isinstance(Y, RationalNormalCurve):
@@ -560,7 +543,7 @@ def _curve_data(sys: LinearSystem, Y: EffectVariety) -> tuple[int, list[int]] | 
     if isinstance(Y, RationalCurveP3):
         if sys.space.factors != (3,):
             raise NotImplementedError("this curve class lives in P^3")
-        cap = {1: 2, 2: 3}.get(Y.e, 2 * Y.e)
+        cap = GENERAL_POSITION_CAP.get(Y.e, 2 * Y.e)
         return Y.e, mults[: min(len(mults), cap)]
     if isinstance(Y, Line):
         if sys.space.nfactors != 1:
@@ -604,6 +587,7 @@ def h1_sev_check(
         )
 
     if isinstance(Y, LinearSubspace):
+        _check_subspace(sys, Y)
         restricted = restrict_to_subspace(sys, Y.s, points_on=Y.through_first)
         rr = h0_oracle(restricted, oracle_cfg)
         cond_a = rr.h0 == 0
@@ -613,11 +597,7 @@ def h1_sev_check(
             # the restriction sequence then identifies h0(L - Y) with h0(L)
             h0_res = h0_oracle(sys, oracle_cfg).h0
         else:
-            h0_res = h0_oracle(
-                sys,
-                oracle_cfg,
-                subspace=SubspaceScheme(Y.s, Y.through_first, vanish=True),
-            ).h0
+            h0_res = h0_oracle(sys, oracle_cfg, subspace=SubspaceScheme(Y.s, Y.through_first)).h0
         values.update(h0_residual=h0_res, h2_residual=None)
         return H1Report(
             cond_a=cond_a,

@@ -100,15 +100,12 @@ class OracleConfig:
 
 @dataclass(frozen=True)
 class SubspaceScheme:
-    """Constrain the first ``points_on`` system points inside a linear P^s.
-
-    With ``vanish`` set, rows forcing identical vanishing on the subspace are
-    added (enough simple points on it to kill every degree-d form).
-    """
+    """Vanishing on the P^s x_{s+1} = ... = x_n = 0 through the first
+    ``points_on`` system points: the condition matrix keeps only the columns
+    of monomials not in x_0..x_s alone, the forms that vanish on it."""
 
     s: int
     points_on: int
-    vanish: bool = False
 
 
 @dataclass(frozen=True)
@@ -496,8 +493,7 @@ def _condition_matrix(
     extra_schemes: tuple[LineScheme, ...] | list[LineScheme],
     subspace: SubspaceScheme | None,
 ) -> np.ndarray:
-    """The condition rows of one trial: the fat points in group order, then
-    the line schemes, then the subspace-vanishing rows."""
+    """The condition rows of one trial: the fat points in group order, then the line schemes."""
     if subspace is None:
         points = sample_points(sys.space, sys.total_points, cfg, trial=trial)
     else:
@@ -513,10 +509,6 @@ def _condition_matrix(
         start += g.count
     for i, j, alpha in extra_schemes:
         blocks.append(builder.line_rows((points[i], points[j]), alpha))
-    if subspace is not None and subspace.vanish:
-        span = binom(sys.multidegree[0] + subspace.s, subspace.s)
-        extra_pts = sample_points(sys.space, span, cfg, subspace=subspace.s, trial=trial, salt="vanish")
-        blocks.append(builder.rows(extra_pts, 1))
     return np.vstack(blocks) if blocks else np.zeros((0, builder.cols), dtype=np.int64)
 
 
@@ -591,6 +583,9 @@ def _oracle_series(
     pure = not extra_schemes and subspace is None
 
     builder = _RowBuilder(sys, p)
+    if subspace is not None:
+        builder.E = builder.E[builder.E[:, subspace.s + 1 :].any(axis=1)]
+        builder.cols = len(builder.E)
     cols = builder.cols
     cuts = [sys.first_points(h) for h in counts]
     dims = [dim_report(cut) for cut in cuts]

@@ -21,14 +21,16 @@ from math import prod
 
 from .combinatorics import binom
 from .effect_varieties import (
+    GENERAL_POSITION_CAP,
     ConfigStep,
     Hypersurface,
     classify_alpha_sev,
     classify_configuration,
+    p3_rational_curve_chi,
     rnc_double_residual_nu,
 )
 # h0_oracle is not called here, but perfbench's tracer test reads search.h0_oracle
-from .oracle import OracleConfig, cross_checked_prefix, h0_oracle, h0_prefix_oracle  # noqa: F401
+from .oracle import OracleConfig, cross_checked_prefix, h0_oracle  # noqa: F401
 from .systems import expected_dim, make_system
 
 
@@ -132,11 +134,11 @@ def scan_rational_curves_p3(d_max: int = 4, e_max: int = 4) -> list[ScanRecord]:
     for d in range(2, d_max + 1):
         for e in range(1, e_max + 1):
             for h in range(1, 2 * e + 1):
-                if binom(d + 3, 3) - 3 * d * e + 4 * e - 6 < 0:
+                if p3_rational_curve_chi(d, e) - 1 < 0:
                     continue
                 if not 4 * h > 3 * d * e - 4 * e + 5:
                     continue
-                span_cap = {1: 2, 2: 3}.get(e)
+                span_cap = GENERAL_POSITION_CAP.get(e)
                 general = span_cap is None or h <= span_cap
                 records.append(
                     ScanRecord(
@@ -273,24 +275,21 @@ def verify_cgg(
     a3_max: int = 4,
     h3_max: int = 15,
     cfg: OracleConfig | None = None,
-    cross_check: bool = False,
 ) -> list[ScanRecord]:
     """Run the speciality oracle over the P^1 x P^1 and (P^1)^3 double-point
     grids and compare the special set with the published classification
     (bidegrees (2d, 2) with h = 2d+1; multidegrees (2,2,2) with h = 7 and
     (2a, 1, 1) with h = 2a+1, up to permutation). Each special system gets
-    its special-effect witness attached and re-verified. A mismatch raises
-    CggMismatchError."""
+    its special-effect witness attached and re-verified. A mismatch, or two
+    primes disagreeing on an uncertified h0, raises CggMismatchError."""
     cfg = cfg or OracleConfig()
     records: list[ScanRecord] = []
 
     def actual_h0s(factors: list[int], degree: list[int], h_max: int) -> list[int]:
-        """h0 with h = 0..h_max double points, from one prefix series."""
+        """h0 with h = 0..h_max double points, from one cross-checked prefix series."""
         if h_max < 1:
             return []
         sys = make_system(factors, degree, [(2, h_max)])
-        if not cross_check:
-            return [r.h0 for r in h0_prefix_oracle(sys, cfg)]
         out = []
         for h, cc in enumerate(cross_checked_prefix(sys, cfg)):
             if not cc.agreed:

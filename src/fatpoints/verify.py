@@ -141,7 +141,7 @@ def ah_special_keys(n_max: int = 6) -> set[tuple[int, int, int]]:
 AH_GRID = {(n, d): 20 for n in range(1, 5) for d in range(2, 6)}  # (n, d) -> largest h
 
 
-def _ah_table(cfg: OracleConfig, cross: bool) -> tuple[dict, list]:
+def _ah_table(cfg: OracleConfig) -> tuple[dict, list]:
     """h0 of every double-point system that verify_ah reads, keyed by
     (n, d, h) with its system, from one prefix series per (n, d) family: the
     complement grid AH_GRID, and the AH quadrics on P^5 and P^6 up to h = n.
@@ -153,19 +153,19 @@ def _ah_table(cfg: OracleConfig, cross: bool) -> tuple[dict, list]:
     disagreements: list = []
     for (n, d), h_max in sorted(top.items()):
         family = make_system([n], [d], [(2, h_max)])
-        series = cross_checked_prefix(family, cfg) if cross else h0_prefix_oracle(family, cfg)
+        series = cross_checked_prefix(family, cfg)
         for h in range(1, h_max + 1):
             sys = family.first_points(h)
-            if cross and not series[h].agreed:
+            if not series[h].agreed:
                 disagreements.append((str(sys), series[h].values))
             table[n, d, h] = (sys, series[h].h0)
     return table, disagreements
 
 
-def verify_ah(cfg: OracleConfig | None = None, cross: bool = True) -> list[Check]:
+def verify_ah(cfg: OracleConfig | None = None) -> list[Check]:
     cfg = cfg or OracleConfig()
     ah = ah_special_keys()
-    table, disagreements = _ah_table(cfg, cross)
+    table, disagreements = _ah_table(cfg)
 
     def special(key: tuple[int, int, int]) -> bool:
         sys, h0 = table[key]
@@ -179,8 +179,7 @@ def verify_ah(cfg: OracleConfig | None = None, cross: bool = True) -> list[Check
         key for key in sorted(table) if key[:2] in AH_GRID and key not in ah and special(key)
     ]
     checks.append(Check("ah-complement-nonspecial", not falsely_special, _fail_detail(falsely_special)))
-    if cross:
-        checks.append(Check("ah-two-prime-agreement", not disagreements, _fail_detail(disagreements)))
+    checks.append(Check("ah-two-prime-agreement", not disagreements, _fail_detail(disagreements)))
 
     # h1 = conditions - (monomials - h0) of the double-point quadrics and of
     # the quartic in P^3, from the same table
@@ -284,17 +283,9 @@ def verify_paper_tables(cfg: OracleConfig | None = None) -> list[Check]:
 # ---------------------------------------------------------------------------
 # product-space speciality lists
 
-def verify_cgg_suite(
-    cfg: OracleConfig | None = None,
-    cross: bool = True,
-    a2_max: int = 8,
-    h2_max: int = 20,
-    a3_max: int = 4,
-    h3_max: int = 15,
-) -> list[Check]:
-    cfg = cfg or OracleConfig()
+def verify_cgg_suite(cfg: OracleConfig | None = None) -> list[Check]:
     try:
-        records = search.verify_cgg(a2_max, h2_max, a3_max, h3_max, cfg, cross_check=cross)
+        records = search.verify_cgg(cfg=cfg)
     except search.CggMismatchError as exc:
         return [Check("cgg-special-sets", False, str(exc))]
     n2 = sum(1 for r in records if r.kind == "cgg2")
@@ -306,8 +297,8 @@ def verify_cgg_suite(
 
 
 SUITES = {
-    "ah": lambda cfg: verify_ah(cfg),
-    "paper-tables": lambda cfg: verify_paper_tables(cfg),
-    "cgg": lambda cfg: verify_cgg_suite(cfg),
+    "ah": verify_ah,
+    "paper-tables": verify_paper_tables,
+    "cgg": verify_cgg_suite,
     "lemmas": lambda cfg: verify_lemmas(),
 }

@@ -214,7 +214,7 @@ def test_criterion_6_cgg_verification():
     t0 = time.monotonic()
     failures = []
     try:
-        records = verify_cgg(a2_max=8, h2_max=20, a3_max=4, h3_max=15, cfg=CFG, cross_check=True)
+        records = verify_cgg(a2_max=8, h2_max=20, a3_max=4, h3_max=15, cfg=CFG)
     except Exception as exc:  # mismatch or prime disagreement
         failures.append(str(exc))
         records = []

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from fatpoints import effect_varieties
 from fatpoints.cli import main
 from fatpoints.oracle import DEFAULT_PRIME, SECOND_PRIME
 
@@ -239,17 +240,30 @@ def test_line_pair_out_of_range(capsys):
 
 def test_curves_checked_where_they_live(capsys):
     # h1check rejects a curve class off its space as classify does: no smooth
-    # rational plane cubic, no P^3 curve in P^4, no rational normal curve or
-    # line on a product
+    # rational plane cubic, no P^3 curve in P^4, no rational normal curve,
+    # line or linear subspace on a product
     for system, variety in (
         ("P2:d=4:2x5", ["curve", "--curve-degree", "3"]),
         ("P4:d=2:2x2", ["curve", "--curve-degree", "1"]),
         ("P1xP1:d=2,2:2x3", ["rnc"]),
         ("P1xP1:d=2,2:2x3", ["line", "--pair", "0,1"]),
+        ("P1xP1:d=2,2:2x3", ["linear", "--s", "1"]),
     ):
         for cmd in ("classify", "h1check"):
             code, out, err = run(capsys, cmd, "--system", system, "--variety", *variety)
             assert code == 3 and out == "" and "unsupported" in err, (cmd, system)
+
+
+def test_subspace_needs_s_below_n(capsys, monkeypatch):
+    # P^3 itself is no candidate subspace: an input error before any oracle call
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("oracle called")
+
+    monkeypatch.setattr(effect_varieties, "h0_oracle", no_oracle)
+    for cmd in ("classify", "h1check"):
+        for s in ("3", "4"):
+            code, out, err = run(capsys, cmd, "--system", "P3:d=2:2x2", "--variety", "linear", "--s", s)
+            assert code == 2 and out == "" and f"need 1 <= s <= n-1, got s={s} in P^3" in err, (cmd, s)
 
 
 def test_line_needs_n_at_least_2(capsys):

@@ -107,6 +107,31 @@ def test_classify_span_subspace_family():
             assert rep.is_sev and rep.alpha_max == 2
 
 
+def test_classify_hyperplane_residuals():
+    # a hyperplane through the first k points, removed alpha times: degree
+    # d - alpha, and each of those points loses alpha of its multiplicity
+    for n in range(2, 5):
+        for d in range(0, 6):
+            for points in ([(3, 1), (1, 2)], [(2, 3)], [(4, 1), (2, 2), (1, 1)]):
+                sys = make_system([n], [d], points)
+                mults = sys.point_multiplicities()
+                for k in range(1, len(mults) + 1):
+                    rep = classify_alpha_sev(sys, LinearSubspace(n - 1, k))
+                    assert list(rep.checks)[0] == "points_span"
+                    assert rep.checks["points_span"] == (k >= n)
+                    bound = min([d, *mults[:k]])
+                    assert rep.values["alpha_bound"] == bound
+                    if bound < 1:
+                        assert "nu_by_alpha" not in rep.values and rep.alpha_max == 0
+                        continue
+                    want = {}
+                    for a in range(1, bound + 1):
+                        on = sum(binom(m - a + n - 1, n) for m in mults[:k] if m > a)
+                        off = sum(binom(m + n - 1, n) for m in mults[k:])
+                        want[a] = binom(d - a + n, n) - 1 - on - off
+                    assert rep.values["nu_by_alpha"] == want, (n, d, points, k)
+
+
 def test_classify_rnc_examples():
     rep = classify_alpha_sev(make_system([3], [3], [(2, 6)]), RationalNormalCurve())
     assert rep.holds_property and not rep.is_sev and rep.nu_residual == -1

@@ -415,9 +415,10 @@ def test_line_calls_certify_at_one_trial():
     res = h0_oracle(make_system([3], [6], [(3, 3)]), cfg, extra_schemes=((0, 1, 3), (0, 2, 3)))
     assert (res.h0, res.lower, res.certified, res.trials_used) == (30, 26, False, 3)
     # a subspace scheme keeps the floor and is never certified, even when
-    # its trial value meets the floor: 3 of 9 points on a plane, quadrics
-    res = h0_oracle(make_system([3], [2], [(1, 9)]), cfg, subspace=SubspaceScheme(2, 3))
-    assert (res.h0, res.lower, res.certified, res.trials_used) == (1, 1, False, 1)
+    # its trial value meets the floor: quadrics vanishing on a plane through
+    # 3 of 7 points
+    res = h0_oracle(make_system([3], [2], [(1, 7)]), cfg, subspace=SubspaceScheme(2, 3))
+    assert (res.h0, res.lower, res.certified, res.trials_used) == (0, 0, False, 1)
 
 
 def test_lines_in_the_base_locus_add_no_rank():
@@ -433,6 +434,21 @@ def test_lines_in_the_base_locus_add_no_rank():
         for alpha in range(1, mi + mj - d + 2):
             rank = rank_mod_p(np.vstack([points, builder.line_rows((a, b), alpha)]), DEFAULT_PRIME)
             assert (rank == base) == (alpha <= mi + mj - d), (n, d, mi, mj, alpha)
+
+
+def test_subspace_residual_closed_form():
+    # forms vanishing on a P^s of P^n through k of h simple points: the k
+    # points impose nothing more, the h - k general points off it impose
+    # independent conditions
+    for n in range(2, 5):
+        for s in range(1, n):
+            for d in range(1, 5):
+                for h in range(9):
+                    sys = make_system([n], [d], [(1, h)] if h else [])
+                    for k in range(h + 1):
+                        res = h0_oracle(sys, CFG, subspace=SubspaceScheme(s, k))
+                        want = max(binom(d + n, n) - binom(d + s, s) - (h - k), 0)
+                        assert res.h0 == want, (n, s, d, h, k)
 
 
 def test_h1_oracle_values():

@@ -179,5 +179,5 @@ def test_verify_cgg_reports_prime_disagreement(monkeypatch):
 
     monkeypatch.setattr(search, "cross_checked_prefix", disagree_at_two)
     with pytest.raises(CggMismatchError) as err:
-        verify_cgg(a2_max=2, h2_max=3, a3_max=1, h3_max=2, cfg=CFG, cross_check=True)
+        verify_cgg(a2_max=2, h2_max=3, a3_max=1, h3_max=2, cfg=CFG)
     assert str(err.value) == "prime disagreement for L_{P1xP1;(1,1)}(2^2): (7, 6)"

@@ -43,13 +43,13 @@ def test_table_suite_passes():
 
 
 def test_ah_suite_passes():
-    checks = verify_ah(CFG, cross=False)
+    checks = verify_ah(CFG)
     assert all(c.ok for c in checks)
     assert "h1-values" in {c.name for c in checks}
 
 
 def test_cgg_suite_small():
-    checks = verify_cgg_suite(CFG, cross=False, a2_max=4, h2_max=9, a3_max=2, h3_max=7)
+    checks = verify_cgg_suite(CFG)
     assert all(c.ok for c in checks)
 
 
@@ -106,7 +106,7 @@ def test_ah_complement_reports_prime_disagreement(monkeypatch):
         return series
 
     monkeypatch.setattr(verify, "cross_checked_prefix", disagree_on_conics)
-    checks = {c.name: c for c in verify_ah(CFG, cross=True)}
+    checks = {c.name: c for c in verify_ah(CFG)}
     assert checks["ah-complement-nonspecial"].ok
     agreement = checks["ah-two-prime-agreement"]
     assert not agreement.ok
@@ -114,7 +114,7 @@ def test_ah_complement_reports_prime_disagreement(monkeypatch):
 
 
 def test_ah_table_matches_each_system_cross_checked():
-    table, disagreements = verify._ah_table(CFG, cross=True)
+    table, disagreements = verify._ah_table(CFG)
     assert not disagreements
     for n, d, h in sorted(ah_special_keys()):
         sys = make_system([n], [d], [(2, h)])
@@ -155,7 +155,7 @@ def test_ah_quartic_disagreement_reported_once(monkeypatch):
         return series
 
     monkeypatch.setattr(verify, "cross_checked_prefix", disagree_on_p3_quartics)
-    checks = {c.name: c for c in verify_ah(CFG, cross=True)}
+    checks = {c.name: c for c in verify_ah(CFG)}
     assert checks["ah-rows-special"].ok and checks["ah-quartic-cubic-h0-is-1"].ok
     agreement = checks["ah-two-prime-agreement"]
     assert not agreement.ok
