@@ -119,8 +119,8 @@ class OracleResult:
     trials_used: int
     prime: int
     seed: int
-    lower: int  # proven lower bound on h0; the floor with a subspace scheme
-    certified: bool  # h0 == lower without a subspace scheme: exact over Q
+    lower: int  # proven lower bound on h0
+    certified: bool  # h0 == lower: exact over Q
 
     def to_json(self) -> dict:
         return {
@@ -302,6 +302,21 @@ def _pivot_columns(A: np.ndarray, p: int) -> list[int]:
 def rank_mod_p(A: np.ndarray, p: int) -> int:
     """Rank of an integer matrix over F_p, for a prime p < 2^31."""
     return len(_pivot_columns(A, p))
+
+
+def _kernel_values(R: np.ndarray, S: np.ndarray, p: int) -> np.ndarray | None:
+    """S x mod p for x over a basis of the kernel mod p of R, one row per x, or
+    None if the rows of R are dependent: row operations on [R^T | S^T] give
+    rows [(R x)^T | (S x)^T], and below the echelon form of R^T, R x = 0."""
+    B, h = np.remainder(np.hstack([R.T, S.T]), p), len(R)
+    for c in range(h):
+        nz = B[c:, c].nonzero()[0]
+        if nz.size == 0:
+            return None
+        B[[c, c + nz[0]]] = B[[c + nz[0], c]]
+        f = B[c + 1 :, c] * pow(int(B[c, c]), -1, p) % p
+        B[c + 1 :] = (B[c + 1 :] - f[:, None] * B[c] % p) % p
+    return B[h:, h:]
 
 
 def _normalize_factor(coords: tuple[int, ...], p: int) -> tuple[int, ...]:
@@ -512,6 +527,31 @@ def _condition_matrix(
     return np.vstack(blocks) if blocks else np.zeros((0, builder.cols), dtype=np.int64)
 
 
+def _section_lower(sys: LinearSystem, cfg: OracleConfig, trial: int, value: int) -> int:
+    """A lower bound on h0 of a system of degree 2e with multiplicities at
+    most 2 (else 0): the rank of Sym^2 V in L, V the forms of degree e
+    through the points, of dimension k = monomial_count(e) - h >= 3. If the
+    value rows at the trial's h points have rank h mod p, they have it over
+    Q, the mod-p kernel reduces the saturated integer one, and the points lie
+    where V is a bundle and that rank is lower semicontinuous: the products'
+    rank mod p at further points is at most h0. It is also at most value, a
+    trial's upper bound, so min(C(k+1, 2), value) + 2 points suffice."""
+    e = tuple(d // 2 for d in sys.multidegree)
+    h = sys.total_points
+    k = monomial_count(sys.space, e) - h
+    if k < 3 or any(d % 2 for d in sys.multidegree) or max(sys.point_multiplicities(), default=0) > 2:
+        return 0
+    p = cfg.prime.p
+    half = _RowBuilder(LinearSystem(sys.space, e, ()), p)
+    points = sample_points(sys.space, h + min(binom(k + 1, 2), value) + 2, cfg, trial=trial)
+    rows = half.rows(points, 1)  # the trial's h points, then further ones
+    values = _kernel_values(rows[:h], rows[h:], p)
+    if values is None:
+        return 0
+    i, j = np.triu_indices(k)
+    return rank_mod_p(values[i] * values[j] % p, p)
+
+
 def _shortest_prefix(sys: LinearSystem, h: int, bound: int) -> int:
     """The fewest points k <= h whose cut of sys has a proven lower bound at
     most bound, or h if none does: a shorter cut's trial value is above it."""
@@ -556,9 +596,10 @@ def _oracle_series(
     line ab are, up to a unit x_c^(d-|beta|) per row, those of the distinct
     integer points a + t b, t = 0..d, collinear over Q. A cut stops when its
     best value meets its lower bound: the floor max(virtual_dim + 1, 0), or
-    0 with lines, raised to lower_h0 once a trial value is above it; a trial
-    value below it raises. A subspace scheme keeps the floor
-    max(cols - rows, 0) and is never certified.
+    0 with lines, raised to lower_h0 once a trial value is above it, then
+    for a pure system to _section_lower; a trial value below it raises. A
+    subspace call's floor counts as free the C(m-1+s, s) derivatives along
+    the P^s at each point on it, which vanish on every kept column.
 
     The first trial of a pure system builds only the rows of its shortest
     prefix whose lower_h0 is at most the largest cut's bound. A longer cut
@@ -590,7 +631,9 @@ def _oracle_series(
     cuts = [sys.first_points(h) for h in counts]
     dims = [dim_report(cut) for cut in cuts]
     best = [cols] * len(cuts)
-    lower = [0 if extra_schemes else max(r.virtual_dim + 1, 0) for r in dims]
+    on = sys.point_multiplicities()[: subspace.points_on] if subspace else ()
+    free = sum(binom(m - 1 + subspace.s, subspace.s) for m in on)
+    lower = [0 if extra_schemes else max(cols - r.conditions + free, 0) for r in dims]
     rows = [r.conditions for r in dims]  # a cut's naive conditions are its first rows
     used = [0] * len(cuts)
     pending = list(range(len(cuts)))
@@ -603,9 +646,7 @@ def _oracle_series(
         need = [rows[i] if counts[i] <= h else A.shape[0] for i in pending]
         value = {i: cols - rank for i, rank in zip(pending, _prefix_ranks(A, need, p))}
         for i in pending:
-            if subspace is not None:
-                lower[i] = max(cols - rows[i], 0)
-            elif value[i] > lower[i]:
+            if subspace is None and value[i] > lower[i]:
                 lower[i] = lower_h0(cuts[i], extra_schemes)
         # a longer cut's value is the prefix's only where it meets its bound
         retry = [i for i in pending if counts[i] > h and value[i] != lower[i]]
@@ -615,7 +656,9 @@ def _oracle_series(
             value.update((i, cols - rank) for i, rank in zip(retry, ranks))
         still = []
         for i in pending:
-            if subspace is None and value[i] < lower[i]:
+            if pure and value[i] > lower[i]:
+                lower[i] = max(lower[i], _section_lower(cuts[i], cfg, t, value[i]))
+            if value[i] < lower[i]:
                 raise OracleSamplingError(
                     f"h0 trial value {value[i]} below the proven lower bound {lower[i]}"
                 )
@@ -639,7 +682,7 @@ def _oracle_series(
             prime=p,
             seed=cfg.seed,
             lower=lower[i],
-            certified=subspace is None and best[i] == lower[i],
+            certified=best[i] == lower[i],
         )
         for i in range(len(cuts))
     ]

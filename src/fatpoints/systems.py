@@ -171,7 +171,7 @@ def expected_dim(sys: LinearSystem) -> int:
 
 def lower_h0(sys: LinearSystem, lines: Sequence[tuple[int, int, int]] = ()) -> int:
     """A proven lower bound on the generic h0 of a fat-point system over Q,
-    the largest of four rules in integer arithmetic:
+    the largest of five rules in integer arithmetic:
 
     1. the floor max(virtual_dim + 1, 0);
     2. a divisor witness: when monomial_count(e) > h, some divisor Y of
@@ -187,7 +187,12 @@ def lower_h0(sys: LinearSystem, lines: Sequence[tuple[int, int, int]] = ()) -> i
        and C(n+d, n) - h0(O_2C(d)) of them are independent. From
        0 -> N*_C -> O_2C -> O_C -> 0 and N_C = O(n+2)^(n-1),
        h0(O_2C(d)) <= h0(O_C(d)) + h0(N*_C(d)) = dn+1 + (n-1)(dn-n-1)
-       = (d-1)n^2 + 2.
+       = (d-1)n^2 + 2;
+    5. a pencil: in rule 2, when monomial_count(e) >= h + 2 and lower(L -
+       alpha Y) >= 1, lower(L) >= lower(L - alpha Y) + alpha. Take Y1, Y2
+       through the points, G0 != 0 in L - alpha Y, Y1 not dividing Y2^alpha
+       G0 (all but finitely many in the pencil): Y1^alpha (L - alpha Y) and
+       Y1^a Y2^(alpha-a) G0, a < alpha, are independent (reduce mod Y1).
 
     Each line (i, j, alpha) through base points i and j of a single P^n,
     n >= 2, then subtracts at most its excess. In normal coordinates x' of
@@ -231,11 +236,13 @@ def _lower_h0(factors: tuple[int, ...], degree: tuple[int, ...], mults: tuple[in
     for e in iproduct(*(range(d + 1) for d in degree)):
         if not through(e) or any(k and through(e[:i] + (k - 1,) + e[i + 1 :]) for i, k in enumerate(e)):
             continue
+        pencil = monomial_count(space, e) >= len(mults) + 2
         for alpha in range(1, max(mults, default=0) + 1):
             rest = tuple(d - alpha * k for d, k in zip(degree, e))
             if min(rest) < 0:
                 break
-            best = max(best, _lower_h0(factors, rest, tuple(m - alpha for m in mults if m > alpha)))
+            low = _lower_h0(factors, rest, tuple(m - alpha for m in mults if m > alpha))
+            best = max(best, low + alpha if pencil and low else low)
     return best
 
 

@@ -33,7 +33,7 @@ from fatpoints.oracle import (
     sample_points,
 )
 from fatpoints.combinatorics import binom
-from fatpoints.systems import Space, dim_report, expected_dim, make_system, virtual_dim
+from fatpoints.systems import Space, dim_report, expected_dim, lower_h0, make_system, virtual_dim
 
 CFG = OracleConfig(trials=2, seed=4242)
 
@@ -414,11 +414,59 @@ def test_line_calls_certify_at_one_trial():
     # conditions, but together they cost 24, so the gap stays open
     res = h0_oracle(make_system([3], [6], [(3, 3)]), cfg, extra_schemes=((0, 1, 3), (0, 2, 3)))
     assert (res.h0, res.lower, res.certified, res.trials_used) == (30, 26, False, 3)
-    # a subspace scheme keeps the floor and is never certified, even when
-    # its trial value meets the floor: quadrics vanishing on a plane through
-    # 3 of 7 points
+    # a subspace call certifies like a pure one: quadrics vanishing on a
+    # plane through 3 of 7 points, where the 3 points on it impose nothing
     res = h0_oracle(make_system([3], [2], [(1, 7)]), cfg, subspace=SubspaceScheme(2, 3))
-    assert (res.h0, res.lower, res.certified, res.trials_used) == (0, 0, False, 1)
+    assert (res.h0, res.lower, res.certified, res.trials_used) == (0, 0, True, 1)
+
+
+def test_subspace_calls_certify_at_one_trial(monkeypatch):
+    # on forms vanishing on the P^s, a point of multiplicity m on it imposes
+    # at most C(m-1+n, n) - C(m-1+s, s) conditions: the plane through the
+    # sextic's three quadruple points leaves 56 - 3 x (20 - 10) = 26
+    sextic, plane = make_system([3], [6], [(4, 3)]), SubspaceScheme(2, 3)
+    res = h0_oracle(sextic, OracleConfig(), subspace=plane)
+    assert (res.h0, res.lower, res.certified, res.trials_used) == (26, 26, True, 1)
+    # points sampled off the plane impose all 60 conditions: the trial value
+    # 0 is below the bound, which must fail loudly
+    real = oracle.sample_points
+    monkeypatch.setattr(
+        oracle, "sample_points", lambda space, h, cfg, subspace=None, **kw: real(space, h, cfg, **kw)
+    )
+    with pytest.raises(OracleSamplingError, match="lower bound 26"):
+        h0_oracle(sextic, OracleConfig(), subspace=plane)
+
+
+def test_double_point_product_cuts_certify_at_one_trial():
+    # the forms of degree e = d/2 through the h points span V of dimension
+    # k = monomial_count(e) - h, and h0 = C(k+1, 2), that of Sym^2 V: k = 2
+    # is the pencil rule of lower_h0, k >= 3 the section certificate
+    for spec, k in [
+        (([1, 2], [2, 2], [(2, 4)]), 2),
+        (([3, 3], [2, 2], [(2, 14)]), 2),
+        (([2], [4], [(2, 4)]), 2),
+        (([1, 3], [2, 2], [(2, 5)]), 3),
+        (([1, 4], [2, 2], [(2, 6)]), 4),
+    ]:
+        sys, want = make_system(*spec), binom(k + 1, 2)
+        res = h0_oracle(sys, OracleConfig())
+        assert (res.h0, res.lower, res.certified, res.trials_used) == (want, want, True, 1), spec
+        assert (lower_h0(sys) == want) == (k == 2), spec
+
+
+def test_section_certificate_needs_independent_value_rows(monkeypatch):
+    # with a point taken twice, the value rows have rank h - 1 and V is not
+    # the generic space: its products would overshoot, so no certificate
+    sys = make_system([1, 4], [2, 2], [(2, 6)])
+    assert oracle._section_lower(sys, OracleConfig(), 0, 100) == 10
+    real = oracle.sample_points
+
+    def first_point_twice(*args, **kwargs):
+        points = real(*args, **kwargs)
+        return points[:1] + points[:-1]
+
+    monkeypatch.setattr(oracle, "sample_points", first_point_twice)
+    assert oracle._section_lower(sys, OracleConfig(), 0, 100) == 0
 
 
 def test_lines_in_the_base_locus_add_no_rank():
@@ -674,18 +722,19 @@ def test_cross_checked_prefix_matches_each_cut():
 
 
 def test_cross_checked_prefix_builds_disagreements_from_both_series(monkeypatch):
-    # (2, 2) forms double at 4 points of P1xP2: h0 = 3, one above the bound 2
-    # that every rule leaves; every other cut of the series meets its bound
-    sys = make_system([1, 2], [2, 2], [(2, 6)])
+    # septics quadruple at 6 points of P^3, special along the twisted cubic
+    # through them: h0 = 4, above the bound 0 that every rule leaves; every
+    # other cut of the series, up to 7 points, meets its bound
+    sys = make_system([3], [7], [(4, 7)])
     real_series = oracle.h0_prefix_oracle
     seconds = []
 
     def skewed_series(sys_, cfg):
-        # the second prime reads one more at h = 4
+        # the second prime reads one more at h = 6
         series = real_series(sys_, cfg)
         if cfg.prime.p == SECOND_PRIME:
             seconds.append(sys_)
-            series[4] = replace(series[4], h0=series[4].h0 + 1)
+            series[6] = replace(series[6], h0=series[6].h0 + 1)
         return series
 
     def no_cut_calls(*args, **kwargs):
@@ -696,12 +745,12 @@ def test_cross_checked_prefix_builds_disagreements_from_both_series(monkeypatch)
     got = cross_checked_prefix(sys, CFG)
     # both series values bound h0 from above: the smaller is kept, and no
     # cut is run again
-    assert got[4] == CrossCheckedH0(3, False, (3, 4), (CFG.prime.p, SECOND_PRIME))
-    assert all(cc.agreed for h, cc in enumerate(got) if h != 4)
+    assert got[6] == CrossCheckedH0(4, False, (4, 5), (CFG.prime.p, SECOND_PRIME))
+    assert all(cc.agreed for h, cc in enumerate(got) if h != 6)
     # the other cuts reach their bound, so they use one prime, and the
     # second prime runs one series, up to the one open cut
-    assert all(cc.certified and len(cc.primes) == 1 for h, cc in enumerate(got) if h != 4)
-    assert seconds == [sys.first_points(4)]
+    assert all(cc.certified and len(cc.primes) == 1 for h, cc in enumerate(got) if h != 6)
+    assert seconds == [sys.first_points(6)]
 
 
 def test_restrict_to_subspace():
@@ -716,8 +765,9 @@ def test_restrict_to_subspace():
 
 
 def test_two_primes_two_seeds_agree():
-    # cuts the lower-bound rules leave open: product systems above their bound
-    for spec in [([1, 2], [4, 2], [(2, 7)]), ([1, 2], [2, 2], [(2, 4)]), ([1, 3], [4, 2], [(2, 9)])]:
+    # cuts the lower-bound rules leave open: the twisted cubic through six
+    # points, h0 4, 14 and 32 against bounds 0, 10 and 28
+    for spec in [([3], [7], [(4, 6)]), ([3], [9], [(5, 6)]), ([3], [11], [(6, 6)])]:
         cc = cross_checked_h0(make_system(*spec), CFG)
         assert not cc.certified
         assert cc.agreed and cc.primes[0] != cc.primes[1]

@@ -1,12 +1,18 @@
 """Properties of the oracle on small random fat-point systems."""
-from itertools import combinations
+from itertools import combinations, product
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fatpoints.combinatorics import linear_expected_h0
-from fatpoints.oracle import OracleConfig, cross_checked_prefix, h0_oracle, h0_prefix_oracle
-from fatpoints.systems import lower_h0, make_system, virtual_dim
+from fatpoints.oracle import (
+    OracleConfig,
+    _section_lower,
+    cross_checked_prefix,
+    h0_oracle,
+    h0_prefix_oracle,
+)
+from fatpoints.systems import Space, lower_h0, make_system, monomial_count, point_conditions, virtual_dim
 
 CFG = OracleConfig(trials=2, seed=1357)
 # derandomized: every run draws the same examples, so tier-1 stays reproducible
@@ -122,3 +128,36 @@ def line_systems(draw):
 def test_line_bound_never_exceeds_h0(case):
     sys, lines = case
     assert lower_h0(sys, lines) <= h0_oracle(sys, CFG, extra_schemes=lines).h0
+
+
+def bound_grid(max_monomials=None):
+    """m^h on P^2-P^4 (degree <= 8, m <= 4) and on P1xP1, P1xP2, P2xP2 and
+    (P1)^3 (total degree <= 8, m <= 2), for h up to one point past the
+    floor's first 0; optionally only where monomial_count is at most
+    max_monomials."""
+    for factors, top, mmax in [
+        ((2,), 8, 4), ((3,), 8, 4), ((4,), 8, 4),
+        ((1, 1), 4, 2), ((1, 2), 4, 2), ((2, 2), 4, 2), ((1, 1, 1), 2, 2),
+    ]:
+        space = Space(factors)
+        for degree in product(range(1, top + 1), repeat=len(factors)):
+            mono = monomial_count(space, degree)
+            if sum(degree) > 8 or mono > (max_monomials or mono):
+                continue
+            for m in range(1, mmax + 1):
+                for h in range(1, mono // point_conditions(m, space) + 2):
+                    yield make_system(factors, degree, [(m, h)])
+
+
+def bounds_within_h0(sys, cfg):
+    """Neither lower bound exceeds h0; h0_oracle itself raises where a bound
+    exceeds a trial value."""
+    res = h0_oracle(sys, cfg)
+    return lower_h0(sys) <= res.h0 and _section_lower(sys, cfg, 0, res.cols) <= res.h0
+
+
+def test_lower_bounds_never_exceed_h0_on_grid():
+    # every fifth system with at most 50 monomials (26 section certificates);
+    # the whole grid, 5,196 systems with 624 certificates, takes about 70 s
+    cfg = OracleConfig(seed=5)
+    assert all(bounds_within_h0(sys, cfg) for sys in list(bound_grid(50))[::5])

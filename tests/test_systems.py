@@ -158,6 +158,14 @@ def test_lower_h0_examples():
     ) + 1
     # group order does not matter
     assert lower_h0(make_system([3], [9], [(4, 8), (6, 1)])) == 5
+    # a pencil of forms of degree e = d/2 through the h double points: its
+    # Sym^2 has dimension 3, one above the floor on the products
+    assert lower_h0(make_system([1, 2], [2, 2], [(2, 4)])) == 3
+    assert lower_h0(make_system([1, 2], [4, 2], [(2, 7)])) == 3
+    assert lower_h0(make_system([3, 3], [2, 2], [(2, 14)])) == 3
+    assert lower_h0(make_system([2], [4], [(2, 4)])) == 3  # 15 - 12, the floor too
+    # a net through the points is not a pencil: the floor stays, 30 - 25
+    assert lower_h0(make_system([1, 3], [2, 2], [(2, 5)])) == 5
 
 
 def test_lower_h0_with_lines():

@@ -121,12 +121,27 @@ def test_ah_table_matches_each_system_cross_checked():
         assert table[n, d, h] == (sys, cross_checked_h0(sys, CFG).h0)
 
 
+def record_cuts(monkeypatch):
+    """Every OracleResult of every oracle call or series, in call order."""
+    cuts = []
+    real = oracle._oracle_series
+
+    def recording(*args, **kwargs):
+        out = real(*args, **kwargs)
+        cuts.extend(out)
+        return out
+
+    monkeypatch.setattr(oracle, "_oracle_series", recording)
+    return cuts
+
+
 def test_elimination_counts_at_default_config(monkeypatch):
     # one prefix series per (space, degree) family, of 1-3 trials, a second
     # prime only up to the largest cut not certified by its lower bound, and
     # h1-values read from the AH table; per-system oracle calls took 246 and
     # 123 eliminations, two primes on every cut 72, 142 and 90, and before
-    # the double rational normal curve bound closed (4, 3, 7) 23, 58 and 58
+    # the double rational normal curve bound closed (4, 3, 7) 23, 58 and 58;
+    # paper-tables took 56 before section certificates
     calls = []
     real = oracle._pivot_columns
 
@@ -135,6 +150,7 @@ def test_elimination_counts_at_default_config(monkeypatch):
         return real(A, p)
 
     monkeypatch.setattr(oracle, "_pivot_columns", counting)
+    cuts = record_cuts(monkeypatch)
     assert all(c.ok for c in SUITES["ah"](OracleConfig()))
     assert len(calls) == 18
     calls.clear()
@@ -142,7 +158,19 @@ def test_elimination_counts_at_default_config(monkeypatch):
     assert len(calls) == 58
     calls.clear()
     assert all(c.ok for c in verify_paper_tables(OracleConfig()))
-    assert len(calls) == 56
+    assert len(calls) == 39
+    # every cut the suites read is certified, so no second prime runs
+    assert len(cuts) == 349 + 1078 + 305
+    assert all(r.certified and r.prime == oracle.DEFAULT_PRIME for r in cuts)
+
+
+def test_paper_tables_certified_at_other_seeds(monkeypatch):
+    # the double-point product cuts close at any seed: a pencil in lower_h0
+    # or the section certificate
+    cuts = record_cuts(monkeypatch)
+    for seed in (5, 7):
+        assert all(c.ok for c in verify_paper_tables(OracleConfig(seed=seed)))
+    assert len(cuts) == 2 * 305 and all(r.certified for r in cuts)
 
 
 def test_ah_quartic_disagreement_reported_once(monkeypatch):
