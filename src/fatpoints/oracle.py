@@ -1,12 +1,13 @@
 """Exact actual-dimension oracle over a large prime field.
 
 The generic dimension of a fat-point system is computed by interpolation:
-sample random points, build the matrix of vanishing conditions (Taylor rows
-up to the imposed multiplicity, plus optional vanishing-along-a-line rows),
-and row reduce modulo a word-sized prime. For a fat-point system, with or
-without lines, each trial value is a proven upper bound on the generic h^0
-over Q, and systems.lower_h0 a proven lower bound: once they meet, the
-answer is certified. Otherwise the minimum over independent trials is the
+put the first points at the coordinate points, where each condition deletes
+a column, sample the others, build the matrix of their vanishing conditions
+(Taylor rows up to the imposed multiplicity, plus optional
+vanishing-along-a-line rows), and row reduce modulo a word-sized prime. For
+a fat-point system, with or without lines, each trial value is a proven
+upper bound on the generic h^0 over Q, and systems.lower_h0 a proven lower
+bound: once they meet, the answer is certified. Otherwise the minimum over independent trials is the
 generic value with overwhelming probability, and a second prime and seed
 cross-check it.
 """
@@ -369,6 +370,23 @@ def sample_points(
     return points
 
 
+def _frame_size(space: Space) -> int:
+    """How many coordinate points lead every trial: n+1 on P^n, and on a
+    product min_f n_f + 1, each point e_i taken in every factor."""
+    return min(space.factors) + 1
+
+
+def _trial_points(space: Space, h: int, cfg: OracleConfig, trial: int) -> list[Point]:
+    """The h points of a trial: the first min(h, _frame_size) at the
+    coordinate points, the rest from sample_points, so they are
+    prefix-consistent too."""
+    k = min(h, _frame_size(space))
+    frame = [
+        tuple(tuple(int(c == i) for c in range(n + 1)) for n in space.factors) for i in range(k)
+    ]
+    return frame + sample_points(space, h - k, cfg, trial=trial)
+
+
 @lru_cache(maxsize=None)
 def _falling_table(max_a: int, max_b: int, p: int) -> np.ndarray:
     """FALL[a, b] = a (a-1) ... (a-b+1) mod p, zero when b > a."""
@@ -477,7 +495,7 @@ class _RowBuilder:
                 vals *= powers[idx, v][:, e]
                 vals %= p
             out[idx] = vals
-        return out.reshape(-1, self.cols)
+        return out.reshape(len(points) * nbeta, self.cols)
 
     def line_rows(self, line: tuple[Point, Point], alpha: int) -> np.ndarray:
         """Rows forcing vanishing to order alpha along the line ab (single
@@ -486,8 +504,6 @@ class _RowBuilder:
         form of degree d-k, so it vanishes along the line exactly when it
         vanishes at d+1 distinct points of it; a != b and p > d make the
         points a + t b distinct."""
-        if self.space.nfactors != 1:
-            raise NotImplementedError("line schemes are only supported on a single factor")
         if alpha < 1:
             raise ValueError("alpha must be >= 1")
         p = self.p
@@ -499,18 +515,33 @@ class _RowBuilder:
         on_line = [(tuple((x + t * y) % p for x, y in zip(a_pt, b_pt)),) for t in range(d + 1)]
         return self.rows(on_line, alpha)
 
+    def orders(self, idx: tuple[int, ...]) -> np.ndarray:
+        """Order of vanishing of each monomial along the span of the
+        coordinate points e_i, i in idx, of every factor: its degree in the
+        other variables. A point of multiplicity m at e_i imposes exactly the
+        vanishing of the monomials of order below m there: its Taylor rows
+        are their unit rows, each times a product of factorials of exponents
+        <= d < p. The rows of a line e_i e_j of multiplicity m span the unit
+        rows of the monomials of order below m along it."""
+        starts = np.cumsum([0, *(n + 1 for n in self.space.factors)])[:-1]
+        picked = self.E[:, [s + i for s in starts for i in idx]]
+        return sum(self.sys.multidegree) - picked.sum(axis=1)
+
 
 def _condition_matrix(
     builder: _RowBuilder,
     sys: LinearSystem,
     cfg: OracleConfig,
     trial: int,
-    extra_schemes: tuple[LineScheme, ...] | list[LineScheme],
+    lines: list[LineScheme],
     subspace: SubspaceScheme | None,
 ) -> np.ndarray:
-    """The condition rows of one trial: the fat points in group order, then the line schemes."""
+    """The condition rows of one trial past its frame points: the fat points
+    in group order, then the given line schemes."""
+    frame = 0
     if subspace is None:
-        points = sample_points(sys.space, sys.total_points, cfg, trial=trial)
+        points = _trial_points(sys.space, sys.total_points, cfg, trial)
+        frame = _frame_size(sys.space)
     else:
         on = sample_points(sys.space, subspace.points_on, cfg, subspace=subspace.s, trial=trial)
         off = sample_points(
@@ -520,9 +551,10 @@ def _condition_matrix(
     blocks = []
     start = 0
     for g in sys.points:
-        blocks.append(builder.rows(points[start : start + g.count], g.multiplicity))
+        if start + g.count > frame:
+            blocks.append(builder.rows(points[max(start, frame) : start + g.count], g.multiplicity))
         start += g.count
-    for i, j, alpha in extra_schemes:
+    for i, j, alpha in lines:
         blocks.append(builder.line_rows((points[i], points[j]), alpha))
     return np.vstack(blocks) if blocks else np.zeros((0, builder.cols), dtype=np.int64)
 
@@ -531,11 +563,12 @@ def _section_lower(sys: LinearSystem, cfg: OracleConfig, trial: int, value: int)
     """A lower bound on h0 of a system of degree 2e with multiplicities at
     most 2 (else 0): the rank of Sym^2 V in L, V the forms of degree e
     through the points, of dimension k = monomial_count(e) - h >= 3. If the
-    value rows at the trial's h points have rank h mod p, they have it over
-    Q, the mod-p kernel reduces the saturated integer one, and the points lie
-    where V is a bundle and that rank is lower semicontinuous: the products'
-    rank mod p at further points is at most h0. It is also at most value, a
-    trial's upper bound, so min(C(k+1, 2), value) + 2 points suffice."""
+    value rows at the trial's h points (its frame, then sampled ones) have
+    rank h mod p, they have it over Q, the mod-p kernel reduces the
+    saturated integer one, and the points lie where V is a bundle and that
+    rank is lower semicontinuous: the products' rank mod p at further points
+    is at most h0. It is also at most value, a trial's upper bound, so
+    min(C(k+1, 2), value) + 2 points suffice."""
     e = tuple(d // 2 for d in sys.multidegree)
     h = sys.total_points
     k = monomial_count(sys.space, e) - h
@@ -543,7 +576,7 @@ def _section_lower(sys: LinearSystem, cfg: OracleConfig, trial: int, value: int)
         return 0
     p = cfg.prime.p
     half = _RowBuilder(LinearSystem(sys.space, e, ()), p)
-    points = sample_points(sys.space, h + min(binom(k + 1, 2), value) + 2, cfg, trial=trial)
+    points = _trial_points(sys.space, h + min(binom(k + 1, 2), value) + 2, cfg, trial)
     rows = half.rows(points, 1)  # the trial's h points, then further ones
     values = _kernel_values(rows[:h], rows[h:], p)
     if values is None:
@@ -567,6 +600,8 @@ def _shortest_prefix(sys: LinearSystem, h: int, bound: int) -> int:
 def _prefix_ranks(A: np.ndarray, row_counts: list[int], p: int) -> list[int]:
     """Rank of the first r rows of A for each r in row_counts: the number of
     pivot columns of A^T below r, or the rank of A when every r is all of A."""
+    if not len(A):
+        return [0] * len(row_counts)
     if all(r == A.shape[0] for r in row_counts):
         return [rank_mod_p(A, p)] * len(row_counts)
     pivots = _pivot_columns(A.T, p)
@@ -582,7 +617,27 @@ def _oracle_series(
 ) -> list[OracleResult]:
     """h0_oracle of sys cut to its first h points, for each h in counts.
 
-    sample_points is prefix-consistent, so trial t of the cut to h uses the
+    Every trial of a pure or a line call puts its first points at the
+    coordinate points, the frame (_trial_points). There each condition is a
+    monomial (_RowBuilder.orders), so it deletes a column. A cut's rank is
+    the number of columns that its frame points and the lines joining them
+    delete, plus the rank of its other rows, which are built on the columns
+    left only: the one column restriction that a subspace call also uses.
+    Subspace calls sample every point.
+
+    PGL(n_f + 1) acts transitively on general (n_f + 1)-tuples of points of
+    each factor, so the configurations with the frame fixed meet the open
+    set where h0 takes its generic value. A cut of frame points alone, with
+    any lines joining them, is projectively equivalent to every general
+    one: its count of columns left is the generic h0 over Q, exact without
+    a trial matrix. For any other cut h0 is upper semicontinuous, and each
+    trial value bounds the generic h0 over Q from above: its rows reduce
+    integer rows at integer points (chart coordinate 1), and a nonzero minor
+    mod p lifts to Z. With lines this holds too: the rows of a line ab are,
+    up to a unit x_c^(d-|beta|) per row, those of the distinct integer
+    points a + t b, t = 0..d, collinear over Q.
+
+    _trial_points is prefix-consistent, so trial t of the cut to h uses the
     first h points of trial t of any longer cut, and its condition rows are
     the first rows of that longer matrix. Trial t therefore runs once for
     all pending cuts, and every cut up to the matrix's points reads its rank
@@ -590,16 +645,12 @@ def _oracle_series(
     columns of A^T below r. Line schemes and subspaces break the row order,
     so they take a single count, the whole system.
 
-    A cut's rows reduce integer rows at integer points (chart coordinate 1),
-    and a nonzero minor mod p lifts to Z, so each trial value bounds the
-    generic h0 over Q from above. With lines this holds too: the rows of a
-    line ab are, up to a unit x_c^(d-|beta|) per row, those of the distinct
-    integer points a + t b, t = 0..d, collinear over Q. A cut stops when its
-    best value meets its lower bound: the floor max(virtual_dim + 1, 0), or
-    0 with lines, raised to lower_h0 once a trial value is above it, then
-    for a pure system to _section_lower; a trial value below it raises. A
-    subspace call's floor counts as free the C(m-1+s, s) derivatives along
-    the P^s at each point on it, which vanish on every kept column.
+    A cut stops when its best value meets its lower bound: the floor
+    max(virtual_dim + 1, 0), or 0 with lines, raised to lower_h0 once a
+    trial value is above it, then for a pure system to _section_lower; a
+    trial value below it raises. A subspace call's floor counts as free the
+    C(m-1+s, s) derivatives along the P^s at each point on it, which vanish
+    on every kept column.
 
     The first trial of a pure system builds only the rows of its shortest
     prefix whose lower_h0 is at most the largest cut's bound. A longer cut
@@ -616,6 +667,8 @@ def _oracle_series(
             "the derivative factors vanish mod p otherwise"
         )
     npoints = sys.total_points
+    if extra_schemes and sys.space.nfactors != 1:
+        raise NotImplementedError("line schemes are only supported on a single factor")
     for i, j, alpha in extra_schemes:
         if i == j or not (0 <= i < npoints) or not (0 <= j < npoints):
             raise ValueError(f"line scheme ({i},{j}) must join two distinct base points")
@@ -624,36 +677,67 @@ def _oracle_series(
     pure = not extra_schemes and subspace is None
 
     builder = _RowBuilder(sys, p)
-    if subspace is not None:
-        builder.E = builder.E[builder.E[:, subspace.s + 1 :].any(axis=1)]
-        builder.cols = len(builder.E)
-    cols = builder.cols
+    mults = sys.point_multiplicities()
+    if subspace is None:
+        frame = min(npoints, _frame_size(sys.space))
+        drop = np.zeros(builder.cols, dtype=bool)
+        gone = [0]  # the columns the first k frame points delete, k = 0..frame
+        for i, m in enumerate(mults[:frame]):
+            drop |= builder.orders((i,)) < m
+            gone.append(int(drop.sum()))
+        lines = []  # the lines built as rows, through a sampled point
+        for i, j, alpha in extra_schemes:
+            if max(i, j) < frame:
+                drop |= builder.orders((i, j)) < alpha
+            else:
+                lines.append((i, j, alpha))
+        gone[-1] = int(drop.sum())  # a line call has one cut, of all its points
+        cols = builder.cols
+    else:
+        frame, gone, lines = 0, [0], []
+        drop = ~builder.E[:, subspace.s + 1 :].any(axis=1)
+        cols = builder.cols - int(drop.sum())
+    builder.E = builder.E[~drop]
+    builder.cols = len(builder.E)
+    skip = sum(point_conditions(m, sys.space) for m in mults[:frame])  # the frame's rows
+
     cuts = [sys.first_points(h) for h in counts]
     dims = [dim_report(cut) for cut in cuts]
-    best = [cols] * len(cuts)
-    on = sys.point_multiplicities()[: subspace.points_on] if subspace else ()
+    on = mults[: subspace.points_on] if subspace else ()
     free = sum(binom(m - 1 + subspace.s, subspace.s) for m in on)
     lower = [0 if extra_schemes else max(cols - r.conditions + free, 0) for r in dims]
-    rows = [r.conditions for r in dims]  # a cut's naive conditions are its first rows
+    # a line's naive rows: multiplicity alpha at d + 1 points of it
+    d = sys.multidegree[0]
+    on_lines = sum((d + 1) * point_conditions(a, sys.space) for *_, a in extra_schemes)
+    rows = [r.conditions + on_lines for r in dims]
+    best = [cols] * len(cuts)
     used = [0] * len(cuts)
-    pending = list(range(len(cuts)))
+    pending = []
+    for i, h in enumerate(counts):
+        if h <= frame:  # all frame points: exact
+            best[i] = lower[i] = cols - gone[h]
+            used[i] = 1
+        else:
+            pending.append(i)
+    # a pending cut has every frame point, so builder.cols columns left
     for t in range(cfg.trials):
+        if not pending:
+            break
         top = max(pending, key=lambda i: counts[i])
         h = _shortest_prefix(sys, counts[top], lower[top]) if pure and t == 0 else counts[top]
-        A = _condition_matrix(builder, sys.first_points(h), cfg, t, extra_schemes, subspace)
-        if not pure:
-            rows[top] = A.shape[0]
-        need = [rows[i] if counts[i] <= h else A.shape[0] for i in pending]
-        value = {i: cols - rank for i, rank in zip(pending, _prefix_ranks(A, need, p))}
+        A = _condition_matrix(builder, sys.first_points(h), cfg, t, lines, subspace)
+        # a cut's rows follow the frame's; a longer cut or a line call reads all of A
+        need = [rows[i] - skip if pure and counts[i] <= h else len(A) for i in pending]
+        value = {i: builder.cols - rank for i, rank in zip(pending, _prefix_ranks(A, need, p))}
         for i in pending:
             if subspace is None and value[i] > lower[i]:
                 lower[i] = lower_h0(cuts[i], extra_schemes)
         # a longer cut's value is the prefix's only where it meets its bound
         retry = [i for i in pending if counts[i] > h and value[i] != lower[i]]
         if retry:
-            A = _condition_matrix(builder, cuts[top], cfg, t, extra_schemes, subspace)
-            ranks = _prefix_ranks(A, [rows[i] for i in retry], p)
-            value.update((i, cols - rank) for i, rank in zip(retry, ranks))
+            A = _condition_matrix(builder, cuts[top], cfg, t, lines, subspace)
+            ranks = _prefix_ranks(A, [rows[i] - skip for i in retry], p)
+            value.update((i, builder.cols - rank) for i, rank in zip(retry, ranks))
         still = []
         for i in pending:
             if pure and value[i] > lower[i]:
@@ -667,8 +751,6 @@ def _oracle_series(
             if best[i] != lower[i]:
                 still.append(i)
         pending = still
-        if not pending:
-            break
 
     return [
         OracleResult(

@@ -279,6 +279,55 @@ def test_fat_point_rows_kill_expected_monomials():
     assert h0 == 7  # cubics with a double point at a coordinate point
 
 
+def coordinate_points(factors, k):
+    return [tuple(tuple(int(c == i) for c in range(n + 1)) for n in factors) for i in range(k)]
+
+
+def test_frame_conditions_delete_columns():
+    # at the coordinate points every condition is a monomial: the rows of a
+    # point of multiplicity m at e_i, and of a line e_i e_j of multiplicity
+    # alpha, vanish off the columns of order below m (alpha) there, and all
+    # of them together have rank the size of the union of those columns
+    p = DEFAULT_PRIME
+    for factors, degree, mults, lines in [
+        ([2], [4], (3, 3), ()),  # 3 + 3 >= 4 + 2: the two sets overlap
+        ([3], [5], (4, 4, 3), ()),
+        ([3], [3], (4, 1), ()),  # m >= d + 1 deletes every column
+        ([2], [2], (1, 3, 1), ()),
+        ([1, 1], [2, 2], (2, 2), ()),  # double points (e_i, e_i)
+        ([1, 2], [2, 3], (2, 1), ()),
+        ([2, 2], [1, 2], (2, 2, 2), ()),
+        ([1, 1, 1], [1, 2, 2], (2, 2), ()),
+        # alpha 2 <= 4 + 4 - 6: the line 01 lies in the base locus already
+        ([3], [6], (4, 4, 1), ((0, 1, 2), (0, 2, 1))),
+        ([2], [5], (3, 3, 2), ((0, 1, 1), (1, 2, 2))),
+        ([4], [4], (2, 2, 2), ((0, 1, 3), (1, 2, 3), (0, 2, 1))),
+    ]:
+        builder = _RowBuilder(make_system(factors, degree, []), p)
+        frame = coordinate_points(factors, len(mults))
+        blocks = [builder.rows([pt], m) for pt, m in zip(frame, mults)]
+        blocks += [builder.line_rows((frame[i], frame[j]), alpha) for i, j, alpha in lines]
+        A = np.vstack(blocks)
+        drop = np.zeros(builder.cols, dtype=bool)
+        for i, m in enumerate(mults):
+            drop |= builder.orders((i,)) < m
+        for i, j, alpha in lines:
+            # Bezout: the line adds columns exactly past the order that its
+            # two points force along it
+            line = builder.orders((i, j)) < alpha
+            assert (line & ~drop).any() == (alpha > mults[i] + mults[j] - degree[0]), (i, j)
+        for i, j, alpha in lines:
+            drop |= builder.orders((i, j)) < alpha
+        case = (factors, degree, mults, lines)
+        assert rank_mod_p(A, p) == drop.sum() == slow_rank_mod_p(A.tolist(), p), case
+        assert not A[:, ~drop].any(), case
+        sys = make_system(factors, degree, [(m, 1) for m in mults])
+        res = h0_oracle(sys, CFG, extra_schemes=lines)
+        assert (res.h0, res.lower, res.trials_used) == (builder.cols - drop.sum(), res.h0, 1), case
+        if max(mults) > sum(degree):
+            assert drop.all(), case
+
+
 def _value_row(sys, point, p=DEFAULT_PRIME):
     """Every monomial evaluated at the point, each factor scaled so its last
     nonzero coordinate is 1, in plain Python."""
@@ -411,9 +460,11 @@ def test_line_calls_certify_at_one_trial():
         assert (res.h0, res.rank, res.rows) == (h0, rank, rows), spec
         assert (res.lower, res.certified, res.trials_used) == (lower, True, 1), spec
     # triple lines through two pairs of triple points: each costs at most 14
-    # conditions, but together they cost 24, so the gap stays open
+    # conditions and lower_h0 leaves 26, but the three points and both lines
+    # lie on the frame, so the count of columns left is exact (this read
+    # (30, 26, False, 3) while every point was sampled)
     res = h0_oracle(make_system([3], [6], [(3, 3)]), cfg, extra_schemes=((0, 1, 3), (0, 2, 3)))
-    assert (res.h0, res.lower, res.certified, res.trials_used) == (30, 26, False, 3)
+    assert (res.h0, res.lower, res.certified, res.trials_used) == (30, 30, True, 1)
     # a subspace call certifies like a pure one: quadrics vanishing on a
     # plane through 3 of 7 points, where the 3 points on it impose nothing
     res = h0_oracle(make_system([3], [2], [(1, 7)]), cfg, subspace=SubspaceScheme(2, 3))
@@ -551,19 +602,21 @@ def test_prime_field_validation():
 
 
 def test_trial_below_lower_bound_raises(monkeypatch):
-    # h0 27 is above the floor 24, so the bound is computed; a rule that
-    # claimed one more than h0 must fail loudly, not certify a wrong answer
-    sys = make_system([3], [6], [(4, 3)])
+    # h0 5 is above the floor 4, so the bound is computed; a rule that
+    # claimed one more than h0 must fail loudly, not certify a wrong answer.
+    # Five of the nine points are sampled: a cut of frame points alone is
+    # exact and reads no bound
+    sys = make_system([3], [9], [(6, 1), (4, 8)])
     res = h0_oracle(sys, CFG)
-    assert (res.h0, res.lower, res.certified, res.trials_used) == (27, 27, True, 1)
+    assert (res.h0, res.lower, res.certified, res.trials_used) == (5, 5, True, 1)
     monkeypatch.setattr(oracle, "lower_h0", lambda cut, lines=(): res.h0 + 1)
-    with pytest.raises(OracleSamplingError, match="lower bound 28"):
+    with pytest.raises(OracleSamplingError, match="lower bound 6"):
         h0_oracle(sys, CFG)
     with pytest.raises(OracleSamplingError):
         h0_prefix_oracle(sys, CFG)
     # a line call starts at 0, so its first trial computes the bound too
-    with pytest.raises(OracleSamplingError, match="lower bound 28"):
-        h0_oracle(sys, CFG, extra_schemes=THREE_LINES)
+    with pytest.raises(OracleSamplingError, match="lower bound 6"):
+        h0_oracle(sys, CFG, extra_schemes=THREE_LINES[:2])
 
 
 def test_semicontinuity_floor_on_grid():
@@ -585,27 +638,50 @@ def test_adding_point_never_increases_h0():
         assert b <= a
 
 
-def reference_oracle(sys, cfg):
-    """h0_oracle the plain way: every trial builds the whole matrix and takes
-    its rank, until the best value meets lower_h0. The oracle's lower bound
-    is lower_h0 whether or not it rose above the floor: a trial value at the
-    floor squeezes lower_h0 down to it."""
+def frame_then_sampled(space, h, cfg, trial):
+    """A trial's points, built apart from the oracle: e_i in every factor
+    for i up to the smallest factor dimension, then sample_points."""
+    k = min(h, min(space.factors) + 1)
+    return coordinate_points(space.factors, k) + sample_points(space, h - k, cfg, trial=trial)
+
+
+def reference_oracle(sys, cfg, lines=()):
+    """h0_oracle the plain way: every trial builds every row at its points,
+    the frame's included, with every line, and takes the rank of the whole
+    matrix, until the best value meets the lower bound. A system of frame
+    points alone is exact at its first trial. Otherwise the oracle's lower
+    bound is lower_h0 whether or not it rose above the floor (a trial value
+    at the floor squeezes lower_h0 down to it), raised by the section
+    certificate for a pure system above it."""
     p = cfg.prime.p
     builder = _RowBuilder(sys, p)
-    cols, dims, lower = builder.cols, dim_report(sys), oracle.lower_h0(sys)
+    cols, dims, lower = builder.cols, dim_report(sys), oracle.lower_h0(sys, lines)
+    exact = sys.total_points <= min(sys.space.factors) + 1
     best = cols
     for used in range(1, cfg.trials + 1):
-        A = _condition_matrix(builder, sys, cfg, used - 1, (), None)
-        best = min(best, cols - rank_mod_p(A, p))
+        points = frame_then_sampled(sys.space, sys.total_points, cfg, used - 1)
+        blocks, start = [np.zeros((0, cols), dtype=np.int64)], 0
+        for g in sys.points:
+            blocks.append(builder.rows(points[start : start + g.count], g.multiplicity))
+            start += g.count
+        blocks += [builder.line_rows((points[i], points[j]), alpha) for i, j, alpha in lines]
+        A = np.vstack(blocks)
+        value = cols - rank_mod_p(A, p)
+        if exact:
+            lower = value
+        elif not lines and value > lower:
+            lower = max(lower, oracle._section_lower(sys, cfg, used - 1, value))
+        best = min(best, value)
         if best == lower:
             break
+    pure = not lines
     return OracleResult(
         h0=best,
-        h1=dims.conditions - (cols - best),
+        h1=dims.conditions - (cols - best) if pure else None,
         rank=cols - best,
-        rows=dims.conditions,
+        rows=len(A),
         cols=cols,
-        special=best - 1 > dims.expected_dim,
+        special=best - 1 > dims.expected_dim if pure else None,
         trials_used=used,
         prime=p,
         seed=cfg.seed,
@@ -614,15 +690,48 @@ def reference_oracle(sys, cfg):
     )
 
 
-def assert_matches_reference(sys, cfg, cuts=None):
-    """h0_oracle of sys, and its prefix series at each cut h (every h by
-    default), equal reference_oracle field by field."""
-    whole = reference_oracle(sys, cfg)
-    assert h0_oracle(sys, cfg) == whole, sys
+def assert_matches_reference(sys, cfg, cuts=None, lines=()):
+    """h0_oracle of sys, and without lines its prefix series at each cut h
+    (every h by default), equal reference_oracle field by field."""
+    whole = reference_oracle(sys, cfg, lines)
+    assert h0_oracle(sys, cfg, extra_schemes=lines) == whole, (sys, lines)
+    if lines:
+        return
     series = h0_prefix_oracle(sys, cfg)
     for h in range(sys.total_points + 1) if cuts is None else cuts:
         want = whole if h == sys.total_points else reference_oracle(sys.first_points(h), cfg)
         assert series[h] == want, (sys, h)
+
+
+def random_systems(rng):
+    """Small pure systems on P^2-P^4 (multiplicity <= 4) and on P1xP1,
+    P1xP2, P2xP2 and (P1)^3 (multiplicity <= 2), and line systems on
+    P^2-P^4: each with up to three points more than its frame."""
+    for factors, top, mmax in [
+        ((2,), 6, 4), ((3,), 5, 4), ((4,), 4, 3),
+        ((1, 1), 3, 2), ((1, 2), 2, 2), ((2, 2), 2, 2), ((1, 1, 1), 2, 2),
+    ]:
+        for _ in range(10):
+            degree = [rng.randint(1, top) for _ in factors]
+            h = rng.randint(1, min(factors) + 4)
+            yield make_system(factors, degree, [(rng.randint(1, mmax), 1) for _ in range(h)]), ()
+        if len(factors) == 1:
+            for _ in range(10):
+                n, d = factors[0], rng.randint(1, top)
+                h = rng.randint(2, n + 3)
+                pairs = rng.sample([(i, j) for i in range(h) for j in range(i + 1, h)], min(2, h - 1))
+                lines = tuple((i, j, rng.randint(1, 3)) for i, j in pairs)
+                yield make_system(factors, [d], [(rng.randint(1, d), 1) for _ in range(h)]), lines
+
+
+def test_oracle_matches_whole_matrix_reference():
+    # frame columns counted as deleted and sampled rows eliminated on the
+    # columns left give what building and eliminating every row gives
+    rng = random.Random(13)
+    for seed in (271828, 5):
+        cfg = OracleConfig(trials=2, seed=seed)
+        for sys, lines in random_systems(rng):
+            assert_matches_reference(sys, cfg, lines=lines)
 
 
 def count_eliminations(monkeypatch):
@@ -658,18 +767,23 @@ def test_shortest_prefix_matches_whole_matrices_large():
 
 def test_shortest_prefix_row_counts(monkeypatch):
     shapes = count_eliminations(monkeypatch)
-    # 12 septuple points (1008 rows) already have rank 969, of the 1344 rows
+    # 12 septuple points (1008 rows) already have rank 969, of the 1344 rows;
+    # the 4 frame points delete 4 x 84 = 336 columns, so the other 8 points
+    # eliminate 672 x 633 (1008 x 969 while the frame rows were built)
     res = h0_oracle(make_system([3], [16], [(7, 16)]), CFG)
     assert (res.h0, res.rows, res.trials_used, res.certified) == (0, 1344, 1, True)
-    assert shapes == [(1008, 969)]
+    assert shapes == [(672, 633)]
     shapes.clear()
+    # 13 quintuple points fill the 455 columns, the frame 140 of them
+    # (455 x 455 before)
     res = h0_oracle(make_system([3], [12], [(5, 20)]), CFG)
     assert (res.h0, res.rows, res.certified) == (0, 700, True)
-    assert shapes == [(455, 455)]
-    # 7 double points of P^4 leave the cubic the bound reaches; 8 leave none
+    assert shapes == [(315, 315)]
+    # 7 double points of P^4 leave the cubic the bound reaches; 8 leave none.
+    # The frame's 5 delete 25 of the 35 columns (40 x 35 before)
     shapes.clear()
     assert h0_oracle(make_system([4], [3], [(2, 9)]), CFG).h0 == 0
-    assert shapes == [(40, 35)]
+    assert shapes == [(15, 10)]
 
 
 def test_shortest_prefix_retry(monkeypatch):
@@ -681,13 +795,16 @@ def test_shortest_prefix_retry(monkeypatch):
     shapes = count_eliminations(monkeypatch)
     res = h0_oracle(sys, CFG)
     assert (res.h0, res.lower, res.certified, res.trials_used) == (0, 0, True, 1)
-    assert shapes == [(35, 35), (45, 35)]
+    # the 5 frame points delete 25 of the 35 columns and build no rows:
+    # (35, 35) and (45, 35) while they did
+    assert shapes == [(10, 10), (20, 10)]
     shapes.clear()
     series = h0_prefix_oracle(sys, CFG)
     assert [r.certified for r in series] == [True] * 7 + [False, True, True]
     # the 8- and 9-point cuts read the 9-point profile after the 7-point
-    # one, and the open 7-point cut's second trial builds its own 35 rows
-    assert shapes == [(35, 35), (35, 45), (35, 35)]
+    # one, and the open 7-point cut's second trial builds its own 10 rows
+    # ((35, 35), (35, 45) and (35, 35) before)
+    assert shapes == [(10, 10), (10, 20), (10, 10)]
     assert_matches_reference(sys, CFG)
 
 
