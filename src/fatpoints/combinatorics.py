@@ -3,8 +3,8 @@
 Everything here is pure integer (or exact rational) arithmetic: binomial
 coefficients, rising factorials, and the inequality functions that decide
 whether removing a multiple divisor from a fat-point system can raise its
-virtual dimension. Python ints are arbitrary precision, so no overflow
-guards are needed.
+virtual dimension. Python ints are arbitrary precision, so nothing here needs
+an overflow guard (verify's eta grid check, in int64 arrays, bounds its own).
 """
 from __future__ import annotations
 

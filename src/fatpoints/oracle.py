@@ -17,7 +17,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product as iproduct
+from itertools import accumulate, product as iproduct
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .combinatorics import binom
 from .systems import (
     LinearSystem,
     Space,
-    dim_report,
     lower_h0,
     monomial_count,
     point_conditions,
@@ -699,19 +698,19 @@ def _oracle_series(
         cols = builder.cols - int(drop.sum())
     builder.E = builder.E[~drop]
     builder.cols = len(builder.E)
-    skip = sum(point_conditions(m, sys.space) for m in mults[:frame])  # the frame's rows
-
-    cuts = [sys.first_points(h) for h in counts]
-    dims = [dim_report(cut) for cut in cuts]
+    prefix = [0, *accumulate(point_conditions(m, sys.space) for m in mults)]
+    skip = prefix[frame]  # the frame's rows
+    conditions = [prefix[h] for h in counts]  # each cut's naive point conditions
+    monomials = monomial_count(sys.space, sys.multidegree)
     on = mults[: subspace.points_on] if subspace else ()
     free = sum(binom(m - 1 + subspace.s, subspace.s) for m in on)
-    lower = [0 if extra_schemes else max(cols - r.conditions + free, 0) for r in dims]
+    lower = [0 if extra_schemes else max(cols - c + free, 0) for c in conditions]
     # a line's naive rows: multiplicity alpha at d + 1 points of it
     d = sys.multidegree[0]
     on_lines = sum((d + 1) * point_conditions(a, sys.space) for *_, a in extra_schemes)
-    rows = [r.conditions + on_lines for r in dims]
-    best = [cols] * len(cuts)
-    used = [0] * len(cuts)
+    rows = [c + on_lines for c in conditions]
+    best = [cols] * len(counts)
+    used = [0] * len(counts)
     pending = []
     for i, h in enumerate(counts):
         if h <= frame:  # all frame points: exact
@@ -731,17 +730,17 @@ def _oracle_series(
         value = {i: builder.cols - rank for i, rank in zip(pending, _prefix_ranks(A, need, p))}
         for i in pending:
             if subspace is None and value[i] > lower[i]:
-                lower[i] = lower_h0(cuts[i], extra_schemes)
+                lower[i] = lower_h0(sys.first_points(counts[i]), extra_schemes)
         # a longer cut's value is the prefix's only where it meets its bound
         retry = [i for i in pending if counts[i] > h and value[i] != lower[i]]
         if retry:
-            A = _condition_matrix(builder, cuts[top], cfg, t, lines, subspace)
+            A = _condition_matrix(builder, sys.first_points(counts[top]), cfg, t, lines, subspace)
             ranks = _prefix_ranks(A, [rows[i] - skip for i in retry], p)
             value.update((i, builder.cols - rank) for i, rank in zip(retry, ranks))
         still = []
         for i in pending:
             if pure and value[i] > lower[i]:
-                lower[i] = max(lower[i], _section_lower(cuts[i], cfg, t, value[i]))
+                lower[i] = max(lower[i], _section_lower(sys.first_points(counts[i]), cfg, t, value[i]))
             if value[i] < lower[i]:
                 raise OracleSamplingError(
                     f"h0 trial value {value[i]} below the proven lower bound {lower[i]}"
@@ -755,18 +754,18 @@ def _oracle_series(
     return [
         OracleResult(
             h0=best[i],
-            h1=dims[i].conditions - (cols - best[i]) if pure else None,
+            h1=conditions[i] - (cols - best[i]) if pure else None,
             rank=cols - best[i],
             rows=rows[i],
             cols=cols,
-            special=(best[i] - 1) > dims[i].expected_dim if pure else None,
+            special=(best[i] - 1) > max(monomials - 1 - conditions[i], -1) if pure else None,
             trials_used=used[i],
             prime=p,
             seed=cfg.seed,
             lower=lower[i],
             certified=best[i] == lower[i],
         )
-        for i in range(len(cuts))
+        for i in range(len(counts))
     ]
 
 

@@ -55,6 +55,13 @@ class ScanRecord:
         return space, fmt(self.degree), fmt(self.variety), str(self.h), ";".join(self.notes)
 
 
+def _check_bounds(n_least: int = 0, **bounds: int) -> None:
+    """Reject a negative bound, or n_max < n_least: it would scan nothing without a word."""
+    low = {k: v for k, v in bounds.items() if v < (n_least if k == "n_max" else 0)}
+    if low:
+        raise ValueError(f"scan bounds out of range (n_max >= {n_least}, others >= 0): {low}")
+
+
 def _strict_lower(numerator: int, denominator: int) -> int:
     """Smallest integer h with h * denominator > numerator."""
     return numerator // denominator + 1
@@ -68,6 +75,7 @@ def scan_hypersurfaces(n_max: int = 5, e_max: int = 3, d_max: int = 7) -> list[S
     h double points is a 2-special-effect candidate for the degree-d system:
     enough hypersurfaces through the points, a strictly raised residual, and
     d >= 2e."""
+    _check_bounds(n_max=n_max, e_max=e_max, d_max=d_max)
     records = []
     for n in range(2, n_max + 1):
         for e in range(1, e_max + 1):
@@ -96,6 +104,7 @@ def scan_rnc(d_max: int = 5, n_max: int = 5) -> list[ScanRecord]:
     """(n, d) pairs for which the double rational normal curve through n+3
     double points raises the virtual dimension and stays effective. The
     h != n+3 exclusions are re-verified on the same grid."""
+    _check_bounds(d_max=d_max, n_max=n_max)
     records = []
     for n in range(2, n_max + 1):
         for d in range(3, d_max + 1):
@@ -130,6 +139,7 @@ def scan_rational_curves_p3(d_max: int = 4, e_max: int = 4) -> list[ScanRecord]:
     note, since the plain parameter count does not see that. Degrees below
     the imposed multiplicity are skipped: those systems are empty, and
     special-effect candidates only make sense for effective systems."""
+    _check_bounds(d_max=d_max, e_max=e_max)
     records = []
     for d in range(2, d_max + 1):
         for e in range(1, e_max + 1):
@@ -194,6 +204,11 @@ def scan_product_divisors(
     n_max = dn if n_max is None else n_max
     e_max = de if e_max is None else e_max
     d_max = dd if d_max is None else d_max
+    _check_bounds(1, n_max=n_max, e_max=e_max, d_max=d_max)
+    table = [[binom(k + n, n) for k in range(max(d_max, e_max) + 1)] for n in range(n_max + 1)]
+
+    def factor(n: int, ei: int) -> list[tuple[int, int, int]]:  # (d, C(d+n, n), C(d-2e+n, n))
+        return [(d, table[n][d], table[n][d - 2 * ei]) for d in range(max(2 * ei, 1), d_max + 1)]
 
     records = []
     e_min = 0 if t == 2 else 1  # one factor degree may drop out only for t=2
@@ -202,12 +217,11 @@ def scan_product_divisors(
         for e in iproduct(range(e_min, e_max + 1), repeat=t):
             if all(ei == 0 for ei in e):
                 continue
-            deg_ranges = [range(max(2 * ei, 1), d_max + 1) for ei in e]
-            for degree in iproduct(*deg_ranges):
-                mono = prod(binom(d + n, n) for d, n in zip(degree, space))
-                resid = prod(binom(d - 2 * ei + n, n) for d, ei, n in zip(degree, e, space))
-                upper = prod(binom(ei + n, n) for ei, n in zip(e, space)) - 1
-                h_lo = _strict_lower(mono - resid, cond_per_point)
+            upper = prod(table[n][ei] for ei, n in zip(e, space)) - 1
+            for cols in iproduct(*map(factor, space, e)):
+                degree, monos, resids = zip(*cols)
+                mono = prod(monos)
+                h_lo = _strict_lower(mono - prod(resids), cond_per_point)
                 if h_lo > upper:
                     continue
                 notes = _table_floor_note(space, degree, e, h_lo)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations_with_replacement
 from itertools import product as iproduct
 
@@ -41,34 +42,40 @@ def _fail_detail(failures: list, shown: int = 4) -> str:
 # ---------------------------------------------------------------------------
 # numerical lemmas
 
+ETA_BLOCK_BYTES = 1 << 18  # the most bytes one temporary of the eta grid check holds
+
+
 def _eta_grid_monotone(t: int, e_lo: int, e_hi: int, n_lo: int, n_hi: int) -> list:
-    """Check eta(e, n) is non-decreasing in every n_i over the whole grid,
-    vectorized per e-tuple over the n-grid. The arrays hold Python ints
-    (dtype object): products of t binomials outgrow int64 as the grid grows.
+    """Check eta(e, n) is non-decreasing in every n_i over the whole grid.
 
     eta is unchanged when the pairs (e_i, n_i) are permuted together, and
     every n_i runs over the same range, so an e-tuple fails exactly when its
     sorted form does: only sorted tuples are evaluated, and the failures are
-    listed as every e-tuple whose sorted form failed, in grid order."""
-    n_vals = range(n_lo, n_hi + 1)
+    listed as every e-tuple whose sorted form failed, in grid order.
 
-    def column(values, i: int) -> np.ndarray:
-        shape = [1] * t
-        shape[i] = len(n_vals)
-        return np.array(list(values), dtype=object).reshape(shape)
+    Blocks of sorted tuples, axis 0 over the tuples and axes 1..t over n, are
+    evaluated from tables of C(2e+n, n) and C(e+n, n), each temporary under
+    ETA_BLOCK_BYTES. They are int64 when C(2e_hi+n_hi, n_hi)^t (t n_hi + 1) <
+    2^62, which bounds every term and difference; else Python ints (object)."""
+    ns, es = np.arange(n_lo, n_hi + 1), range(e_lo, e_hi + 1)
+    dtype = np.int64 if binom(2 * e_hi + n_hi, n_hi) ** t * (t * n_hi + 1) < 2**62 else object
+    tab = np.array([[[binom(k * e + n, n) for n in ns] for e in es] for k in (2, 1)], dtype=dtype)
 
+    def along(a: np.ndarray, i: int) -> np.ndarray:  # a's last axis, n, to axis i + 1 of t + 1
+        return a.reshape(a.shape[:-1] + (1,) * i + (len(ns),) + (1,) * (t - 1 - i))
+
+    nsum = sum(along(ns.astype(dtype)[None], i) for i in range(t))
+    tuples = np.array(list(combinations_with_replacement(es, t)), dtype=np.intp)
+    block = max(ETA_BLOCK_BYTES // (16 * len(ns) ** t or 1), 1)  # mono and through stacked
+    n_axes = tuple(range(1, t + 1))
     failing = set()
-    for e in combinations_with_replacement(range(e_lo, e_hi + 1), t):
-        mono = through = np.ones((1,) * t, dtype=object)
-        nsum = np.zeros((1,) * t, dtype=object)
-        for i, ei in enumerate(e):
-            mono = mono * column((binom(2 * ei + n, n) for n in n_vals), i)
-            through = through * column((binom(ei + n, n) for n in n_vals), i)
-            nsum = nsum + column(n_vals, i)
+    for start in range(0, len(tuples), block):
+        e = tuples[start : start + block]
+        mono, through = reduce(np.multiply, (along(tab[:, e[:, i] - e_lo], i) for i in range(t)))
         eta = mono - (through - 1) * (nsum + 1) - 1
-        if any(np.any(np.diff(eta, axis=axis) < 0) for axis in range(t)):
-            failing.add(e)
-    return [e for e in iproduct(range(e_lo, e_hi + 1), repeat=t) if tuple(sorted(e)) in failing]
+        bad = np.any([(np.diff(eta, axis=a) < 0).any(axis=n_axes) for a in n_axes], axis=0)
+        failing.update(map(tuple, e[bad].tolist()))
+    return [e for e in iproduct(es, repeat=t) if tuple(sorted(e)) in failing]
 
 
 def verify_lemmas() -> list[Check]:

@@ -172,6 +172,22 @@ def test_exit_code_input_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "what, bound",
+    [
+        ("hypersurfaces", ["--n-max", "-1"]),
+        ("rnc", ["--d-max", "-1"]),
+        ("curves3", ["--e-max", "-1"]),
+        ("products", ["--t", "2", "--d-max", "-1"]),
+        ("products", ["--t", "3", "--e-max", "-1"]),
+        ("products", ["--t", "2", "--n-max", "0"]),
+    ],
+)
+def test_scan_rejects_bounds_below_range(capsys, what, bound):
+    code, out, err = run(capsys, "scan", "--what", what, *bound)
+    assert code == 2 and out == "" and "scan bounds out of range" in err
+
+
 def test_exit_code_unsupported(capsys):
     code, _, err = run(
         capsys, "classify", "--system", "P1xP1:d=2,2:2x3", "--variety", "curve",

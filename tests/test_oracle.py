@@ -520,6 +520,25 @@ def test_section_certificate_needs_independent_value_rows(monkeypatch):
     assert oracle._section_lower(sys, OracleConfig(), 0, 100) == 0
 
 
+def test_section_certificate_draws_the_trial_points(monkeypatch):
+    # the value rows must sit at the trial's own h points, frame first, so
+    # that a certificate speaks for that trial: h + min(C(k+1, 2), value) + 2
+    # points, through _trial_points at the trial's index
+    sys, cfg = make_system([1, 4], [2, 2], [(2, 6)]), OracleConfig()  # k = 10 - 6 = 4
+    calls = []
+    real = oracle._trial_points
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(oracle, "_trial_points", spy)
+    for trial, value, count in [(0, 100, 6 + 10 + 2), (2, 7, 6 + 7 + 2)]:
+        calls.clear()
+        oracle._section_lower(sys, cfg, trial, value)
+        assert calls == [(sys.space, count, cfg, trial)]
+
+
 def test_lines_in_the_base_locus_add_no_rank():
     # Bezout: a degree-d form with multiplicities m_i, m_j at two points
     # vanishes to order m_i + m_j - d along the line joining them, so rows

@@ -1,4 +1,5 @@
-from math import isqrt
+from itertools import combinations_with_replacement, product as iproduct
+from math import isqrt, prod
 
 import pytest
 
@@ -8,6 +9,7 @@ from fatpoints import search
 from fatpoints.oracle import CrossCheckedH0, OracleConfig
 from fatpoints.search import (
     CggMismatchError,
+    ScanRecord,
     scan_hypersurfaces,
     scan_product_divisors,
     scan_rational_curves_p3,
@@ -126,6 +128,41 @@ def test_scan_products_t2_records_satisfy_inequalities():
             through *= binom(e + n, n)
         assert through - 1 >= r.h
         assert resid > mono - r.h * (sum(r.space) + 1)
+
+
+def _product_records_pointwise(t, n_max, e_max, d_max):
+    """scan_product_divisors re-derived with a binom call per factor and
+    degree: the window h_lo..h_max of every (space, e, degree)."""
+    records = []
+    for space in combinations_with_replacement(range(1, n_max + 1), t):
+        for e in iproduct(range(0 if t == 2 else 1, e_max + 1), repeat=t):
+            if not any(e):
+                continue
+            for degree in iproduct(*[range(max(2 * ei, 1), d_max + 1) for ei in e]):
+                mono = prod(binom(d + n, n) for d, n in zip(degree, space))
+                resid = prod(binom(d - 2 * ei + n, n) for d, ei, n in zip(degree, e, space))
+                upper = prod(binom(ei + n, n) for ei, n in zip(e, space)) - 1
+                h_lo = (mono - resid) // (sum(space) + 1) + 1
+                notes = search._table_floor_note(space, degree, e, h_lo)
+                records += [
+                    ScanRecord("product", space, degree, e, h, notes if h == h_lo else (),
+                               {"h_max": upper, "monomials": mono})
+                    for h in range(h_lo, upper + 1)
+                ]
+    return sorted(records, key=ScanRecord.key)
+
+
+@pytest.mark.parametrize(
+    "t, bounds",
+    [(2, (4, 3, 6)), (3, (4, 2, 4)), (4, (2, 2, 4)), (2, (5, 4, 8)), (3, (3, 3, 6))],
+)
+def test_scan_products_complete(t, bounds):
+    got = scan_product_divisors(t, *bounds)
+    want = _product_records_pointwise(t, *bounds)
+    assert got == want
+    assert [r.witness for r in got] == [r.witness for r in want]  # witness is compare=False
+    if bounds == search._PRODUCT_DEFAULTS[t]:
+        assert got == scan_product_divisors(t)
 
 
 def test_scan_products_t3_t4():

@@ -63,8 +63,11 @@ def test_check_line_format():
     assert line.startswith("PASS ") or line.startswith("FAIL ")
 
 
-def _eta_failures(t, e_lo, e_hi, n_lo, n_hi):
-    """e-tuples where eta(e, n) drops as some n_i steps up, point by point."""
+def _eta_failures(t, e_lo, e_hi, n_lo, n_hi, sorted_only=False):
+    """e-tuples where eta(e, n) drops as some n_i steps up, point by point.
+    With sorted_only, only nondecreasing e are evaluated and each e whose
+    sorted form fails is listed: eta is unchanged when the pairs (e_i, n_i)
+    are permuted together."""
 
     def eta(e, n):
         mono = through = 1
@@ -73,27 +76,47 @@ def _eta_failures(t, e_lo, e_hi, n_lo, n_hi):
             through *= binom(ei + ni, ni)
         return mono - (through - 1) * (sum(n) + 1) - 1
 
-    steps = [
-        (n, n[:i] + (n[i] + 1,) + n[i + 1 :])
-        for n in iproduct(range(n_lo, n_hi + 1), repeat=t)
-        for i in range(t)
-        if n[i] < n_hi
-    ]
-    return [
-        e
-        for e in iproduct(range(e_lo, e_hi + 1), repeat=t)
-        if any(eta(e, up) < eta(e, n) for n, up in steps)
-    ]
+    grid = list(iproduct(range(n_lo, n_hi + 1), repeat=t))
+    steps = [(n, n[:i] + (n[i] + 1,) + n[i + 1 :]) for n in grid for i in range(t) if n[i] < n_hi]
+
+    def fails(e):
+        value = {n: eta(e, n) for n in grid}
+        return any(value[up] < value[n] for n, up in steps)
+
+    es = list(iproduct(range(e_lo, e_hi + 1), repeat=t))
+    if not sorted_only:
+        return [e for e in es if fails(e)]
+    failing = {e for e in es if list(e) == sorted(e) and fails(e)}
+    return [e for e in es if tuple(sorted(e)) in failing]
 
 
-def test_eta_grid_against_pointwise_python_ints():
+def test_eta_grid_against_pointwise_python_ints(monkeypatch):
     # n = 0 makes eta drop, so the first grids list failures in every
-    # order of e; the last grid's binomials are beyond int64 on their own
+    # order of e; the (2, 20, 22, 25, 32) grid's binomials are beyond int64
+    # on their own
     assert binom(2 * 22 + 32, 32) > 2**63
-    for grid in [(2, 0, 3, 0, 4), (3, 0, 2, 0, 3), (2, 1, 3, 0, 3), (2, 20, 22, 25, 32)]:
+    small = [(2, 0, 3, 0, 4), (3, 0, 2, 0, 3), (2, 1, 3, 0, 3), (2, 20, 22, 25, 32)]
+    for grid in small:
         want = _eta_failures(*grid)
+        assert _eta_failures(*grid, sorted_only=True) == want, grid
         assert _eta_grid_monotone(*grid) == want, grid
     assert (0, 1) in _eta_grid_monotone(2, 0, 3, 0, 4) and (1, 0) in _eta_grid_monotone(2, 0, 3, 0, 4)
+
+    # the int64 guard C(2e_hi+n_hi, n_hi)^t (t n_hi + 1) < 2^62: the t = 4
+    # lemma grid sits just under it; (3, 6, 9, 6, 9) is over it, and its
+    # products overflow int64, which would list spurious failures
+    assert binom(18, 6) ** 4 * 25 < 2**62 <= binom(18, 6) ** 4 * 25 * 2
+    assert binom(27, 9) ** 3 > 2**63
+    for grid in [(4, 1, 6, 1, 6), (3, 6, 9, 6, 9)]:
+        assert _eta_grid_monotone(*grid) == _eta_failures(*grid, sorted_only=True) == [], grid
+
+    # 60 failures from 14 sorted tuples at positions 1..14 of 35; blocks of
+    # three tuples put them in five blocks
+    grid = (3, 0, 4, 1, 5)
+    want = _eta_failures(*grid)
+    assert len(want) == 60 and _eta_grid_monotone(*grid) == want
+    monkeypatch.setattr(verify, "ETA_BLOCK_BYTES", 3 * 16 * 5**3)
+    assert _eta_grid_monotone(*grid) == want
 
 
 def test_ah_complement_reports_prime_disagreement(monkeypatch):
