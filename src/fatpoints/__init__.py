@@ -36,7 +36,6 @@ from .oracle import (
     OracleResult,
     PrimeField,
     cross_checked_h0,
-    cross_checked_prefix,
     h0_oracle,
     h0_prefix_oracle,
     restrict_to_subspace,

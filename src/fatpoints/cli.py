@@ -211,24 +211,28 @@ def _emit(fmt: str, header: list[str], cells: list, objs: list[dict]) -> None:
             print("| " + " | ".join(row) + " |")
 
 
+_SCAN_OPTIONS = {  # --what -> the options its scan takes
+    "hypersurfaces": ("n_max", "e_max", "d_max"),
+    "rnc": ("n_max", "d_max"),
+    "curves3": ("e_max", "d_max"),
+    "products": ("t", "n_max", "e_max", "d_max"),
+}
+
+
 def cmd_scan(args: argparse.Namespace) -> int:
-    kw = {}
-    if args.n_max is not None:
-        kw["n_max"] = args.n_max
-    if args.e_max is not None:
-        kw["e_max"] = args.e_max
-    if args.d_max is not None:
-        kw["d_max"] = args.d_max
+    kw = {k: v for k in ("t", "n_max", "e_max", "d_max") if (v := getattr(args, k)) is not None}
+    other = [k for k in kw if k not in _SCAN_OPTIONS[args.what]]
+    if other:
+        flags = ", ".join("--" + k.replace("_", "-") for k in other)
+        raise ValueError(f"scan --what {args.what} does not take {flags}")
     if args.what == "hypersurfaces":
         records = search.scan_hypersurfaces(**kw)
     elif args.what == "rnc":
-        records = search.scan_rnc(**{k: v for k, v in kw.items() if k != "e_max"})
+        records = search.scan_rnc(**kw)
     elif args.what == "curves3":
-        records = search.scan_rational_curves_p3(
-            **{k: v for k, v in kw.items() if k != "n_max"}
-        )
+        records = search.scan_rational_curves_p3(**kw)
     else:
-        records = search.scan_product_divisors(args.t, **kw)
+        records = search.scan_product_divisors(kw.pop("t", 2), **kw)
     header = ["space", "degree", "variety", "h", "notes"]
     _emit(args.format, header, [r.cells() for r in records],
           [{k: getattr(r, k) for k in header} for r in records])
@@ -278,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="classification table scans")
     p.add_argument("--what", required=True, choices=["hypersurfaces", "rnc", "curves3", "products"])
-    p.add_argument("--t", type=int, default=2, help="number of factors for product scans")
+    p.add_argument("--t", type=int, help="number of factors, products only (default 2)")
     p.add_argument("--n-max", type=int)
     p.add_argument("--e-max", type=int)
     p.add_argument("--d-max", type=int)

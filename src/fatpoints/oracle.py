@@ -7,9 +7,10 @@ a column, sample the others, build the matrix of their vanishing conditions
 vanishing-along-a-line rows), and row reduce modulo a word-sized prime. For
 a fat-point system, with or without lines, each trial value is a proven
 upper bound on the generic h^0 over Q, and systems.lower_h0 a proven lower
-bound: once they meet, the answer is certified. Otherwise the minimum over independent trials is the
-generic value with overwhelming probability, and a second prime and seed
-cross-check it.
+bound: once they meet, the answer is certified, and `verify` asserts only
+certified values. Otherwise the minimum over independent trials is the
+generic value with overwhelming probability; cross_checked_h0 recomputes
+such a value at a second prime and seed.
 """
 from __future__ import annotations
 
@@ -811,44 +812,20 @@ def restrict_to_subspace(sys: LinearSystem, s: int, points_on: int | None = None
     return LinearSystem(Space((s,)), sys.multidegree, sys.first_points(keep).points)
 
 
-def _second_config(cfg: OracleConfig) -> OracleConfig:
-    """The cross-check's second prime and seed."""
-    p2 = SECOND_PRIME if cfg.prime.p != SECOND_PRIME else DEFAULT_PRIME
-    return OracleConfig(PrimeField(p2), cfg.trials, cfg.seed + 1)
-
-
-def _agreement(a: OracleResult, b: OracleResult) -> CrossCheckedH0:
-    """Both values bound the generic h0 from above, so the smaller is kept."""
-    low = min(a, b, key=lambda r: r.h0)
-    return CrossCheckedH0(low.h0, a.h0 == b.h0, (a.h0, b.h0), (a.prime, b.prime), low.certified)
-
-
-def _certified(r: OracleResult) -> CrossCheckedH0:
-    return CrossCheckedH0(r.h0, True, (r.h0,), (r.prime,), True)
-
-
 def cross_checked_h0(
     sys: LinearSystem,
     cfg: OracleConfig | None = None,
     extra_schemes: tuple[LineScheme, ...] | list[LineScheme] = (),
 ) -> CrossCheckedH0:
-    """h^0 of a certified first answer as it is; otherwise computed with two
-    distinct primes and seeds, keeping the smaller on a disagreement."""
+    """h^0 of a certified first answer as it is; otherwise computed again at
+    a second prime and seed. Both values bound the generic h0 from above, so
+    the smaller is kept on a disagreement."""
     cfg = cfg or OracleConfig()
-    r1 = h0_oracle(sys, cfg, extra_schemes=extra_schemes)
-    if r1.certified:
-        return _certified(r1)
-    return _agreement(r1, h0_oracle(sys, _second_config(cfg), extra_schemes=extra_schemes))
-
-
-def cross_checked_prefix(sys: LinearSystem, cfg: OracleConfig | None = None) -> list[CrossCheckedH0]:
-    """cross_checked_h0 of a pure fat-point system cut to its first h points,
-    for h = 0..total_points: one prefix series at the first prime and one at
-    the second up to the largest uncertified h (none if every h is
-    certified). Entry h of each series is h0_oracle of the cut, so each
-    record is built from the two series values."""
-    cfg = cfg or OracleConfig()
-    first = h0_prefix_oracle(sys, cfg)
-    top = max((h for h, r in enumerate(first) if not r.certified), default=None)
-    second = [] if top is None else h0_prefix_oracle(sys.first_points(top), _second_config(cfg))
-    return [_certified(a) if a.certified else _agreement(a, second[h]) for h, a in enumerate(first)]
+    a = h0_oracle(sys, cfg, extra_schemes=extra_schemes)
+    if a.certified:
+        return CrossCheckedH0(a.h0, True, (a.h0,), (a.prime,), True)
+    p2 = SECOND_PRIME if cfg.prime.p != SECOND_PRIME else DEFAULT_PRIME
+    second = OracleConfig(PrimeField(p2), cfg.trials, cfg.seed + 1)
+    b = h0_oracle(sys, second, extra_schemes=extra_schemes)
+    low = min(a, b, key=lambda r: r.h0)
+    return CrossCheckedH0(low.h0, a.h0 == b.h0, (a.h0, b.h0), (a.prime, b.prime), low.certified)

@@ -30,8 +30,8 @@ from .effect_varieties import (
     rnc_double_residual_nu,
 )
 # h0_oracle is not called here, but perfbench's tracer test reads search.h0_oracle
-from .oracle import OracleConfig, cross_checked_prefix, h0_oracle  # noqa: F401
-from .systems import expected_dim, make_system
+from .oracle import OracleConfig, h0_oracle, h0_prefix_oracle  # noqa: F401
+from .systems import make_system
 
 
 @dataclass(frozen=True)
@@ -248,7 +248,7 @@ class CggMismatchError(RuntimeError):
     """The oracle's special set differs from the published classification."""
 
 
-def _attach_witness_t2(a1: int, a2: int, h: int, cfg: OracleConfig | None) -> dict:
+def _attach_witness_t2(a1: int, a2: int, h: int) -> dict:
     d = max(a1, a2) // 2
     e = (d, 1) if a1 >= a2 else (1, d)
     sys = make_system([1, 1], [a1, a2], [(2, h)])
@@ -283,85 +283,47 @@ def _attach_witness_t3(degree: tuple[int, int, int], h: int, cfg: OracleConfig |
     }
 
 
-def verify_cgg(
-    a2_max: int = 8,
-    h2_max: int = 20,
-    a3_max: int = 4,
-    h3_max: int = 15,
-    cfg: OracleConfig | None = None,
-) -> list[ScanRecord]:
+CGG_GRID = {2: (8, 20), 3: (4, 15)}  # factors -> (largest degree, largest h) of the published grid
+
+
+def verify_cgg(cfg: OracleConfig | None = None) -> list[ScanRecord]:
     """Run the speciality oracle over the P^1 x P^1 and (P^1)^3 double-point
-    grids and compare the special set with the published classification
-    (bidegrees (2d, 2) with h = 2d+1; multidegrees (2,2,2) with h = 7 and
-    (2a, 1, 1) with h = 2a+1, up to permutation). Each special system gets
-    its special-effect witness attached and re-verified. A mismatch, or two
-    primes disagreeing on an uncertified h0, raises CggMismatchError."""
+    grids of CGG_GRID and compare the special set with the published
+    classification (bidegrees (2a, 2) with h = 2a+1; multidegrees (2,2,2)
+    with h = 7 and (2a, 1, 1) with h = 2a+1, up to permutation). Each h0
+    comes from one prefix series per multidegree and must be certified,
+    exact over Q; no second prime runs. Each special system gets its
+    special-effect witness attached and re-verified. A mismatch or an
+    uncertified h0 raises CggMismatchError."""
     cfg = cfg or OracleConfig()
     records: list[ScanRecord] = []
-
-    def actual_h0s(factors: list[int], degree: list[int], h_max: int) -> list[int]:
-        """h0 with h = 0..h_max double points, from one cross-checked prefix series."""
-        if h_max < 1:
-            return []
-        sys = make_system(factors, degree, [(2, h_max)])
-        out = []
-        for h, cc in enumerate(cross_checked_prefix(sys, cfg)):
-            if not cc.agreed:
-                raise CggMismatchError(f"prime disagreement for {sys.first_points(h)}: {cc.values}")
-            out.append(cc.h0)
-        return out
-
-    found2: set[tuple[int, int, int]] = set()
-    for a1 in range(1, a2_max + 1):
-        for a2 in range(1, a1 + 1):
-            h0s = actual_h0s([1, 1], [a1, a2], h2_max)
-            for h in range(1, h2_max + 1):
-                sys = make_system([1, 1], [a1, a2], [(2, h)])
-                h0 = h0s[h]
-                if h0 - 1 > expected_dim(sys):
-                    found2.add((a1, a2, h))
-                    records.append(
-                        ScanRecord(
-                            "cgg2",
-                            (1, 1),
-                            (a1, a2),
-                            (a1 // 2, 1) if a2 == 2 else (0,),
-                            h,
-                            witness={"h0": h0, **_attach_witness_t2(a1, a2, h, cfg)},
-                        )
-                    )
-    expected2 = {(2 * d, 2, 2 * d + 1) for d in range(1, a2_max // 2 + 1) if 2 * d + 1 <= h2_max}
-    if found2 != expected2:
-        raise CggMismatchError(f"P1xP1 special set {sorted(found2)} != expected {sorted(expected2)}")
-
-    found3: set[tuple[int, int, int, int]] = set()
-    for degree in combinations_with_replacement(range(1, a3_max + 1), 3):
-        a3, a2_, a1 = degree
-        ordered = (a1, a2_, a3)  # nonincreasing
-        h0s = actual_h0s([1, 1, 1], list(ordered), h3_max)
-        for h in range(1, h3_max + 1):
-            sys = make_system([1, 1, 1], list(ordered), [(2, h)])
-            h0 = h0s[h]
-            if h0 - 1 > expected_dim(sys):
-                found3.add((*ordered, h))
+    for t, (a_max, h_max) in CGG_GRID.items():
+        found = set()
+        for degree in combinations_with_replacement(range(a_max, 0, -1), t):  # nonincreasing
+            family = make_system([1] * t, list(degree), [(2, h_max)])
+            for h, r in enumerate(h0_prefix_oracle(family, cfg)):
+                if not r.certified:
+                    cut = family.first_points(h)
+                    raise CggMismatchError(f"uncertified h0 for {cut}: h0 {r.h0}, lower {r.lower}")
+                if not r.special:
+                    continue
+                found.add((*degree, h))
+                if t == 2:
+                    variety = (degree[0] // 2, 1) if degree[1] == 2 else (0,)
+                    witness = _attach_witness_t2(*degree, h)
+                else:
+                    variety = (1, 1, 1) if degree == (2, 2, 2) else (degree[0] // 2, 1, 1)
+                    witness = _attach_witness_t3(degree, h, cfg)
                 records.append(
-                    ScanRecord(
-                        "cgg3",
-                        (1, 1, 1),
-                        ordered,
-                        (1, 1, 1) if ordered == (2, 2, 2) else (ordered[0] // 2, 1, 1),
-                        h,
-                        witness={"h0": h0, **_attach_witness_t3(ordered, h, cfg)},
-                    )
+                    ScanRecord(f"cgg{t}", (1,) * t, degree, variety, h, witness={"h0": r.h0, **witness})
                 )
-    expected3 = {(2, 2, 2, 7)} if 7 <= h3_max else set()
-    expected3 |= {
-        (2 * a, 1, 1, 2 * a + 1)
-        for a in range(1, a3_max // 2 + 1)
-        if 2 * a + 1 <= h3_max
-    }
-    if found3 != expected3:
-        raise CggMismatchError(f"(P1)^3 special set {sorted(found3)} != expected {sorted(expected3)}")
+        tail = (2,) if t == 2 else (1, 1)
+        expected = {(2 * a, *tail, 2 * a + 1) for a in range(1, a_max // 2 + 1)}
+        if t == 3:
+            expected.add((2, 2, 2, 7))
+        if found != expected:
+            name = "P1xP1" if t == 2 else "(P1)^3"
+            raise CggMismatchError(f"{name} special set {sorted(found)} != expected {sorted(expected)}")
 
     bad = [r for r in records if not r.witness.get("witness_ok", False)]
     if bad:

@@ -4,6 +4,9 @@ Each suite returns a list of named checks. The expected sides are encoded
 independently of the code under test: combinatorial identities are checked
 against direct reevaluation, tables against the published parametric
 families, and oracle verdicts against the published classification lists.
+Every oracle h0 a suite asserts must be certified (equal to its proven lower
+bound, so exact over Q); a suite fails on any cut that is not, and never
+runs a second prime.
 """
 from __future__ import annotations
 
@@ -18,8 +21,8 @@ import numpy as np
 from . import search
 from .combinatorics import A_ratio, binom, phi_hyp, psi_hyp_alpha1, rising
 # h0_oracle is not called here, but perfbench's tracer test reads verify.h0_oracle
-from .oracle import OracleConfig, cross_checked_prefix, h0_oracle, h0_prefix_oracle  # noqa: F401
-from .systems import dim_report, expected_dim, make_system
+from .oracle import OracleConfig, h0_oracle, h0_prefix_oracle  # noqa: F401
+from .systems import make_system
 
 
 @dataclass(frozen=True)
@@ -148,56 +151,43 @@ def ah_special_keys(n_max: int = 6) -> set[tuple[int, int, int]]:
 AH_GRID = {(n, d): 20 for n in range(1, 5) for d in range(2, 6)}  # (n, d) -> largest h
 
 
-def _ah_table(cfg: OracleConfig) -> tuple[dict, list]:
-    """h0 of every double-point system that verify_ah reads, keyed by
-    (n, d, h) with its system, from one prefix series per (n, d) family: the
-    complement grid AH_GRID, and the AH quadrics on P^5 and P^6 up to h = n.
-    Also returns the two-prime disagreements, one per system, in key order."""
+def _ah_table(cfg: OracleConfig) -> dict:
+    """The OracleResult of every double-point system that verify_ah reads,
+    keyed by (n, d, h), from one prefix series per (n, d) family: the
+    complement grid AH_GRID, and the AH quadrics on P^5 and P^6 up to h = n."""
     top = dict(AH_GRID)
     for n, d, h in ah_special_keys():
         top[n, d] = max(top.get((n, d), 0), h)
-    table: dict[tuple[int, int, int], tuple] = {}  # (n, d, h) -> (system, h0)
-    disagreements: list = []
+    table = {}
     for (n, d), h_max in sorted(top.items()):
-        family = make_system([n], [d], [(2, h_max)])
-        series = cross_checked_prefix(family, cfg)
-        for h in range(1, h_max + 1):
-            sys = family.first_points(h)
-            if not series[h].agreed:
-                disagreements.append((str(sys), series[h].values))
-            table[n, d, h] = (sys, series[h].h0)
-    return table, disagreements
+        series = h0_prefix_oracle(make_system([n], [d], [(2, h_max)]), cfg)
+        table.update(((n, d, h), series[h]) for h in range(1, h_max + 1))
+    return table
 
 
 def verify_ah(cfg: OracleConfig | None = None) -> list[Check]:
+    """The AH checks, each on certified values only. The row
+    ah-two-prime-agreement keeps the name of the two-prime check it replaced
+    (the benchmark pins it) and fails on any cut that is not certified."""
     cfg = cfg or OracleConfig()
     ah = ah_special_keys()
-    table, disagreements = _ah_table(cfg)
-
-    def special(key: tuple[int, int, int]) -> bool:
-        sys, h0 = table[key]
-        return h0 - 1 > expected_dim(sys)
-
-    not_special = [key for key in sorted(ah) if not special(key)]
+    table = _ah_table(cfg)
+    not_special = [key for key in sorted(ah) if not table[key].special]
     checks = [Check("ah-rows-special", not not_special, _fail_detail(not_special))]
-    bad_h0 = [(*key, table[key][1]) for key in AH_QUARTIC_CUBIC if table[key][1] != 1]
+    bad_h0 = [(*key, table[key].h0) for key in AH_QUARTIC_CUBIC if table[key].h0 != 1]
     checks.append(Check("ah-quartic-cubic-h0-is-1", not bad_h0, _fail_detail(bad_h0)))
     falsely_special = [
-        key for key in sorted(table) if key[:2] in AH_GRID and key not in ah and special(key)
+        key for key in sorted(table) if key[:2] in AH_GRID and key not in ah and table[key].special
     ]
     checks.append(Check("ah-complement-nonspecial", not falsely_special, _fail_detail(falsely_special)))
-    checks.append(Check("ah-two-prime-agreement", not disagreements, _fail_detail(disagreements)))
+    uncertified = [(*key, r.h0, r.lower) for key, r in sorted(table.items()) if not r.certified]
+    checks.append(Check("ah-two-prime-agreement", not uncertified, _fail_detail(uncertified)))
 
-    # h1 = conditions - (monomials - h0) of the double-point quadrics and of
-    # the quartic in P^3, from the same table
-    h1 = {}
-    for key in [(n, 2, h) for n in range(2, 7) for h in range(2, n + 1)] + [(3, 4, 9)]:
-        sys, h0 = table[key]
-        rep = dim_report(sys)
-        h1[key] = rep.conditions - (rep.monomials - h0)
-    bad = [(n, h, v) for (n, d, h), v in h1.items() if d == 2 and v != h * (h - 1) // 2]
-    if h1[3, 4, 9] != 2:
-        bad.append((3, 4, 9, h1[3, 4, 9]))
+    # h1 of the double-point quadrics and of the quartic in P^3
+    h1 = {key: table[key].h1 for key in [(n, 2, h) for n in range(2, 7) for h in range(2, n + 1)]}
+    bad = [(n, h, v) for (n, d, h), v in h1.items() if v != h * (h - 1) // 2]
+    if table[3, 4, 9].h1 != 2:
+        bad.append((3, 4, 9, table[3, 4, 9].h1))
     checks.append(Check("h1-values", not bad, _fail_detail(bad)))
     return checks
 
@@ -282,7 +272,9 @@ def verify_paper_tables(cfg: OracleConfig | None = None) -> list[Check]:
         (space, degree): h0_prefix_oracle(make_system(list(space), list(degree), [(2, h)]), cfg)
         for (space, degree), h in top.items()
     }
-    unconfirmed = [r.key() for r in records if not series[r.space, r.degree][r.h].special]
+    # confirmed: special, and certified, so exact over Q
+    cuts = [(r, series[r.space, r.degree][r.h]) for r in records]
+    unconfirmed = [r.key() for r, cut in cuts if not (cut.special and cut.certified)]
     checks.append(Check("scan-records-oracle-special", not unconfirmed, _fail_detail(unconfirmed)))
     return checks
 

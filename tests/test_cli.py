@@ -188,6 +188,21 @@ def test_scan_rejects_bounds_below_range(capsys, what, bound):
     assert code == 2 and out == "" and "scan bounds out of range" in err
 
 
+@pytest.mark.parametrize(
+    "what, option, flag",
+    [
+        ("rnc", ["--e-max", "-1"], "--e-max"),
+        ("curves3", ["--n-max", "-5"], "--n-max"),
+        ("hypersurfaces", ["--t", "2"], "--t"),
+    ],
+)
+def test_scan_rejects_options_its_scan_does_not_take(capsys, what, option, flag):
+    # an option the scan would drop is named, not ignored
+    code, out, err = run(capsys, "scan", "--what", what, *option)
+    assert code == 2 and out == ""
+    assert f"scan --what {what} does not take {flag}" in err
+
+
 def test_exit_code_unsupported(capsys):
     code, _, err = run(
         capsys, "classify", "--system", "P1xP1:d=2,2:2x3", "--variety", "curve",

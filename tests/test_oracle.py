@@ -25,7 +25,6 @@ from fatpoints.oracle import (
     _sub_mulmod,
     _unit_lower_inverse,
     cross_checked_h0,
-    cross_checked_prefix,
     h0_oracle,
     h0_prefix_oracle,
     rank_mod_p,
@@ -850,43 +849,26 @@ def test_prefix_series_matches_each_cut():
     assert all(r.certified for r in series)
 
 
-def test_cross_checked_prefix_matches_each_cut():
-    sys = make_system([2], [4], [(2, 7)])
-    assert cross_checked_prefix(sys, CFG) == [
-        cross_checked_h0(sys.first_points(h), CFG) for h in range(8)
-    ]
-
-
-def test_cross_checked_prefix_builds_disagreements_from_both_series(monkeypatch):
+def test_cross_checked_h0_keeps_the_smaller_value(monkeypatch):
     # septics quadruple at 6 points of P^3, special along the twisted cubic
-    # through them: h0 = 4, above the bound 0 that every rule leaves; every
-    # other cut of the series, up to 7 points, meets its bound
-    sys = make_system([3], [7], [(4, 7)])
-    real_series = oracle.h0_prefix_oracle
-    seconds = []
+    # through them: h0 = 4, above the bound 0 that every rule leaves, so
+    # the second prime runs
+    sys = make_system([3], [7], [(4, 6)])
+    real = oracle.h0_oracle
 
-    def skewed_series(sys_, cfg):
-        # the second prime reads one more at h = 6
-        series = real_series(sys_, cfg)
-        if cfg.prime.p == SECOND_PRIME:
-            seconds.append(sys_)
-            series[6] = replace(series[6], h0=series[6].h0 + 1)
-        return series
+    def skewed(skew_prime):
+        def oracle_call(sys_, cfg, **kwargs):
+            r = real(sys_, cfg, **kwargs)
+            return replace(r, h0=r.h0 + 1) if cfg.prime.p == skew_prime else r
 
-    def no_cut_calls(*args, **kwargs):
-        raise AssertionError("cross_checked_h0 called on a cut")
+        return oracle_call
 
-    monkeypatch.setattr(oracle, "h0_prefix_oracle", skewed_series)
-    monkeypatch.setattr(oracle, "cross_checked_h0", no_cut_calls)
-    got = cross_checked_prefix(sys, CFG)
-    # both series values bound h0 from above: the smaller is kept, and no
-    # cut is run again
-    assert got[6] == CrossCheckedH0(4, False, (4, 5), (CFG.prime.p, SECOND_PRIME))
-    assert all(cc.agreed for h, cc in enumerate(got) if h != 6)
-    # the other cuts reach their bound, so they use one prime, and the
-    # second prime runs one series, up to the one open cut
-    assert all(cc.certified and len(cc.primes) == 1 for h, cc in enumerate(got) if h != 6)
-    assert seconds == [sys.first_points(6)]
+    # both values bound h0 from above: the smaller is kept, whichever prime
+    # read it
+    monkeypatch.setattr(oracle, "h0_oracle", skewed(SECOND_PRIME))
+    assert cross_checked_h0(sys, CFG) == CrossCheckedH0(4, False, (4, 5), (CFG.prime.p, SECOND_PRIME))
+    monkeypatch.setattr(oracle, "h0_oracle", skewed(CFG.prime.p))
+    assert cross_checked_h0(sys, CFG) == CrossCheckedH0(4, False, (5, 4), (CFG.prime.p, SECOND_PRIME))
 
 
 def test_restrict_to_subspace():

@@ -8,7 +8,7 @@ from fatpoints.combinatorics import linear_expected_h0
 from fatpoints.oracle import (
     OracleConfig,
     _section_lower,
-    cross_checked_prefix,
+    cross_checked_h0,
     h0_oracle,
     h0_prefix_oracle,
 )
@@ -75,7 +75,8 @@ def test_adding_a_point_never_raises_h0(sys):
 @SMALL
 @given(systems)
 def test_two_primes_agree(sys):
-    assert all(cc.agreed for cc in cross_checked_prefix(sys, CFG))
+    cuts = [sys.first_points(h) for h in range(sys.total_points + 1)]
+    assert all(cross_checked_h0(cut, CFG).agreed for cut in cuts)
 
 
 @SMALL

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import combinations_with_replacement, product as iproduct
 from math import isqrt, prod
 
@@ -6,7 +7,7 @@ import pytest
 from fatpoints.cli import main
 from fatpoints.combinatorics import binom
 from fatpoints import search
-from fatpoints.oracle import CrossCheckedH0, OracleConfig
+from fatpoints.oracle import OracleConfig
 from fatpoints.search import (
     CggMismatchError,
     ScanRecord,
@@ -187,34 +188,44 @@ def test_rendering(capsys):
     assert capsys.readouterr().out.startswith("| space | degree | variety | h | notes |")
 
 
+def _cgg_within(records, a2_max, h2_max, a3_max, h3_max):
+    """(kind, degree, h) of the records inside smaller degree and h bounds."""
+    bounds = {"cgg2": (a2_max, h2_max), "cgg3": (a3_max, h3_max)}
+    return {
+        (r.kind, r.degree, r.h)
+        for r in records
+        if max(r.degree) <= bounds[r.kind][0] and r.h <= bounds[r.kind][1]
+    }
+
+
 def test_verify_cgg_small_grid():
-    records = verify_cgg(a2_max=4, h2_max=9, a3_max=2, h3_max=7, cfg=CFG)
-    got2 = {(r.degree, r.h) for r in records if r.kind == "cgg2"}
-    assert got2 == {((2, 2), 3), ((4, 2), 5)}
-    got3 = {(r.degree, r.h) for r in records if r.kind == "cgg3"}
-    assert got3 == {((2, 2, 2), 7), ((2, 1, 1), 3)}
+    records = verify_cgg(cfg=CFG)
+    assert _cgg_within(records, 4, 9, 2, 7) == {
+        ("cgg2", (2, 2), 3), ("cgg2", (4, 2), 5), ("cgg3", (2, 2, 2), 7), ("cgg3", (2, 1, 1), 3)
+    }
     assert all(r.witness["witness_ok"] for r in records)
     assert all(r.witness["h0"] == 1 for r in records)
 
 
 def test_verify_cgg_detects_wrong_expectation():
-    # shrinking h below the special window must not invent mismatches
-    records = verify_cgg(a2_max=2, h2_max=2, a3_max=1, h3_max=2, cfg=CFG)
-    assert records == []
+    # below the special windows the published grid holds no special system
+    assert _cgg_within(verify_cgg(cfg=CFG), 2, 2, 1, 2) == set()
 
 
 def test_verify_cgg_mismatch_error_type():
     assert issubclass(CggMismatchError, RuntimeError)
 
 
-def test_verify_cgg_reports_prime_disagreement(monkeypatch):
-    def disagree_at_two(sys, cfg):
-        return [
-            CrossCheckedH0(9 - h, h != 2, (9 - h, 8 - h) if h == 2 else (9 - h, 9 - h), (1, 2))
-            for h in range(sys.total_points + 1)
-        ]
+def test_verify_cgg_rejects_uncertified_cut(monkeypatch):
+    real = search.h0_prefix_oracle
 
-    monkeypatch.setattr(search, "cross_checked_prefix", disagree_at_two)
+    def open_at_two(sys, cfg):
+        series = real(sys, cfg)
+        if sys.multidegree == (1, 1):
+            series[2] = replace(series[2], certified=False)
+        return series
+
+    monkeypatch.setattr(search, "h0_prefix_oracle", open_at_two)
     with pytest.raises(CggMismatchError) as err:
-        verify_cgg(a2_max=2, h2_max=3, a3_max=1, h3_max=2, cfg=CFG)
-    assert str(err.value) == "prime disagreement for L_{P1xP1;(1,1)}(2^2): (7, 6)"
+        verify_cgg(cfg=CFG)
+    assert str(err.value) == "uncertified h0 for L_{P1xP1;(1,1)}(2^2): h0 0, lower 0"

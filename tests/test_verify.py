@@ -1,8 +1,12 @@
+from dataclasses import replace
 from itertools import product as iproduct
 
+import pytest
+
+from fatpoints.cli import main
 from fatpoints.combinatorics import binom
-from fatpoints import oracle, verify
-from fatpoints.oracle import CrossCheckedH0, OracleConfig, cross_checked_h0
+from fatpoints import oracle, search, verify
+from fatpoints.oracle import CrossCheckedH0, OracleConfig, cross_checked_h0, h0_oracle
 from fatpoints.systems import make_system
 from fatpoints.verify import (
     SUITES,
@@ -119,29 +123,56 @@ def test_eta_grid_against_pointwise_python_ints(monkeypatch):
     assert _eta_grid_monotone(*grid) == want
 
 
-def test_ah_complement_reports_prime_disagreement(monkeypatch):
-    real = verify.cross_checked_prefix
+def uncertify(monkeypatch, module, space, degree, h):
+    """Mark cut h of the prefix series of one (space, degree) family, as the
+    module reads it, as not certified."""
+    real = module.h0_prefix_oracle
 
-    def disagree_on_conics(sys, cfg):
-        series = real(sys, cfg)
-        if sys.space.factors == (1,) and sys.multidegree == (2,):
-            series[5] = CrossCheckedH0(0, False, (0, 1, 0), (1, 2, 3))
-        return series
+    def series(sys, cfg):
+        out = real(sys, cfg)
+        if (sys.space.factors, sys.multidegree) == (space, degree):
+            out[h] = replace(out[h], certified=False)
+        return out
 
-    monkeypatch.setattr(verify, "cross_checked_prefix", disagree_on_conics)
+    monkeypatch.setattr(module, "h0_prefix_oracle", series)
+
+
+def test_ah_complement_rejects_uncertified_cut(monkeypatch):
+    uncertify(monkeypatch, verify, (1,), (2,), 5)
     checks = {c.name: c for c in verify_ah(CFG)}
     assert checks["ah-complement-nonspecial"].ok
-    agreement = checks["ah-two-prime-agreement"]
-    assert not agreement.ok
-    assert agreement.detail == "failed at [('L_{P1;(2)}(2^5)', (0, 1, 0))]"
+    row = checks["ah-two-prime-agreement"]
+    assert not row.ok
+    assert row.detail == "failed at [(1, 2, 5, 0, 0)]"
 
 
 def test_ah_table_matches_each_system_cross_checked():
-    table, disagreements = verify._ah_table(CFG)
-    assert not disagreements
+    table = verify._ah_table(CFG)
     for n, d, h in sorted(ah_special_keys()):
         sys = make_system([n], [d], [(2, h)])
-        assert table[n, d, h] == (sys, cross_checked_h0(sys, CFG).h0)
+        r = table[n, d, h]
+        assert r == h0_oracle(sys, CFG)
+        assert cross_checked_h0(sys, CFG) == CrossCheckedH0(r.h0, True, (r.h0,), (r.prime,), True)
+
+
+@pytest.mark.parametrize(
+    "suite, module, space, degree, h, line",
+    [
+        ("ah", verify, (4,), (3,), 7, "FAIL ah-two-prime-agreement (failed at [(4, 3, 7, 1, 1)])"),
+        (
+            "cgg", search, (1, 1, 1), (2, 2, 2), 7,
+            "FAIL cgg-special-sets (uncertified h0 for L_{P1xP1xP1;(2,2,2)}(2^7): h0 1, lower 1)",
+        ),
+        (
+            "paper-tables", verify, (2, 2), (2, 2), 8,
+            "FAIL scan-records-oracle-special (failed at [('product', (2, 2), (2, 2), (1, 1), 8)])",
+        ),
+    ],
+)
+def test_verify_exits_1_on_an_uncertified_cut(monkeypatch, capsys, suite, module, space, degree, h, line):
+    uncertify(monkeypatch, module, space, degree, h)
+    assert main(["verify", suite, "--trials", "2"]) == 1
+    assert line in capsys.readouterr().out.splitlines()
 
 
 def record_cuts(monkeypatch):
@@ -159,9 +190,8 @@ def record_cuts(monkeypatch):
 
 
 def test_elimination_counts_at_default_config(monkeypatch):
-    # one prefix series per (space, degree) family, of 1-3 trials, a second
-    # prime only up to the largest cut not certified by its lower bound, and
-    # h1-values read from the AH table; per-system oracle calls took 246 and
+    # one prefix series per (space, degree) family, of 1-3 trials, no
+    # second prime, and h1-values read from the AH table; per-system oracle calls took 246 and
     # 123 eliminations, two primes on every cut 72, 142 and 90, and before
     # the double rational normal curve bound closed (4, 3, 7) 23, 58 and 58;
     # paper-tables took 56 before section certificates. Cuts of frame
@@ -185,7 +215,7 @@ def test_elimination_counts_at_default_config(monkeypatch):
     calls.clear()
     assert all(c.ok for c in verify_paper_tables(OracleConfig()))
     assert len(calls) == 35
-    # every cut the suites read is certified, so no second prime runs
+    # every cut the suites read is certified, and no second prime runs
     assert len(cuts) == 349 + 1078 + 305
     assert all(r.certified and r.prime == oracle.DEFAULT_PRIME for r in cuts)
 
@@ -199,18 +229,10 @@ def test_paper_tables_certified_at_other_seeds(monkeypatch):
     assert len(cuts) == 2 * 305 and all(r.certified for r in cuts)
 
 
-def test_ah_quartic_disagreement_reported_once(monkeypatch):
-    real = verify.cross_checked_prefix
-
-    def disagree_on_p3_quartics(sys, cfg):
-        series = real(sys, cfg)
-        if sys.space.factors == (3,) and sys.multidegree == (4,):
-            series[9] = CrossCheckedH0(1, False, (1, 2, 1), (1, 2, 3))
-        return series
-
-    monkeypatch.setattr(verify, "cross_checked_prefix", disagree_on_p3_quartics)
+def test_ah_uncertified_quartic_reported_once(monkeypatch):
+    uncertify(monkeypatch, verify, (3,), (4,), 9)
     checks = {c.name: c for c in verify_ah(CFG)}
     assert checks["ah-rows-special"].ok and checks["ah-quartic-cubic-h0-is-1"].ok
-    agreement = checks["ah-two-prime-agreement"]
-    assert not agreement.ok
-    assert agreement.detail == "failed at [('L_{P3;(4)}(2^9)', (1, 2, 1))]"
+    row = checks["ah-two-prime-agreement"]
+    assert not row.ok
+    assert row.detail == "failed at [(3, 4, 9, 1, 1)]"
