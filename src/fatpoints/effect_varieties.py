@@ -2,17 +2,13 @@
 
 A candidate variety through some of the base points is "special effect" for a
 system when removing it alpha-fold raises the virtual dimension while the
-residual stays effective; a configuration chains several removals. The
-residual virtual dimension is computed per variety class:
-
-  * divisors: componentwise degree/multiplicity subtraction;
-  * linear subspaces: the multiple-subspace condition count;
-  * rational normal curves: the double-curve postulation value (d >= 3);
-  * rational curves in P^3: the blow-up Euler characteristic closed form;
-  * lines inside configurations: Euler-characteristic additivity of the
-    restriction to the new multiple line, with the germ at each fat point it
-    meets absorbed by that point (valid when the point is fat enough, which
-    is checked and reported).
+residual stays effective; a configuration chains several removals. A divisor's
+residual subtracts degrees and multiplicities componentwise. Every other class
+(a linear subspace, the rational normal curve, a rational curve in P^3, a line)
+removes the conditions of combinatorics.neighbourhood_count, read off its
+normal bundle; a line gives back the germ at each fat point it meets, absorbed
+by that point (valid when the point is fat enough, which a configuration
+checks and reports).
 
 The cohomological (h^1) check follows the three-condition definition, with
 h^2 of the residual asserted zero only where that is actually known: divisors
@@ -23,7 +19,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Sequence, Union
 
-from .combinatorics import binom
+from .combinatorics import binom, neighbourhood_count
 from .oracle import (
     OracleConfig,
     SubspaceScheme,
@@ -181,12 +177,6 @@ def residual_divisor(sys: LinearSystem, Y: Hypersurface, alpha: int) -> LinearSy
     return LinearSystem(sys.space, new_deg, tuple(groups))
 
 
-def multiple_subspace_conditions(d: int, n: int, s: int, m: int) -> int:
-    """Conditions for vanishing to order m along a linear P^s inside P^n:
-    sum_i C(d+s-i, d-i) C(n-s-1+i, i) over derivative orders i < m."""
-    return sum(binom(d + s - i, d - i) * binom(n - s - 1 + i, i) for i in range(m))
-
-
 def linear_space_residual_nu(
     sys: LinearSystem, s: int, m: int, points_on: int | None = None
 ) -> int:
@@ -210,7 +200,7 @@ def linear_space_residual_nu(
     mults = sys.point_multiplicities()
     off_conditions = sum(binom(mj + n - 1, n) for mj in mults[on:])
     d = sys.multidegree[0]
-    return binom(d + n, n) - 1 - multiple_subspace_conditions(d, n, s, m) - off_conditions
+    return binom(d + n, n) - 1 - neighbourhood_count(n, s, d, m) - off_conditions
 
 
 def rnc_double_residual_nu(d: int, n: int) -> int:
@@ -220,7 +210,7 @@ def rnc_double_residual_nu(d: int, n: int) -> int:
         raise NotImplementedError("double rational-normal-curve postulation needs d >= 3")
     if n < 2:
         raise ValueError("need n >= 2")
-    return binom(d + n, n) - 1 - ((d - 1) * n * n + 2)
+    return binom(d + n, n) - 1 - neighbourhood_count(n, 1, d, 2, e=n, c=n + 2)
 
 
 def p3_rational_curve_chi(d: int, e: int) -> int:
@@ -228,7 +218,7 @@ def p3_rational_curve_chi(d: int, e: int) -> int:
     rational curve in P^3 from degree-d forms: C(d+3,3) - 3de + 4e - 5."""
     if d < 1 or e < 1:
         raise ValueError("need d >= 1 and e >= 1")
-    return binom(d + 3, 3) - 3 * d * e + 4 * e - 5
+    return binom(d + 3, 3) - neighbourhood_count(3, 1, d, 2, e=e, c=2 * e - 1, euler=True)
 
 
 def line_point_overlap(m: int, alpha: int, n: int) -> int:
@@ -248,13 +238,12 @@ def _pair_mults(sys: LinearSystem, pair: tuple[int, int]) -> tuple[int, int]:
     return mults[i], mults[j]
 
 
-def _line_step_chi(sys: LinearSystem, pair: tuple[int, int], alpha: int) -> tuple[int, dict]:
+def _line_step_chi(sys: LinearSystem, pair: tuple[int, int], alpha: int) -> int:
     """chi of the restriction of the accumulated system to a new alpha-fold
     line; its negative is the change in virtual dimension."""
-    n = sys.space.n
-    cond = multiple_subspace_conditions(sys.multidegree[0], n, 1, alpha)
-    overlap = sum(line_point_overlap(m, alpha, n) for m in _pair_mults(sys, pair))
-    return cond - overlap, {"line_conditions": cond, "point_overlap": overlap}
+    mults, n = _pair_mults(sys, pair), sys.space.n
+    overlap = sum(line_point_overlap(m, alpha, n) for m in mults)
+    return neighbourhood_count(n, 1, sys.multidegree[0], alpha) - overlap
 
 
 def curve_restriction_cohomology(
@@ -349,53 +338,38 @@ def _classify_rnc(sys: LinearSystem, Y: RationalNormalCurve) -> SevReport:
     if sys.space.nfactors != 1:
         raise NotImplementedError("rational normal curves live in a single P^n")
     _require_double_points(sys, "rational normal curve")
-    n = sys.space.n
-    d = sys.multidegree[0]
-    h = sys.total_points
-    checks: dict[str, bool] = {}
-    values: dict[str, object] = {}
+    n, h = sys.space.n, sys.total_points
     on_curve = min(h, n + 3)  # the curve is determined by n+3 general points
-    off = h - on_curve
-    nu_res = rnc_double_residual_nu(d, n) - off * (n + 1)
-    values["points_on_curve"] = on_curve
-    values["nu_double_curve"] = rnc_double_residual_nu(d, n)
-    return _scan_report(sys, {2: nu_res}, checks, values)
+    nu = rnc_double_residual_nu(sys.multidegree[0], n)
+    values: dict[str, object] = {"points_on_curve": on_curve, "nu_double_curve": nu}
+    return _scan_report(sys, {2: nu - (h - on_curve) * (n + 1)}, {}, values)
 
 
 def _classify_p3_curve(sys: LinearSystem, Y: RationalCurveP3) -> SevReport:
     if sys.space.nfactors != 1 or sys.space.n != 3:
         raise NotImplementedError("this curve class lives in P^3")
     _require_double_points(sys, "rational curve")
-    d = sys.multidegree[0]
-    h = sys.total_points
-    e = Y.e
-    checks: dict[str, bool] = {}
-    values: dict[str, object] = {}
-    checks["curve_through_points"] = 2 * e >= h
+    d, h, e = sys.multidegree[0], sys.total_points, Y.e
+    checks = {"curve_through_points": 2 * e >= h}
     span_cap = GENERAL_POSITION_CAP.get(e)
     if span_cap is not None:
         checks["points_general_position"] = h <= span_cap
     chi = p3_rational_curve_chi(d, e)
-    values["chi"] = chi
+    values: dict[str, object] = {"chi": chi}
     if e == 1:
-        values["nu_as_multiple_line"] = (
-            binom(d + 3, 3) - 1 - multiple_subspace_conditions(d, 3, 1, 2)
-        )
+        values["nu_as_multiple_line"] = binom(d + 3, 3) - 1 - neighbourhood_count(3, 1, d, 2)
     return _scan_report(sys, {2: chi - 1}, checks, values)
 
 
 def _classify_line(sys: LinearSystem, Y: Line) -> SevReport:
     if sys.space.nfactors != 1:
         raise NotImplementedError("line candidates live in a single P^n")
-    checks: dict[str, bool] = {}
-    values: dict[str, object] = {}
     nu_sys = virtual_dim(sys)
-    max_alpha = max(_pair_mults(sys, Y.through_pair))
-    nu_of_alpha = {}
-    for a in range(1, max_alpha + 1):
-        chi, _ = _line_step_chi(sys, Y.through_pair, a)
-        nu_of_alpha[a] = nu_sys - chi
-    return _scan_report(sys, nu_of_alpha, checks, values)
+    nu_of_alpha = {
+        a: nu_sys - _line_step_chi(sys, Y.through_pair, a)
+        for a in range(1, max(_pair_mults(sys, Y.through_pair)) + 1)
+    }
+    return _scan_report(sys, nu_of_alpha, {}, {})
 
 
 def classify_alpha_sev(sys: LinearSystem, Y: EffectVariety) -> SevReport:
@@ -491,8 +465,7 @@ def classify_configuration(
                 for pt in set(prev) & set(pair):
                     absorbed = absorbed and mults[pt] >= step.alpha + prev_alpha - 1
             seen.append((pair, step.alpha))
-            chi, _ = _line_step_chi(sys, Y.through_pair, step.alpha)
-            nus.append(nus[-1] - chi)
+            nus.append(nus[-1] - _line_step_chi(sys, Y.through_pair, step.alpha))
         checks["line_overlaps_absorbed"] = absorbed
         oracle_sys = sys
         oracle_lines = [(s.variety.through_pair[0], s.variety.through_pair[1], s.alpha) for s in steps]  # type: ignore[union-attr]

@@ -26,6 +26,7 @@ from .combinatorics import binom
 from .systems import (
     LinearSystem,
     Space,
+    check_lines,
     lower_h0,
     monomial_count,
     point_conditions,
@@ -666,20 +667,15 @@ def _oracle_series(
             f"prime {p} must exceed the largest degree {max(sys.multidegree)}: "
             "the derivative factors vanish mod p otherwise"
         )
-    npoints = sys.total_points
     if extra_schemes and sys.space.nfactors != 1:
         raise NotImplementedError("line schemes are only supported on a single factor")
-    for i, j, alpha in extra_schemes:
-        if i == j or not (0 <= i < npoints) or not (0 <= j < npoints):
-            raise ValueError(f"line scheme ({i},{j}) must join two distinct base points")
-        if alpha < 1:
-            raise ValueError("line multiplicity must be >= 1")
+    check_lines(sys, extra_schemes)
     pure = not extra_schemes and subspace is None
 
     builder = _RowBuilder(sys, p)
     mults = sys.point_multiplicities()
     if subspace is None:
-        frame = min(npoints, _frame_size(sys.space))
+        frame = min(sys.total_points, _frame_size(sys.space))
         drop = np.zeros(builder.cols, dtype=bool)
         gone = [0]  # the columns the first k frame points delete, k = 0..frame
         for i, m in enumerate(mults[:frame]):

@@ -19,15 +19,13 @@ from dataclasses import dataclass, field
 from itertools import combinations_with_replacement, product as iproduct
 from math import prod
 
-from .combinatorics import binom
+from .combinatorics import binom, neighbourhood_count
 from .effect_varieties import (
     GENERAL_POSITION_CAP,
     ConfigStep,
     Hypersurface,
     classify_alpha_sev,
     classify_configuration,
-    p3_rational_curve_chi,
-    rnc_double_residual_nu,
 )
 # h0_oracle is not called here, but perfbench's tracer test reads search.h0_oracle
 from .oracle import OracleConfig, h0_oracle, h0_prefix_oracle  # noqa: F401
@@ -108,15 +106,16 @@ def scan_rnc(d_max: int = 5, n_max: int = 5) -> list[ScanRecord]:
     records = []
     for n in range(2, n_max + 1):
         for d in range(3, d_max + 1):
-            special_ineq = (2 - d) * n * n + 4 * n + 1 > 0
-            nu = rnc_double_residual_nu(d, n)
+            cond = neighbourhood_count(n, 1, d, 2, e=n, c=n + 2)  # conditions of the double curve
+            nu = binom(d + n, n) - 1 - cond
+            special_ineq = (n + 3) * (n + 1) > cond
             if special_ineq and nu >= 0:
                 records.append(
                     ScanRecord("rnc", (n,), (d,), (n,), n + 3, witness={"nu_residual": nu})
                 )
             # h <= n+2: the property and effectiveness are never both satisfied
             for h in range(2, n + 3):
-                if h * (n + 1) - ((d - 1) * n * n + 2) > 0 and nu >= 0:
+                if h * (n + 1) > cond and nu >= 0:
                     raise RuntimeError(
                         f"unexpected special-effect curve with h={h} <= n+2 at (n,d)=({n},{d})"
                     )
@@ -143,10 +142,11 @@ def scan_rational_curves_p3(d_max: int = 4, e_max: int = 4) -> list[ScanRecord]:
     records = []
     for d in range(2, d_max + 1):
         for e in range(1, e_max + 1):
+            cond = neighbourhood_count(3, 1, d, 2, e=e, c=2 * e - 1, euler=True)  # chi(O_2C(d))
+            if binom(d + 3, 3) - 1 - cond < 0:
+                continue
             for h in range(1, 2 * e + 1):
-                if p3_rational_curve_chi(d, e) - 1 < 0:
-                    continue
-                if not 4 * h > 3 * d * e - 4 * e + 5:
+                if not 4 * h > cond:
                     continue
                 span_cap = GENERAL_POSITION_CAP.get(e)
                 general = span_cap is None or h <= span_cap

@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import product as iproduct
 from typing import Sequence
 
-from .combinatorics import binom, linear_expected_h0
+from .combinatorics import binom, linear_expected_h0, neighbourhood_count
 
 
 @dataclass(frozen=True)
@@ -169,6 +169,17 @@ def expected_dim(sys: LinearSystem) -> int:
     return dim_report(sys).expected_dim
 
 
+def check_lines(sys: LinearSystem, lines: Sequence[tuple[int, int, int]]) -> None:
+    """Reject a line (i, j, alpha) that does not join two distinct base points
+    of sys, given by flattened point indices, or has alpha < 1."""
+    h = sys.total_points
+    for i, j, alpha in lines:
+        if i == j or not (0 <= i < h and 0 <= j < h):
+            raise ValueError(f"line scheme ({i},{j}) must join two distinct base points")
+        if alpha < 1:
+            raise ValueError("line multiplicity must be >= 1")
+
+
 def lower_h0(sys: LinearSystem, lines: Sequence[tuple[int, int, int]] = ()) -> int:
     """A proven lower bound on the generic h0 of a fat-point system over Q,
     the largest of five rules in integer arithmetic:
@@ -184,10 +195,8 @@ def lower_h0(sys: LinearSystem, lines: Sequence[tuple[int, int, int]] = ()) -> i
     4. the double rational normal curve, on a single P^n, n >= 2, d >= 2,
        with at most n+3 points, none of multiplicity above 2: the forms
        singular along the curve C of degree n through the points lie in L,
-       and C(n+d, n) - h0(O_2C(d)) of them are independent. From
-       0 -> N*_C -> O_2C -> O_C -> 0 and N_C = O(n+2)^(n-1),
-       h0(O_2C(d)) <= h0(O_C(d)) + h0(N*_C(d)) = dn+1 + (n-1)(dn-n-1)
-       = (d-1)n^2 + 2;
+       and at least C(n+d, n) - h0(O_2C(d)) of them are independent, with
+       h0(O_2C(d)) at most neighbourhood_count(n, 1, d, 2, e=n, c=n+2);
     5. a pencil: in rule 2, when monomial_count(e) >= h + 2 and lower(L -
        alpha Y) >= 1, lower(L) >= lower(L - alpha Y) + alpha. Take Y1, Y2
        through the points, G0 != 0 in L - alpha Y, Y1 not dividing Y2^alpha
@@ -195,13 +204,9 @@ def lower_h0(sys: LinearSystem, lines: Sequence[tuple[int, int, int]] = ()) -> i
        Y1^a Y2^(alpha-a) G0, a < alpha, are independent (reduce mod Y1).
 
     Each line (i, j, alpha) through base points i and j of a single P^n,
-    n >= 2, then subtracts at most its excess. In normal coordinates x' of
-    the line, F = sum_beta x'^beta F_beta, and vanishing to order alpha
-    along it means F_beta = 0 for |beta| < alpha. F_beta of order r is a
-    binary form of degree d - r vanishing to order (m_i - r)+ and (m_j - r)+
-    at the two points, so the line costs at most sum over r < alpha of
-    C(n-2+r, r) max(d - r + 1 - (m_i - r)+ - (m_j - r)+, 0) conditions: none
-    when alpha <= m_i + m_j - d, where the line is in the base locus.
+    n >= 2, then subtracts at most neighbourhood_count(n, 1, d, alpha,
+    points=(m_i, m_j)), the conditions it costs forms through the points:
+    none when alpha <= m_i + m_j - d, where the line is in the base locus.
     """
     mults = sys.point_multiplicities()
     bound = _lower_h0(sys.space.factors, sys.multidegree, tuple(sorted(mults, reverse=True)))
@@ -209,12 +214,10 @@ def lower_h0(sys: LinearSystem, lines: Sequence[tuple[int, int, int]] = ()) -> i
         return bound
     if sys.space.nfactors != 1 or sys.space.n < 2:
         raise ValueError("a line bound needs a single P^n with n >= 2")
+    check_lines(sys, lines)
     n, d = sys.space.n, sys.multidegree[0]
     for i, j, alpha in lines:
-        bound -= sum(
-            binom(n - 2 + r, r) * max(d - r + 1 - max(mults[i] - r, 0) - max(mults[j] - r, 0), 0)
-            for r in range(alpha)
-        )
+        bound -= neighbourhood_count(n, 1, d, alpha, points=(mults[i], mults[j]))
     return max(bound, 0)
 
 
@@ -227,7 +230,7 @@ def _lower_h0(factors: tuple[int, ...], degree: tuple[int, ...], mults: tuple[in
         if len(mults) <= n + 2:
             best = max(best, linear_expected_h0(n, d, mults))
         if n >= 2 and d >= 2 and len(mults) <= n + 3 and max(mults, default=0) <= 2:
-            best = max(best, binom(n + d, n) - (d - 1) * n * n - 2)
+            best = max(best, binom(n + d, n) - neighbourhood_count(n, 1, d, 2, e=n, c=n + 2))
 
     def through(e: tuple[int, ...]) -> bool:
         return any(e) and monomial_count(space, e) > len(mults)

@@ -297,6 +297,22 @@ def test_subspace_needs_s_below_n(capsys, monkeypatch):
             assert code == 2 and out == "" and f"need 1 <= s <= n-1, got s={s} in P^3" in err, (cmd, s)
 
 
+def test_multiplicity_past_the_degree_is_answered(capsys):
+    # a subspace, a line and a line step whose multiplicity runs past the
+    # degree: the normal orders above d have no conditions, so each valid
+    # (empty) system gets a negative verdict, not a binom input error
+    for variety, nu_by_alpha in (
+        (["P4:d=1:4x2", "--variety", "linear", "--s", "1"], {"1": 2, "2": -1, "3": -1, "4": -1}),
+        (["P3:d=1:4x2", "--variety", "line", "--pair", "0,1"], {"1": -31, "2": -21, "3": -9, "4": -1}),
+    ):
+        code, out, err = run(capsys, "classify", "--system", *variety)
+        rep = json.loads(out)
+        assert code == 1 and not rep["is_sev"] and rep["values"]["nu_by_alpha"] == nu_by_alpha, err
+    code, out, err = run(capsys, "classify", "--system", "P3:d=1:4x2", "--variety", "lines", "--pairs", "0-1:4")
+    rep = json.loads(out)
+    assert code == 1 and not rep["is_sev"] and rep["values"]["nu_steps"] == [-37, -1], err
+
+
 def test_line_needs_n_at_least_2(capsys):
     # a line of P^1 is the whole space: an input error, not a binom failure
     for cmd in ("classify", "h1check"):

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -8,11 +8,13 @@ from fatpoints.combinatorics import (
     binom,
     eta_product,
     linear_expected_h0,
+    neighbourhood_count,
     phi_hyp,
     phi_product,
     psi_hyp_alpha1,
     rising,
 )
+from fatpoints.effect_varieties import p3_rational_curve_chi
 
 
 def pascal_binom(a: int, b: int) -> int:
@@ -192,3 +194,58 @@ def test_linear_expected_h0_is_the_toric_count():
             for s in range(n + 2):
                 for mults in combinations_with_replacement(range(1, d + 2), s):
                     assert linear_expected_h0(n, d, mults) == toric_count(n, d, mults), (n, d, mults)
+
+
+def test_neighbourhood_count_is_the_monomial_count():
+    # forms of degree d modulo those vanishing to order m along the P^s
+    # x_{s+1} = ... = x_n = 0: the monomials whose degree in x_{s+1..n} is
+    # below m, counted one exponent vector at a time
+    for n in range(1, 6):
+        for d in range(9):
+            exps = [a for a in product(range(d + 1), repeat=n + 1) if sum(a) == d]
+            for s in range(n):
+                for m in range(10):
+                    want = sum(1 for a in exps if sum(a[s + 1 :]) < m)
+                    assert neighbourhood_count(n, s, d, m) == want, (n, s, d, m)
+    with pytest.raises(ValueError):
+        neighbourhood_count(3, 3, 2, 1)
+
+
+def test_neighbourhood_count_closed_forms():
+    # the double rational normal curve, N_C = O(n+2)^(n-1): (d-1)n^2 + 2 as
+    # an Euler characteristic for d >= 1, and as h0 for d >= 2; at d = 1 the
+    # normal term has no sections, which leaves the n + 1 of O_C(n)
+    for n in range(2, 8):
+        for d in range(1, 12):
+            rnc = neighbourhood_count(n, 1, d, 2, e=n, c=n + 2, euler=True)
+            assert rnc == (d - 1) * n * n + 2, (n, d)
+            h0 = neighbourhood_count(n, 1, d, 2, e=n, c=n + 2)
+            assert h0 == (rnc if d >= 2 else n + 1), (n, d)
+    # a rational curve of degree e in P^3: chi = 3de - 4e + 5; the h0 count
+    # differs at d = 1, e >= 3, where de - 2e + 1 < -1
+    for e in range(1, 9):
+        for d in range(1, 12):
+            chi = neighbourhood_count(3, 1, d, 2, e=e, c=2 * e - 1, euler=True)
+            assert chi == 3 * d * e - 4 * e + 5, (d, e)
+            assert p3_rational_curve_chi(d, e) == pascal_binom(d + 3, 3) - chi
+            h0 = neighbourhood_count(3, 1, d, 2, e=e, c=2 * e - 1)
+            assert (h0 == chi) == (d > 1 or e < 3), (d, e)
+    assert p3_rational_curve_chi(1, 3) == 2
+
+
+def test_neighbourhood_count_line_excess():
+    # the line through points of multiplicity mi and mj, written out: the
+    # normal derivatives of order r are binary forms of degree d - r with a
+    # (mi - r)+-fold and a (mj - r)+-fold point
+    for n in range(2, 6):
+        for d in range(9):
+            for mi in range(7):
+                for mj in range(mi + 1):
+                    for alpha in range(1, d + 4):
+                        want = sum(
+                            pascal_binom(n - 2 + r, r)
+                            * max(d - r + 1 - max(mi - r, 0) - max(mj - r, 0), 0)
+                            for r in range(alpha)
+                        )
+                        got = neighbourhood_count(n, 1, d, alpha, points=(mi, mj))
+                        assert got == want, (n, d, mi, mj, alpha)

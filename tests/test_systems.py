@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from fatpoints.oracle import h0_oracle
 from fatpoints.systems import (
     FatPointGroup,
     LinearSystem,
@@ -192,3 +193,15 @@ def test_lower_h0_with_lines():
     for spec in [([1], [3], [(1, 2)]), ([1, 1], [2, 2], [(1, 2)])]:
         with pytest.raises(ValueError):
             lower_h0(make_system(*spec), ((0, 1, 1),))
+
+
+def test_bad_lines_raise_in_lower_h0_and_the_oracle():
+    # a line must join two distinct base points with alpha >= 1: a missing
+    # point, a repeated one or a negative index that would wrap around is
+    # malformed input, never an IndexError or a silent bound
+    sys = make_system([3], [4], [(2, 3)])
+    for bad in ((0, 5, 2), (0, 0, 2), (-1, 1, 2), (0, 1, 0)):
+        with pytest.raises(ValueError, match="line"):
+            lower_h0(sys, (bad,))
+        with pytest.raises(ValueError, match="line"):
+            h0_oracle(sys, extra_schemes=(bad,))
