@@ -29,8 +29,6 @@ from .oracle import (
 from .systems import (
     FatPointGroup,
     LinearSystem,
-    monomial_count,
-    point_conditions,
     virtual_dim,
 )
 
@@ -155,20 +153,31 @@ class H1Report:
 # ---------------------------------------------------------------------------
 # residual virtual dimensions per variety class
 
+def _alpha_bound(degree: Sequence[int], mults: Sequence[int], Y: Hypersurface) -> int:
+    """The most times the divisor Y fits in a system of this degree and these
+    group multiplicities: floor(d/e) per factor with e > 0 and ceil(m/c) per
+    group on Y with multiplicity left. Below 1, L - Y is empty."""
+    if len(Y.multidegree) != len(degree):
+        raise ValueError("divisor multidegree length must match the space")
+    for g, _ in Y.point_mults:
+        if not (0 <= g < len(mults)):
+            raise ValueError(f"divisor references missing point group {g}")
+    return min(
+        [d // e for d, e in zip(degree, Y.multidegree) if e > 0]
+        + [-(-mults[g] // c) for g, c in Y.point_mults if mults[g] > 0]
+    )
+
+
 def residual_divisor(sys: LinearSystem, Y: Hypersurface, alpha: int) -> LinearSystem:
     """The system left after removing the divisor alpha times: multidegree
     d - alpha*e, point multiplicities m - alpha*c floored at zero."""
     if alpha < 1:
         raise ValueError("alpha must be >= 1")
-    if len(Y.multidegree) != sys.space.nfactors:
-        raise ValueError("divisor multidegree length must match the space")
+    _alpha_bound(sys.multidegree, [g.multiplicity for g in sys.points], Y)  # checks Y against sys
     new_deg = tuple(d - alpha * e for d, e in zip(sys.multidegree, Y.multidegree))
     if any(d < 0 for d in new_deg):
         raise ValueError(f"degree underflow: removing {alpha} x {Y.multidegree} from {sys.multidegree}")
     cuts = dict(Y.point_mults)
-    for g in cuts:
-        if not (0 <= g < len(sys.points)):
-            raise ValueError(f"divisor references missing point group {g}")
     groups = []
     for idx, g in enumerate(sys.points):
         m = g.multiplicity - alpha * cuts.get(idx, 0)
@@ -216,8 +225,8 @@ def rnc_double_residual_nu(d: int, n: int) -> int:
 def p3_rational_curve_chi(d: int, e: int) -> int:
     """Euler characteristic of the double removal of a degree-e smooth
     rational curve in P^3 from degree-d forms: C(d+3,3) - 3de + 4e - 5."""
-    if d < 1 or e < 1:
-        raise ValueError("need d >= 1 and e >= 1")
+    if d < 0 or e < 1:
+        raise ValueError("need d >= 0 and e >= 1")
     return binom(d + 3, 3) - neighbourhood_count(3, 1, d, 2, e=e, c=2 * e - 1, euler=True)
 
 
@@ -227,23 +236,40 @@ def line_point_overlap(m: int, alpha: int, n: int) -> int:
     return sum(binom(k + n - 2, n - 2) * (m - k) for k in range(min(alpha, m)))
 
 
-def _pair_mults(sys: LinearSystem, pair: tuple[int, int]) -> tuple[int, int]:
-    """Multiplicities of the two base points a line joins, in a P^n, n >= 2."""
-    if sys.space.factors == (1,):
-        raise ValueError("line candidates need n >= 2")
-    mults = sys.point_multiplicities()
-    i, j = pair
-    if not (0 <= i < len(mults) and 0 <= j < len(mults)):
-        raise ValueError(f"line pair {pair} references missing points")
-    return mults[i], mults[j]
-
-
-def _line_step_chi(sys: LinearSystem, pair: tuple[int, int], alpha: int) -> int:
+def _line_step_chi(sys: LinearSystem, Y: Line, alpha: int) -> int:
     """chi of the restriction of the accumulated system to a new alpha-fold
     line; its negative is the change in virtual dimension."""
-    mults, n = _pair_mults(sys, pair), sys.space.n
+    _, mults = _curve_data(sys, Y)
+    n = sys.space.n
     overlap = sum(line_point_overlap(m, alpha, n) for m in mults)
     return neighbourhood_count(n, 1, sys.multidegree[0], alpha) - overlap
+
+
+def _curve_data(sys: LinearSystem, Y: EffectVariety) -> tuple[int, list[int]]:
+    """Curve degree and the multiplicities of the base points on it, for a
+    curve class in the space where it lives: the rational normal curve
+    through up to n+3 points, a P^3 curve through up to its general-position
+    cap (else 2e) and the line joining two base points of a P^n, n >= 2."""
+    mults = list(sys.point_multiplicities())
+    if isinstance(Y, RationalNormalCurve):
+        if sys.space.nfactors != 1:
+            raise NotImplementedError("rational normal curves live in a single P^n")
+        n = sys.space.n
+        return n, mults[: n + 3]
+    if isinstance(Y, RationalCurveP3):
+        if sys.space.factors != (3,):
+            raise NotImplementedError("this curve class lives in P^3")
+        return Y.e, mults[: GENERAL_POSITION_CAP.get(Y.e, 2 * Y.e)]
+    if isinstance(Y, Line):
+        if sys.space.nfactors != 1:
+            raise NotImplementedError("line candidates live in a single P^n")
+        if sys.space.n == 1:
+            raise ValueError("line candidates need n >= 2")
+        i, j = Y.through_pair
+        if max(i, j) >= len(mults):
+            raise ValueError(f"line pair {Y.through_pair} references missing points")
+        return 1, [mults[i], mults[j]]
+    raise NotImplementedError(f"unsupported variety class {type(Y).__name__}")
 
 
 def curve_restriction_cohomology(
@@ -288,13 +314,8 @@ def _scan_report(
 
 def _classify_divisor(sys: LinearSystem, Y: Hypersurface, checks: dict[str, bool]) -> SevReport:
     """The divisor verdict, which also requires the caller's own checks."""
-    values: dict[str, object] = {}
-    bounds = [d // e for d, e in zip(sys.multidegree, Y.multidegree) if e > 0]
-    for g, c in Y.point_mults:
-        m = sys.points[g].multiplicity
-        bounds.append(-(-m // c))  # ceil(m/c)
-    alpha_bound = min(bounds)
-    values["alpha_bound"] = alpha_bound
+    alpha_bound = _alpha_bound(sys.multidegree, [g.multiplicity for g in sys.points], Y)
+    values: dict[str, object] = {"alpha_bound": alpha_bound}
     checks["alpha_admissible"] = alpha_bound >= 1
     if alpha_bound < 1:
         return SevReport(False, False, 0, virtual_dim(sys), None, checks, values)
@@ -335,25 +356,21 @@ def _require_double_points(sys: LinearSystem, what: str) -> None:
 
 
 def _classify_rnc(sys: LinearSystem, Y: RationalNormalCurve) -> SevReport:
-    if sys.space.nfactors != 1:
-        raise NotImplementedError("rational normal curves live in a single P^n")
+    n, on = _curve_data(sys, Y)
     _require_double_points(sys, "rational normal curve")
-    n, h = sys.space.n, sys.total_points
-    on_curve = min(h, n + 3)  # the curve is determined by n+3 general points
+    h = sys.total_points
     nu = rnc_double_residual_nu(sys.multidegree[0], n)
-    values: dict[str, object] = {"points_on_curve": on_curve, "nu_double_curve": nu}
-    return _scan_report(sys, {2: nu - (h - on_curve) * (n + 1)}, {}, values)
+    values: dict[str, object] = {"points_on_curve": len(on), "nu_double_curve": nu}
+    return _scan_report(sys, {2: nu - (h - len(on)) * (n + 1)}, {}, values)
 
 
 def _classify_p3_curve(sys: LinearSystem, Y: RationalCurveP3) -> SevReport:
-    if sys.space.nfactors != 1 or sys.space.n != 3:
-        raise NotImplementedError("this curve class lives in P^3")
+    e, on = _curve_data(sys, Y)
     _require_double_points(sys, "rational curve")
-    d, h, e = sys.multidegree[0], sys.total_points, Y.e
+    d, h = sys.multidegree[0], sys.total_points
     checks = {"curve_through_points": 2 * e >= h}
-    span_cap = GENERAL_POSITION_CAP.get(e)
-    if span_cap is not None:
-        checks["points_general_position"] = h <= span_cap
+    if e in GENERAL_POSITION_CAP:
+        checks["points_general_position"] = len(on) == h
     chi = p3_rational_curve_chi(d, e)
     values: dict[str, object] = {"chi": chi}
     if e == 1:
@@ -362,13 +379,9 @@ def _classify_p3_curve(sys: LinearSystem, Y: RationalCurveP3) -> SevReport:
 
 
 def _classify_line(sys: LinearSystem, Y: Line) -> SevReport:
-    if sys.space.nfactors != 1:
-        raise NotImplementedError("line candidates live in a single P^n")
+    _, on = _curve_data(sys, Y)
     nu_sys = virtual_dim(sys)
-    nu_of_alpha = {
-        a: nu_sys - _line_step_chi(sys, Y.through_pair, a)
-        for a in range(1, max(_pair_mults(sys, Y.through_pair)) + 1)
-    }
+    nu_of_alpha = {a: nu_sys - _line_step_chi(sys, Y, a) for a in range(1, max(on) + 1)}
     return _scan_report(sys, nu_of_alpha, {}, {})
 
 
@@ -419,36 +432,27 @@ def classify_configuration(
     if kinds <= {Hypersurface}:
         # per-group bookkeeping keeps the point_mults group indices stable
         # even after a step exhausts some multiplicities
-        deg = list(sys.multidegree)
+        deg = sys.multidegree
         mults = [g.multiplicity for g in sys.points]
-        counts = [g.count for g in sys.points]
         admissible = True
+        residual = sys
         for step in steps:
             Y = step.variety
             assert isinstance(Y, Hypersurface)
-            if len(Y.multidegree) != sys.space.nfactors:
-                raise ValueError("divisor multidegree length must match the space")
-            bound = min(
-                [d // e for d, e in zip(deg, Y.multidegree) if e > 0]
-                + [-(-mults[g] // c) for g, c in Y.point_mults if mults[g] > 0]
-            )
-            admissible = admissible and step.alpha <= bound
-            deg = [d - step.alpha * e for d, e in zip(deg, Y.multidegree)]
+            admissible = admissible and step.alpha <= _alpha_bound(deg, mults, Y)
+            deg = tuple(d - step.alpha * e for d, e in zip(deg, Y.multidegree))
             if any(d < 0 for d in deg):
                 raise ValueError("degree underflow in configuration step")
             cuts = dict(Y.point_mults)
             mults = [max(m - step.alpha * cuts.get(g, 0), 0) for g, m in enumerate(mults)]
-            cond = sum(
-                c * point_conditions(m, sys.space) for m, c in zip(mults, counts) if m >= 1
+            residual = LinearSystem(
+                sys.space,
+                deg,
+                tuple(FatPointGroup(m, g.count) for m, g in zip(mults, sys.points) if m >= 1),
             )
-            nus.append(monomial_count(sys.space, deg) - 1 - cond)
+            nus.append(virtual_dim(residual))
         checks["alpha_admissible"] = admissible
-        oracle_sys = LinearSystem(
-            sys.space,
-            tuple(deg),
-            tuple(FatPointGroup(m, c) for m, c in zip(mults, counts) if m >= 1),
-        )
-        oracle_lines: list[tuple[int, int, int]] = []
+        lines: list[tuple[int, int, int]] = []
     elif kinds <= {Line}:
         seen: list[tuple[tuple[int, int], int]] = []
         absorbed = True
@@ -465,10 +469,10 @@ def classify_configuration(
                 for pt in set(prev) & set(pair):
                     absorbed = absorbed and mults[pt] >= step.alpha + prev_alpha - 1
             seen.append((pair, step.alpha))
-            nus.append(nus[-1] - _line_step_chi(sys, Y.through_pair, step.alpha))
+            nus.append(nus[-1] - _line_step_chi(sys, Y, step.alpha))
         checks["line_overlaps_absorbed"] = absorbed
-        oracle_sys = sys
-        oracle_lines = [(s.variety.through_pair[0], s.variety.through_pair[1], s.alpha) for s in steps]  # type: ignore[union-attr]
+        residual = sys
+        lines = [(*s.variety.through_pair, s.alpha) for s in steps]  # type: ignore[union-attr]
     else:
         raise NotImplementedError(
             "configurations chain all divisors or all lines; classify a single "
@@ -482,7 +486,7 @@ def classify_configuration(
     values["nu_steps"] = nus
     values["step_deltas"] = deltas
 
-    res = h0_oracle(oracle_sys, oracle_cfg, extra_schemes=tuple(oracle_lines))
+    res = h0_oracle(residual, oracle_cfg, extra_schemes=tuple(lines))
     checks["oracle_h0_positive"] = res.h0 >= 1
     values["oracle_h0"] = res.h0
     values["oracle_check"] = "sufficient-only"
@@ -504,27 +508,6 @@ def classify_configuration(
 # ---------------------------------------------------------------------------
 # h1-special-effect check
 
-def _curve_data(sys: LinearSystem, Y: EffectVariety) -> tuple[int, list[int]] | None:
-    """Curve degree and the multiplicities of the base points on it; a curve
-    class lives where classify_alpha_sev accepts it."""
-    mults = list(sys.point_multiplicities())
-    if isinstance(Y, RationalNormalCurve):
-        if sys.space.nfactors != 1:
-            raise NotImplementedError("rational normal curves live in a single P^n")
-        n = sys.space.n
-        return n, mults[: min(len(mults), n + 3)]
-    if isinstance(Y, RationalCurveP3):
-        if sys.space.factors != (3,):
-            raise NotImplementedError("this curve class lives in P^3")
-        cap = GENERAL_POSITION_CAP.get(Y.e, 2 * Y.e)
-        return Y.e, mults[: min(len(mults), cap)]
-    if isinstance(Y, Line):
-        if sys.space.nfactors != 1:
-            raise NotImplementedError("line candidates live in a single P^n")
-        return 1, list(_pair_mults(sys, Y.through_pair))
-    return None
-
-
 def h1_sev_check(
     sys: LinearSystem, Y: EffectVariety, oracle_cfg: OracleConfig | None = None
 ) -> H1Report:
@@ -534,77 +517,54 @@ def h1_sev_check(
     divisor residuals; smooth rational curves through double points);
     otherwise the report flags it unhandled and leaves (c) unestablished."""
     values: dict[str, object] = {}
-
     if isinstance(Y, Hypersurface):
-        res_sys = residual_divisor(sys, Y, 1)
-        r_full = h0_oracle(sys, oracle_cfg)
-        r_res = h0_oracle(res_sys, oracle_cfg)
-        h0_restr = r_full.h0 - r_res.h0
-        chi_restr = virtual_dim(sys) - virtual_dim(res_sys)
-        h1_restr = h0_restr - chi_restr
-        effective = r_res.h0 >= 1
+        empty = _alpha_bound(sys.multidegree, [g.multiplicity for g in sys.points], Y) < 1
+        h0_full = h0_oracle(sys, oracle_cfg).h0
+        if empty:  # no residual system: no sections, and no chi to take
+            h0_res, chi_restr = 0, None
+        else:
+            res_sys = residual_divisor(sys, Y, 1)
+            h0_res = h0_oracle(res_sys, oracle_cfg).h0
+            chi_restr = virtual_dim(sys) - virtual_dim(res_sys)
+        h0_restr = h0_full - h0_res
+        h1_restr = None if chi_restr is None else h0_restr - chi_restr
+        handled = h0_res >= 1  # an effective residual has no h2
         values.update(
-            h0_system=r_full.h0,
-            h0_residual=r_res.h0,
+            h0_system=h0_full,
+            h0_residual=h0_res,
             h0_restriction=h0_restr,
             chi_restriction=chi_restr,
             h1_restriction=h1_restr,
-            h2_residual=0 if effective else None,
+            h2_residual=0 if handled else None,
         )
-        return H1Report(
-            cond_a=h0_restr == 0,
-            cond_b=r_res.h0 >= 1,
-            cond_c=effective and h1_restr > 0,
-            h2_handled=effective,
-            values=values,
-        )
-
-    if isinstance(Y, LinearSubspace):
+    elif isinstance(Y, LinearSubspace):
         _check_subspace(sys, Y)
         restricted = restrict_to_subspace(sys, Y.s, points_on=Y.through_first)
         rr = h0_oracle(restricted, oracle_cfg)
-        cond_a = rr.h0 == 0
-        assert rr.h1 is not None
-        values.update(h0_restriction=rr.h0, h1_restriction=rr.h1)
-        if cond_a:
+        h0_restr, h1_restr, handled = rr.h0, rr.h1, False
+        values.update(h0_restriction=h0_restr, h1_restriction=h1_restr)
+        if h0_restr == 0:
             # the restriction sequence then identifies h0(L - Y) with h0(L)
             h0_res = h0_oracle(sys, oracle_cfg).h0
         else:
             h0_res = h0_oracle(sys, oracle_cfg, subspace=SubspaceScheme(Y.s, Y.through_first)).h0
         values.update(h0_residual=h0_res, h2_residual=None)
-        return H1Report(
-            cond_a=cond_a,
-            cond_b=h0_res >= 1,
-            cond_c=False,
-            h2_handled=False,
-            values=values,
-        )
-
-    curve = _curve_data(sys, Y)
-    if curve is None:
-        raise NotImplementedError(f"unsupported variety class {type(Y).__name__}")
-    e, mults_on = curve
-    h0_restr, h1_restr = curve_restriction_cohomology(sys, e, mults_on)
-    cond_a = h0_restr == 0
-    values.update(
-        restriction_degree=sys.multidegree[0] * e - sum(mults_on),
-        h0_restriction=h0_restr,
-        h1_restriction=h1_restr,
-    )
-    h0_full = h0_oracle(sys, oracle_cfg).h0
-    if cond_a:
-        h0_res = h0_full
-        values["h0_residual"] = h0_res
     else:
-        # only the exact-sequence lower bound is available
-        h0_res = max(h0_full - h0_restr, 0)
-        values["h0_residual_lower_bound"] = h0_res
-    handled = all(m == 2 for m in mults_on)
-    values["h2_residual"] = 0 if handled else None
-    return H1Report(
-        cond_a=cond_a,
-        cond_b=h0_res >= 1,
-        cond_c=handled and h1_restr > 0,
-        h2_handled=handled,
-        values=values,
-    )
+        e, mults_on = _curve_data(sys, Y)
+        h0_restr, h1_restr = curve_restriction_cohomology(sys, e, mults_on)
+        values.update(
+            restriction_degree=sys.multidegree[0] * e - sum(mults_on),
+            h0_restriction=h0_restr,
+            h1_restriction=h1_restr,
+        )
+        h0_full = h0_oracle(sys, oracle_cfg).h0
+        if h0_restr == 0:
+            h0_res = h0_full
+            values["h0_residual"] = h0_res
+        else:
+            # only the exact-sequence lower bound is available
+            h0_res = max(h0_full - h0_restr, 0)
+            values["h0_residual_lower_bound"] = h0_res
+        handled = all(m == 2 for m in mults_on)
+        values["h2_residual"] = 0 if handled else None
+    return H1Report(h0_restr == 0, h0_res >= 1, handled and h1_restr > 0, handled, values)

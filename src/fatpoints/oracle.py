@@ -624,7 +624,7 @@ def _oracle_series(
     the number of columns that its frame points and the lines joining them
     delete, plus the rank of its other rows, which are built on the columns
     left only: the one column restriction that a subspace call also uses.
-    Subspace calls sample every point.
+    Subspace calls sample every point and build all their lines as rows.
 
     PGL(n_f + 1) acts transitively on general (n_f + 1)-tuples of points of
     each factor, so the configurations with the frame fixed meet the open
@@ -690,7 +690,7 @@ def _oracle_series(
         gone[-1] = int(drop.sum())  # a line call has one cut, of all its points
         cols = builder.cols
     else:
-        frame, gone, lines = 0, [0], []
+        frame, gone, lines = 0, [0], list(extra_schemes)
         drop = ~builder.E[:, subspace.s + 1 :].any(axis=1)
         cols = builder.cols - int(drop.sum())
     builder.E = builder.E[~drop]

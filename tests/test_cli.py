@@ -313,6 +313,29 @@ def test_multiplicity_past_the_degree_is_answered(capsys):
     assert code == 1 and not rep["is_sev"] and rep["values"]["nu_steps"] == [-37, -1], err
 
 
+def test_empty_residual_is_a_verdict(capsys):
+    # planes through 2 points less a quadric, and constants double at 2
+    # points less a double line: L - Y is empty, a negative verdict (exit 1)
+    code, out, err = run(capsys, "h1check", "--system", "P3:d=1:1x2", "--variety", "quadric")
+    rep = json.loads(out)
+    assert code == 1 and not rep["cond_b"], err
+    assert {k: rep["values"][k] for k in ("h0_system", "h0_residual", "h0_restriction")} == {
+        "h0_system": 2, "h0_residual": 0, "h0_restriction": 2
+    }
+    assert all(rep["values"][k] is None for k in ("chi_restriction", "h1_restriction", "h2_residual"))
+    code, out, err = run(
+        capsys, "classify", "--system", "P3:d=0:2x2", "--variety", "curve", "--curve-degree", "1"
+    )
+    rep = json.loads(out)
+    assert code == 1 and not rep["is_sev"], err
+    assert rep["values"]["chi"] == 0 and rep["nu_residual"] == -1
+    assert not rep["checks"]["residual_nonneg"]
+    # a divisor of the wrong length is still malformed input, empty or not
+    for e in ("3", "1"):
+        code, out, err = run(capsys, "h1check", "--system", "P1xP1:d=1,1:1x2", "--variety", "hypersurface", "--e", e)
+        assert code == 2 and out == "" and "multidegree length" in err, e
+
+
 def test_line_needs_n_at_least_2(capsys):
     # a line of P^1 is the whole space: an input error, not a binom failure
     for cmd in ("classify", "h1check"):

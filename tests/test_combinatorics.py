@@ -231,6 +231,9 @@ def test_neighbourhood_count_closed_forms():
             h0 = neighbourhood_count(3, 1, d, 2, e=e, c=2 * e - 1)
             assert (h0 == chi) == (d > 1 or e < 3), (d, e)
     assert p3_rational_curve_chi(1, 3) == 2
+    # chi(O_2C) = 5 - 4e, so the constants leave 1 - (5 - 4e) at d = 0
+    for e in range(1, 9):
+        assert p3_rational_curve_chi(0, e) == 4 * e - 4
 
 
 def test_neighbourhood_count_line_excess():

@@ -217,6 +217,25 @@ def test_configuration_product_divisor_pair():
         assert rep.values["nu_steps"] == [-1, 0, 0]
 
 
+def test_configuration_step_through_an_exhausted_group():
+    # a line through the simple point uses it up; the conic after it names
+    # that group again, which no longer bounds alpha, and the double group
+    # keeps its index
+    sys = make_system([2], [4], [(1, 1), (2, 4)])
+    steps = [
+        ConfigStep(Hypersurface((1,), ((0, 1),)), 1),
+        ConfigStep(Hypersurface((2,), ((0, 1), (1, 1))), 1),
+    ]
+    rep = classify_configuration(sys, steps, CFG)
+    assert rep.checks["alpha_admissible"]
+    assert rep.values["nu_steps"] == [
+        virtual_dim(sys),
+        virtual_dim(make_system([2], [3], [(2, 4)])),
+        virtual_dim(make_system([2], [1], [(1, 4)])),
+    ] == [1, -3, -2]
+    assert rep.values["oracle_h0"] == 0  # no line through 4 general points
+
+
 def test_configuration_rejects_mixed_and_empty():
     with pytest.raises(ValueError):
         classify_configuration(QUARTIC43, [])

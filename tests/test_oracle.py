@@ -487,6 +487,20 @@ def test_subspace_calls_certify_at_one_trial(monkeypatch):
         h0_oracle(sextic, OracleConfig(), subspace=plane)
 
 
+def test_subspace_call_keeps_its_lines():
+    # a form vanishing on the plane H is x_3 G, with G of degree d - 1, one
+    # order less at each point on H and along each line in H: so h0(L - H)
+    # with an alpha-fold line through two points on H is the pure line call
+    # of degree d - 1, multiplicity m - 1 and an (alpha - 1)-fold line
+    for d, m, alpha, h0 in [(6, 4, 3, 24), (6, 4, 2, 26), (5, 3, 2, 22), (7, 4, 3, 49), (6, 3, 3, 36)]:
+        on_plane = h0_oracle(
+            make_system([3], [d], [(m, 3)]), CFG,
+            extra_schemes=((0, 1, alpha),), subspace=SubspaceScheme(2, 3),
+        )
+        divided = h0_oracle(make_system([3], [d - 1], [(m - 1, 3)]), CFG, extra_schemes=((0, 1, alpha - 1),))
+        assert on_plane.h0 == divided.h0 == h0, (d, m, alpha)
+
+
 def test_double_point_product_cuts_certify_at_one_trial():
     # the forms of degree e = d/2 through the h points span V of dimension
     # k = monomial_count(e) - h, and h0 = C(k+1, 2), that of Sym^2 V: k = 2
