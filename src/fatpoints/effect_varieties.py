@@ -153,17 +153,20 @@ class H1Report:
 # ---------------------------------------------------------------------------
 # residual virtual dimensions per variety class
 
-def _alpha_bound(degree: Sequence[int], mults: Sequence[int], Y: Hypersurface) -> int:
-    """The most times the divisor Y fits in a system of this degree and these
-    group multiplicities: floor(d/e) per factor with e > 0 and ceil(m/c) per
-    group on Y with multiplicity left. Below 1, L - Y is empty."""
-    if len(Y.multidegree) != len(degree):
+def _alpha_bound(sys: LinearSystem, Y: Hypersurface, mults: Sequence[int] | None = None) -> int:
+    """The most times the divisor Y fits in sys: floor(d/e) per factor with
+    e > 0 and ceil(m/c) per group on Y with multiplicity left. Below 1, L - Y
+    is empty. ``mults`` gives one multiplicity per group of the original
+    system when sys is a running residual whose exhausted groups are gone."""
+    if mults is None:
+        mults = [g.multiplicity for g in sys.points]
+    if len(Y.multidegree) != len(sys.multidegree):
         raise ValueError("divisor multidegree length must match the space")
     for g, _ in Y.point_mults:
         if not (0 <= g < len(mults)):
             raise ValueError(f"divisor references missing point group {g}")
     return min(
-        [d // e for d, e in zip(degree, Y.multidegree) if e > 0]
+        [d // e for d, e in zip(sys.multidegree, Y.multidegree) if e > 0]
         + [-(-mults[g] // c) for g, c in Y.point_mults if mults[g] > 0]
     )
 
@@ -173,7 +176,7 @@ def residual_divisor(sys: LinearSystem, Y: Hypersurface, alpha: int) -> LinearSy
     d - alpha*e, point multiplicities m - alpha*c floored at zero."""
     if alpha < 1:
         raise ValueError("alpha must be >= 1")
-    _alpha_bound(sys.multidegree, [g.multiplicity for g in sys.points], Y)  # checks Y against sys
+    _alpha_bound(sys, Y)  # checks Y against sys
     new_deg = tuple(d - alpha * e for d, e in zip(sys.multidegree, Y.multidegree))
     if any(d < 0 for d in new_deg):
         raise ValueError(f"degree underflow: removing {alpha} x {Y.multidegree} from {sys.multidegree}")
@@ -292,9 +295,11 @@ def _scan_report(
     nu_of_alpha: dict[int, int],
     checks: dict[str, bool],
     values: dict[str, object],
+    residual_empty: bool = False,
 ) -> SevReport:
     """Shared verdict logic: largest alpha whose removal beats nu(L), the
-    decreasing tail above it, and effectiveness of the residual."""
+    decreasing tail above it, and effectiveness of the residual, which
+    ``residual_empty`` denies whatever its virtual dimension."""
     nu_sys = virtual_dim(sys)
     winners = [a for a, nu in nu_of_alpha.items() if nu > nu_sys]
     alpha_max = max(winners) if winners else 0
@@ -307,14 +312,15 @@ def _scan_report(
     checks["beta_tail_decreases"] = all(
         nu < nu_res for a, nu in nu_of_alpha.items() if a > alpha_max
     )
-    checks["residual_nonneg"] = nu_res >= 0
+    checks["residual_nonneg"] = nu_res >= 0 and not residual_empty
     holds = all(v for k, v in checks.items() if k != "residual_nonneg")
-    return SevReport(holds, holds and nu_res >= 0, alpha_max, nu_sys, nu_res, checks, values)
+    is_sev = holds and checks["residual_nonneg"]
+    return SevReport(holds, is_sev, alpha_max, nu_sys, nu_res, checks, values)
 
 
 def _classify_divisor(sys: LinearSystem, Y: Hypersurface, checks: dict[str, bool]) -> SevReport:
     """The divisor verdict, which also requires the caller's own checks."""
-    alpha_bound = _alpha_bound(sys.multidegree, [g.multiplicity for g in sys.points], Y)
+    alpha_bound = _alpha_bound(sys, Y)
     values: dict[str, object] = {"alpha_bound": alpha_bound}
     checks["alpha_admissible"] = alpha_bound >= 1
     if alpha_bound < 1:
@@ -375,7 +381,8 @@ def _classify_p3_curve(sys: LinearSystem, Y: RationalCurveP3) -> SevReport:
     values: dict[str, object] = {"chi": chi}
     if e == 1:
         values["nu_as_multiple_line"] = binom(d + 3, 3) - 1 - neighbourhood_count(3, 1, d, 2)
-    return _scan_report(sys, {2: chi - 1}, checks, values)
+    # no nonzero constant vanishes on C: at d = 0, L - 2C is empty whatever chi says
+    return _scan_report(sys, {2: chi - 1}, checks, values, residual_empty=d == 0)
 
 
 def _classify_line(sys: LinearSystem, Y: Line) -> SevReport:
@@ -432,15 +439,14 @@ def classify_configuration(
     if kinds <= {Hypersurface}:
         # per-group bookkeeping keeps the point_mults group indices stable
         # even after a step exhausts some multiplicities
-        deg = sys.multidegree
         mults = [g.multiplicity for g in sys.points]
         admissible = True
         residual = sys
         for step in steps:
             Y = step.variety
             assert isinstance(Y, Hypersurface)
-            admissible = admissible and step.alpha <= _alpha_bound(deg, mults, Y)
-            deg = tuple(d - step.alpha * e for d, e in zip(deg, Y.multidegree))
+            admissible = admissible and step.alpha <= _alpha_bound(residual, Y, mults)
+            deg = tuple(d - step.alpha * e for d, e in zip(residual.multidegree, Y.multidegree))
             if any(d < 0 for d in deg):
                 raise ValueError("degree underflow in configuration step")
             cuts = dict(Y.point_mults)
@@ -518,7 +524,7 @@ def h1_sev_check(
     otherwise the report flags it unhandled and leaves (c) unestablished."""
     values: dict[str, object] = {}
     if isinstance(Y, Hypersurface):
-        empty = _alpha_bound(sys.multidegree, [g.multiplicity for g in sys.points], Y) < 1
+        empty = _alpha_bound(sys, Y) < 1
         h0_full = h0_oracle(sys, oracle_cfg).h0
         if empty:  # no residual system: no sections, and no chi to take
             h0_res, chi_restr = 0, None

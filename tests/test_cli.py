@@ -330,6 +330,15 @@ def test_empty_residual_is_a_verdict(capsys):
     assert code == 1 and not rep["is_sev"], err
     assert rep["values"]["chi"] == 0 and rep["nu_residual"] == -1
     assert not rep["checks"]["residual_nonneg"]
+    # a conic: chi(O_2C) = -3 leaves nu_residual 3 above nu(L) = -12, but no
+    # nonzero constant vanishes on C, so L - 2C is still empty
+    code, out, err = run(
+        capsys, "classify", "--system", "P3:d=0:2x3", "--variety", "curve", "--curve-degree", "2"
+    )
+    rep = json.loads(out)
+    assert code == 1 and not rep["is_sev"] and rep["holds_property"], err
+    assert (rep["values"]["chi"], rep["nu_residual"], rep["nu_system"]) == (4, 3, -12)
+    assert not rep["checks"]["residual_nonneg"]
     # a divisor of the wrong length is still malformed input, empty or not
     for e in ("3", "1"):
         code, out, err = run(capsys, "h1check", "--system", "P1xP1:d=1,1:1x2", "--variety", "hypersurface", "--e", e)
