@@ -47,13 +47,11 @@ from .systems import (
     LinearSystem,
     Space,
     dim_report,
-    expected_dim,
     lower_h0,
     make_system,
     monomial_count,
     point_conditions,
     system_from_json,
-    system_to_json,
     virtual_dim,
 )
 

@@ -381,8 +381,9 @@ def _classify_p3_curve(sys: LinearSystem, Y: RationalCurveP3) -> SevReport:
     values: dict[str, object] = {"chi": chi}
     if e == 1:
         values["nu_as_multiple_line"] = binom(d + 3, 3) - 1 - neighbourhood_count(3, 1, d, 2)
-    # no nonzero constant vanishes on C: at d = 0, L - 2C is empty whatever chi says
-    return _scan_report(sys, {2: chi - 1}, checks, values, residual_empty=d == 0)
+    # no nonzero form of degree d <= 1 is singular along a curve: there L - 2C
+    # is empty whatever chi says
+    return _scan_report(sys, {2: chi - 1}, checks, values, residual_empty=d < 2)
 
 
 def _classify_line(sys: LinearSystem, Y: Line) -> SevReport:

@@ -273,27 +273,20 @@ def _factor(
     return pivots, _unit_lower_inverse(A[r : r + len(pivots)][:, pivots], p)
 
 
-def _pivot_columns(A: np.ndarray, p: int) -> list[int]:
-    """Pivot columns of an integer matrix over F_p, for a prime p < 2^31:
-    column c is listed exactly when it is independent of the columns before
-    it (the column rank profile).
-
-    Right-looking blocked LU in int64: each PANEL-column panel of the
-    unreduced rows is factored in place (_factor), then its elimination is
-    carried over to the columns right of it (_eliminate_right).
-    """
-    if not 1 < p < MAX_PRIME:
-        raise ValueError(f"rank_mod_p needs a prime below 2^31, got {p}")
-    if A.size == 0:
-        return []
-    A = np.remainder(np.asarray(A, dtype=np.int64), p, order="C")
+def _eliminate(A: np.ndarray, stop: int, p: int) -> list[int]:
+    """Factor the first stop columns of a C-contiguous int64 matrix A reduced
+    mod p, in place, and return their pivot columns. Right-looking blocked
+    LU: each PANEL-column panel of the unreduced rows is factored (_factor),
+    then its elimination is carried over to the last column
+    (_eliminate_right). The pivot rows end on top, and the rows below them
+    hold the Schur complement right of column stop."""
     m, n = A.shape
     r = 0
     out: list[int] = []
-    for c0 in range(0, n, PANEL):
+    for c0 in range(0, stop, PANEL):
         if r == m:
             break
-        c1 = min(c0 + PANEL, n)
+        c1 = min(c0 + PANEL, stop)
         pivots, Linv = _factor(A, r, c0, c1, p, c1 < n)
         _eliminate_right(A, r, pivots, Linv, c1, n, p)
         out += pivots
@@ -301,24 +294,21 @@ def _pivot_columns(A: np.ndarray, p: int) -> list[int]:
     return out
 
 
+def _pivot_columns(A: np.ndarray, p: int) -> list[int]:
+    """Pivot columns of an integer matrix over F_p, for a prime p < 2^31:
+    column c is listed exactly when it is independent of the columns before
+    it (the column rank profile)."""
+    if not 1 < p < MAX_PRIME:
+        raise ValueError(f"rank_mod_p needs a prime below 2^31, got {p}")
+    if A.size == 0:
+        return []
+    A = np.remainder(np.asarray(A, dtype=np.int64), p, order="C")
+    return _eliminate(A, A.shape[1], p)
+
+
 def rank_mod_p(A: np.ndarray, p: int) -> int:
     """Rank of an integer matrix over F_p, for a prime p < 2^31."""
     return len(_pivot_columns(A, p))
-
-
-def _kernel_values(R: np.ndarray, S: np.ndarray, p: int) -> np.ndarray | None:
-    """S x mod p for x over a basis of the kernel mod p of R, one row per x, or
-    None if the rows of R are dependent: row operations on [R^T | S^T] give
-    rows [(R x)^T | (S x)^T], and below the echelon form of R^T, R x = 0."""
-    B, h = np.remainder(np.hstack([R.T, S.T]), p), len(R)
-    for c in range(h):
-        nz = B[c:, c].nonzero()[0]
-        if nz.size == 0:
-            return None
-        B[[c, c + nz[0]]] = B[[c + nz[0], c]]
-        f = B[c + 1 :, c] * pow(int(B[c, c]), -1, p) % p
-        B[c + 1 :] = (B[c + 1 :] - f[:, None] * B[c] % p) % p
-    return B[h:, h:]
 
 
 def _normalize_factor(coords: tuple[int, ...], p: int) -> tuple[int, ...]:
@@ -578,10 +568,13 @@ def _section_lower(sys: LinearSystem, cfg: OracleConfig, trial: int, value: int)
     p = cfg.prime.p
     half = _RowBuilder(LinearSystem(sys.space, e, ()), p)
     points = _trial_points(sys.space, h + min(binom(k + 1, 2), value) + 2, cfg, trial)
-    rows = half.rows(points, 1)  # the trial's h points, then further ones
-    values = _kernel_values(rows[:h], rows[h:], p)
-    if values is None:
+    # one column per point, the trial's h first: row operations give rows of
+    # values at the points of forms of degree e, and the Schur complement
+    # below the h pivot rows holds those of a basis of V at the further ones
+    B = np.remainder(half.rows(points, 1).T, p, order="C")
+    if len(_eliminate(B, h, p)) < h:
         return 0
+    values = B[h:, h:]
     i, j = np.triu_indices(k)
     return rank_mod_p(values[i] * values[j] % p, p)
 

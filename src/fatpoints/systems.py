@@ -165,10 +165,6 @@ def virtual_dim(sys: LinearSystem) -> int:
     return dim_report(sys).virtual_dim
 
 
-def expected_dim(sys: LinearSystem) -> int:
-    return dim_report(sys).expected_dim
-
-
 def check_lines(sys: LinearSystem, lines: Sequence[tuple[int, int, int]]) -> None:
     """Reject a line (i, j, alpha) that does not join two distinct base points
     of sys, given by flattened point indices, or has alpha < 1."""
@@ -249,18 +245,9 @@ def _lower_h0(factors: tuple[int, ...], degree: tuple[int, ...], mults: tuple[in
     return best
 
 
-# JSON wire format, shared by the CLI and the oracle:
-#   {"space":[3], "degree":[9], "points":[{"mult":6,"count":1},{"mult":4,"count":8}]}
-
-def system_to_json(sys: LinearSystem) -> dict:
-    return {
-        "space": list(sys.space.factors),
-        "degree": list(sys.multidegree),
-        "points": [{"mult": g.multiplicity, "count": g.count} for g in sys.points],
-    }
-
-
 def system_from_json(obj: dict | str) -> LinearSystem:
+    """A system from its JSON spec, a dict or its text:
+    {"space":[3], "degree":[9], "points":[{"mult":6,"count":1},{"mult":4,"count":8}]}"""
     if isinstance(obj, str):
         obj = json.loads(obj)
     if not isinstance(obj, dict):

@@ -26,7 +26,7 @@ from fatpoints.oracle import (
 )
 from fatpoints.cli import main
 from fatpoints.search import scan_product_divisors, verify_cgg
-from fatpoints.systems import expected_dim, make_system, virtual_dim
+from fatpoints.systems import dim_report, make_system, virtual_dim
 from fatpoints import verify
 
 CFG = OracleConfig()
@@ -60,7 +60,7 @@ def test_criterion_1_ah_reproduction():
     for n, d, h in AH_SPECIAL:
         sys = make_system([n], [d], [(2, h)])
         h0 = _checked_h0(sys, failures)
-        if not h0 - 1 > expected_dim(sys):
+        if not h0 - 1 > dim_report(sys).expected_dim:
             failures.append(("not-special", n, d, h))
         want = AH_CONTRACTED_H0.get((n, d, h))
         if want is not None and h0 != want:
@@ -72,7 +72,7 @@ def test_criterion_1_ah_reproduction():
                 if (n, d, h) in ah:
                     continue
                 sys = make_system([n], [d], [(2, h)])
-                if _checked_h0(sys, failures) - 1 > expected_dim(sys):
+                if _checked_h0(sys, failures) - 1 > dim_report(sys).expected_dim:
                     failures.append(("falsely-special", n, d, h))
     _report("criterion-1 AH reproduction", failures, time.monotonic() - t0, 60.0)
 
@@ -123,7 +123,7 @@ def test_criterion_4_quartic_triple_points():
         failures.append(("plane-2sev-nu", rep.values["nu_by_alpha"]))
     restricted = restrict_to_subspace(sys, 2)
     rr = cross_checked_h0(restricted, CFG)
-    if not (rr.agreed and rr.h0 - 1 > expected_dim(restricted)):
+    if not (rr.agreed and rr.h0 - 1 > dim_report(restricted).expected_dim):
         failures.append(("restricted-not-special", rr.h0))
     conf = classify_configuration(
         sys, [ConfigStep(Line(p), 2) for p in [(0, 1), (0, 2), (1, 2)]], CFG

@@ -32,7 +32,7 @@ from fatpoints.oracle import (
     sample_points,
 )
 from fatpoints.combinatorics import binom
-from fatpoints.systems import Space, dim_report, expected_dim, lower_h0, make_system, virtual_dim
+from fatpoints.systems import Space, dim_report, lower_h0, make_system, virtual_dim
 
 CFG = OracleConfig(trials=2, seed=4242)
 
@@ -71,8 +71,13 @@ def _product_mod(rng, m, r, n, p):
     """A random m x n matrix of rank at most r: an m x r times r x n product mod p."""
     a = np.array([[rng.randrange(p) for _ in range(r)] for _ in range(m)], dtype=np.int64)
     b = np.array([[rng.randrange(p) for _ in range(n)] for _ in range(r)], dtype=np.int64)
-    out = np.zeros((m, n), dtype=np.int64)
-    for k in range(r):  # one rank-one term at a time: each product is below 2^62
+    return _mul_mod(a, b, p)
+
+
+def _mul_mod(a, b, p):
+    """a @ b mod p for residues below 2^31."""
+    out = np.zeros((len(a), b.shape[1]), dtype=np.int64)
+    for k in range(len(b)):  # one rank-one term at a time: each product is below 2^62
         out = (out + a[:, k, None] * b[k] % p) % p
     return out
 
@@ -189,6 +194,74 @@ def test_pivot_profile_gives_every_prefix_rank():
         assert len(pivots) == rank_mod_p(mat, p)
         for k in range(m + 1):
             assert bisect_left(pivots, k) == slow_rank_mod_p(mat[:k].tolist(), p), (m, n, k)
+
+
+def slow_kernel_basis(rows, p):
+    """A basis of the kernel mod p of a matrix, one vector per free column
+    of its reduced row echelon form, by plain Python row operations."""
+    rows = [[int(x) % p for x in row] for row in rows]
+    pivots = []
+    for c in range(len(rows[0])):
+        k = len(pivots)
+        piv = next((i for i in range(k, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[k], rows[piv] = rows[piv], rows[k]
+        inv = pow(rows[k][c], -1, p)
+        rows[k] = [x * inv % p for x in rows[k]]
+        for i, row in enumerate(rows):
+            if i != k and row[c]:
+                rows[i] = [(x - row[c] * y) % p for x, y in zip(row, rows[k])]
+        pivots.append(c)
+    basis = []
+    for free in sorted(set(range(len(rows[0]))) - set(pivots)):
+        x = [0] * len(rows[0])
+        x[free] = 1
+        for i, c in enumerate(pivots):
+            x[c] = -rows[i][free] % p
+        basis.append(x)
+    return basis
+
+
+def test_eliminate_stops_with_the_schur_complement_below(monkeypatch):
+    # _eliminate(B, h, p) on B = [R^T | S^T] factors the h columns of R^T
+    # and leaves below its pivot rows [(R x)^T | (S x)^T] = [0 | (S x)^T]
+    # for x over a basis of the kernel of R: R has more than PANEL rows in
+    # the first case, and in the second a panel of more than 8 columns with
+    # more than 4 times as many rows, factored as two halves
+    widths = []
+    real_factor = oracle._factor
+
+    def recording(A, r, c0, c1, p, inverse):
+        widths.append(c1 - c0)
+        return real_factor(A, r, c0, c1, p, inverse)
+
+    monkeypatch.setattr(oracle, "_factor", recording)
+    rng = random.Random(17)
+    p = DEFAULT_PRIME
+    for h, q, N in [(70, 10, 100), (12, 5, 80)]:
+        R = _product_mod(rng, h, N, N, p)
+        # S mixes random rows with combinations of R, which vanish on its kernel
+        S = np.vstack(
+            [_product_mod(rng, q - 2, N, N, p), _mul_mod(_product_mod(rng, 2, h, h, p), R, p)]
+        )
+        # pivots for R of full row rank, then for a deficient one
+        for A in (R, _mul_mod(_product_mod(rng, h, h - 3, h, p), R, p)):
+            B = np.ascontiguousarray(np.hstack([A.T, S.T]))
+            widths.clear()
+            pivots = oracle._eliminate(B, h, p)
+            assert pivots == _pivot_columns(A.T, p) == slow_pivot_columns(A.T.tolist(), p)
+            assert h > PANEL or widths[:3] == [h, h // 2, h // 2]
+        B = np.ascontiguousarray(np.hstack([R.T, S.T]))
+        assert len(oracle._eliminate(B, h, p)) == h
+        below = B[h:, h:]
+        assert rank_mod_p(below, p) == rank_mod_p(np.vstack([R, S]), p) - h
+        K = slow_kernel_basis(R.tolist(), p)
+        assert len(K) == N - h
+        assert all(sum(int(a) * b for a, b in zip(row, x)) % p == 0 for x in K for row in R)
+        SK = [[sum(int(a) * b for a, b in zip(row, x)) % p for row in S] for x in K]
+        ours = below.tolist()
+        assert slow_rank_mod_p(ours, p) == slow_rank_mod_p(SK, p) == slow_rank_mod_p(ours + SK, p)
 
 
 def test_exact_product_at_the_bound():
@@ -930,7 +1003,7 @@ def test_product_oracle_values():
 def test_expected_dim_guard_on_special_flag():
     sys = make_system([3], [9], [(6, 1), (4, 8)])
     res = h0_oracle(sys, CFG)
-    assert res.special == (res.h0 - 1 > expected_dim(sys))
+    assert res.special == (res.h0 - 1 > dim_report(sys).expected_dim)
 
 
 def test_singular_quadrics_closed_form():
