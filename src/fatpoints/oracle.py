@@ -18,7 +18,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, product as iproduct
+from itertools import accumulate
 
 import numpy as np
 
@@ -40,7 +40,6 @@ PANEL = 64  # columns per elimination panel, and inner dimension of every produc
 CHUNK = 256  # rows per trailing update, which bounds its temporaries
 REDRAWS = 64  # draws allowed for each sampled point before sampling gives up
 
-Point = tuple[tuple[int, ...], ...]  # homogeneous coordinates, one tuple per factor
 LineScheme = tuple[int, int, int]  # (point index, point index, alpha)
 
 
@@ -153,21 +152,28 @@ class CrossCheckedH0:
 
 
 @lru_cache(maxsize=None)
-def _factor_exponents(nvars: int, degree: int) -> tuple[tuple[int, ...], ...]:
+def _factor_exponents(nvars: int, degree: int) -> np.ndarray:
+    """Exponent vectors of one degree in nvars variables, one read-only row
+    each, lexicographically decreasing."""
     if nvars == 1:
-        return ((degree,),)
-    out = []
-    for a in range(degree, -1, -1):
-        for rest in _factor_exponents(nvars - 1, degree - a):
-            out.append((a, *rest))
-    return tuple(out)
+        out = np.array([[degree]], dtype=np.int64)
+    else:
+        rests = [_factor_exponents(nvars - 1, degree - a) for a in range(degree, -1, -1)]
+        lead = np.repeat(np.arange(degree, -1, -1), [len(rest) for rest in rests])
+        out = np.column_stack([lead, np.vstack(rests)])
+    out.flags.writeable = False
+    return out
 
 
 @lru_cache(maxsize=None)
-def _basis(factors: tuple[int, ...], multidegree: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Monomial exponent vectors, factor blocks concatenated, lexicographic."""
-    per_factor = [_factor_exponents(n + 1, d) for n, d in zip(factors, multidegree)]
-    return tuple(tuple(x for block in combo for x in block) for combo in iproduct(*per_factor))
+def _basis(factors: tuple[int, ...], multidegree: tuple[int, ...]) -> np.ndarray:
+    """Monomial exponent vectors, one read-only int64 row each, factor
+    blocks concatenated, lexicographic."""
+    blocks = [_factor_exponents(n + 1, d) for n, d in zip(factors, multidegree)]
+    picks = np.indices([len(b) for b in blocks]).reshape(len(blocks), -1)
+    out = np.hstack([b[i] for b, i in zip(blocks, picks)])
+    out.flags.writeable = False
+    return out
 
 
 def _halves(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -311,11 +317,33 @@ def rank_mod_p(A: np.ndarray, p: int) -> int:
     return len(_pivot_columns(A, p))
 
 
-def _normalize_factor(coords: tuple[int, ...], p: int) -> tuple[int, ...]:
-    """Scale so the largest-index nonzero coordinate becomes 1."""
-    chart = max(i for i, x in enumerate(coords) if x % p != 0)
-    inv = pow(coords[chart] % p, -1, p)
-    return tuple((x * inv) % p for x in coords)
+def _inverses(xs: list[int], p: int) -> list[int]:
+    """Inverses mod p of nonzero residues from one pow: each is the inverse
+    of the product of all times the product of the others (Montgomery)."""
+    prefix = [1, *accumulate(xs, lambda a, b: a * b % p)]
+    inv, out = pow(prefix.pop(), -1, p), []
+    for x, before in zip(reversed(xs), reversed(prefix)):
+        out.append(inv * before % p)
+        inv = inv * x % p
+    return out[::-1]
+
+
+def _normalize(X: np.ndarray, factors: tuple[int, ...], p: int) -> np.ndarray:
+    """Scale each factor of each row of X, residues mod p, in place so that
+    its last nonzero coordinate is 1; return those coordinates' columns, one
+    row per point and one column per factor."""
+    charts = np.empty((len(X), len(factors)), dtype=np.int64)
+    end = 0
+    for f, n in enumerate(factors):
+        end += n + 1
+        charts[:, f] = end - 1 - np.argmax(X[:, end - n - 1 : end][:, ::-1] != 0, axis=1)
+    lead = X[np.arange(len(X))[:, None], charts].ravel().tolist()
+    if 0 in lead:  # argmax found no nonzero coordinate
+        raise ValueError("every factor of a point needs a nonzero coordinate")
+    inv = np.array(_inverses(lead, p), dtype=np.int64).reshape(charts.shape)
+    X *= np.repeat(inv, [n + 1 for n in factors], axis=1)
+    X %= p
+    return charts
 
 
 def sample_points(
@@ -325,40 +353,49 @@ def sample_points(
     subspace: int | None = None,
     trial: int = 0,
     salt: str = "",
-) -> list[Point]:
-    """Draw h deterministic pseudo-random points in general position.
+) -> np.ndarray:
+    """Draw h deterministic pseudo-random points in general position, one
+    int64 row each, factor blocks concatenated.
 
     subspace: None, or s to restrict the points to x_{s+1} = ... = x_n = 0.
-    Unconstrained coordinates are sampled nonzero so every chart works; a
-    repeated point triggers resampling.
+    Unconstrained coordinates are drawn from 1..p-1 so every chart works,
+    and each factor is scaled so its last one is 1; a candidate equal to an
+    earlier point is redrawn. The coordinates are those of randrange(1, p)
+    called one after another on one stream: each takes 32-bit words until
+    one's top k bits, k the bit length of p - 1, are below p - 1, so the
+    words are drawn in bulk and filtered as an array.
     """
     if h < 0:
         raise ValueError("point count must be >= 0")
     p = cfg.prime.p
     if subspace is not None and (space.nfactors != 1 or not (1 <= subspace <= space.n)):
         raise ValueError("subspace constraint needs a single factor and 1 <= s <= n")
-
+    k = (p - 1).bit_length()
+    drawn = [c <= (n if subspace is None else subspace) for n in space.factors for c in range(n + 1)]
+    width = sum(drawn)
+    words = width * h * 2**k // (p - 1) + 2 * width  # enough on average, then doubled
     rng = random.Random(f"{cfg.seed}:{trial}:{p}:{salt}")
-    points: list[Point] = []
-    seen: set[Point] = set()
-    for _ in range(h):
-        # the redraw bound is per point, so the first h points of a call for
-        # more points are exactly this call's points, or both calls raise
-        for _ in range(REDRAWS):
-            factors = []
-            for n in space.factors:
-                width = (subspace + 1) if subspace is not None else (n + 1)
-                coords = [rng.randrange(1, p) for _ in range(width)]
-                coords += [0] * (n + 1 - width)
-                factors.append(_normalize_factor(tuple(coords), p))
-            pt: Point = tuple(factors)
-            if pt not in seen:
-                break
-        else:
-            raise OracleSamplingError("could not sample distinct points in general position")
-        seen.add(pt)
-        points.append(pt)
-    return points
+    spare = np.empty(0, dtype=np.int64)  # coordinates drawn past the last candidate
+    points: dict[bytes, None] = {}  # the normalized points, in order
+    redraws = 0
+    while len(points) < h:
+        bits = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
+        bits, words = np.frombuffer(bits, "<u4") >> (32 - k), 2 * words
+        spare = np.concatenate([spare, bits[bits < p - 1] + 1])
+        cand = np.zeros((len(spare) // width, len(drawn)), dtype=np.int64)
+        cand[:, drawn] = spare[: len(cand) * width].reshape(-1, width)
+        spare = spare[len(cand) * width :]
+        _normalize(cand, space.factors, p)
+        for key in map(bytes, cand):
+            if key not in points:
+                points[key], redraws = None, 0
+                if len(points) == h:
+                    break
+            elif (redraws := redraws + 1) == REDRAWS:
+                # the bound is per point, so the first h points of a call
+                # for more points are exactly this call's, or both raise
+                raise OracleSamplingError("could not sample distinct points in general position")
+    return np.frombuffer(bytearray(b"".join(points)), dtype=np.int64).reshape(h, len(drawn))
 
 
 def _frame_size(space: Space) -> int:
@@ -367,15 +404,13 @@ def _frame_size(space: Space) -> int:
     return min(space.factors) + 1
 
 
-def _trial_points(space: Space, h: int, cfg: OracleConfig, trial: int) -> list[Point]:
+def _trial_points(space: Space, h: int, cfg: OracleConfig, trial: int) -> np.ndarray:
     """The h points of a trial: the first min(h, _frame_size) at the
     coordinate points, the rest from sample_points, so they are
     prefix-consistent too."""
     k = min(h, _frame_size(space))
-    frame = [
-        tuple(tuple(int(c == i) for c in range(n + 1)) for n in space.factors) for i in range(k)
-    ]
-    return frame + sample_points(space, h - k, cfg, trial=trial)
+    frame = np.hstack([np.eye(k, n + 1, dtype=np.int64) for n in space.factors])
+    return np.vstack([frame, sample_points(space, h - k, cfg, trial=trial)])
 
 
 @lru_cache(maxsize=None)
@@ -396,15 +431,11 @@ def _derivative_indices(factors: tuple[int, ...], charts: tuple[int, ...], m: in
     row each, ordered by total order and then lexicographically."""
     width = sum(n + 1 for n in factors)
     free = [v for v in range(width) if v not in charts]
-    betas = []
     # a slack exponent in front turns "total order <= m-1" into "exactly m-1"
-    for exps in _factor_exponents(len(free) + 1, m - 1):
-        beta = [0] * width
-        for v, b in zip(free, exps[1:]):
-            beta[v] = b
-        betas.append(tuple(beta))
-    betas.sort(key=lambda beta: (sum(beta), beta))
-    out = np.array(betas, dtype=np.int64).reshape(len(betas), width)
+    exps = _factor_exponents(len(free) + 1, m - 1)
+    betas = np.zeros((len(exps), width), dtype=np.int64)
+    betas[:, free] = exps[:, 1:]
+    out = betas[np.lexsort([*betas.T[::-1], betas.sum(axis=1)])]
     out.flags.writeable = False
     return out
 
@@ -416,7 +447,7 @@ class _RowBuilder:
         self.sys = sys
         self.p = p
         self.space = sys.space
-        self.E = np.array(_basis(sys.space.factors, sys.multidegree), dtype=np.int64)
+        self.E = _basis(sys.space.factors, sys.multidegree)
         self.cols = self.E.shape[0]
         self.width = self.E.shape[1]
         self.maxdeg = max(sys.multidegree) if sys.multidegree else 0
@@ -441,31 +472,17 @@ class _RowBuilder:
             exponents.append((v, np.maximum(a - b, 0)))
         return coef, exponents
 
-    def rows(self, points: list[Point], m: int) -> np.ndarray:
-        """Rows of multiplicity m at every point, stacked in point order: the
-        value and all chart derivatives of order < m, one row per derivative
-        multi-index. Each factor is normalized so its last nonzero coordinate
-        is 1; points whose charts differ are built in separate sub-batches."""
+    def rows(self, points: np.ndarray, m: int) -> np.ndarray:
+        """Rows of multiplicity m at every point, a row of points each,
+        stacked in point order: the value and all chart derivatives of order
+        < m, one row per derivative multi-index. Each factor is normalized so
+        its last nonzero coordinate is 1; points whose charts differ are built
+        in separate sub-batches."""
         if self.space.nfactors > 1 and m > 2:
             raise NotImplementedError("multiplicity >= 3 on products is not supported")
         p = self.p
-        X = np.array(
-            [[x for coords in pt for x in coords] for pt in points], dtype=np.int64
-        ).reshape(len(points), self.width) % p
-        charts = np.empty((len(points), self.space.nfactors), dtype=np.int64)
-        offset = 0
-        for f, n in enumerate(self.space.factors):
-            block = X[:, offset : offset + n + 1]
-            nonzero = block != 0
-            if not nonzero.any(axis=1).all():
-                raise ValueError("every factor of a point needs a nonzero coordinate")
-            last = n - np.argmax(nonzero[:, ::-1], axis=1)
-            charts[:, f] = offset + last
-            lead = block[np.arange(len(points)), last].tolist()
-            inv = [1 if x == 1 else pow(x, -1, p) for x in lead]
-            block *= np.array(inv, dtype=np.int64).reshape(-1, 1)
-            block %= p
-            offset += n + 1
+        X = np.remainder(points, p, dtype=np.int64).reshape(len(points), self.width)
+        charts = _normalize(X, self.space.factors, p)
 
         # powers x_v^k of every coordinate, k = 0..maxdeg
         powers = np.ones((len(points), self.width, self.maxdeg + 1), dtype=np.int64)
@@ -488,35 +505,22 @@ class _RowBuilder:
             out[idx] = vals
         return out.reshape(len(points) * nbeta, self.cols)
 
-    def line_rows(self, line: tuple[Point, Point], alpha: int) -> np.ndarray:
-        """Rows forcing vanishing to order alpha along the line ab (single
-        factor only): multiplicity alpha at the d+1 points a + t b, t = 0..d.
-        A derivative of order k < alpha restricts to the line as a binary
-        form of degree d-k, so it vanishes along the line exactly when it
-        vanishes at d+1 distinct points of it; a != b and p > d make the
-        points a + t b distinct."""
+    def line_rows(self, line: np.ndarray, alpha: int) -> np.ndarray:
+        """Rows forcing vanishing to order alpha along the line ab, its two
+        points a row each (single factor only): multiplicity alpha at the d+1
+        points a + t b, t = 0..d. A derivative of order k < alpha restricts
+        to the line as a binary form of degree d-k, so it vanishes along the
+        line exactly when it vanishes at d+1 distinct points of it; a != b and
+        p > d make the points a + t b distinct."""
         if alpha < 1:
             raise ValueError("alpha must be >= 1")
         p = self.p
-        a_pt = _normalize_factor(line[0][0], p)
-        b_pt = _normalize_factor(line[1][0], p)
-        if a_pt == b_pt:
+        a, b = ab = np.remainder(line, p, dtype=np.int64).reshape(2, self.width)
+        _normalize(ab, self.space.factors, p)
+        if (a == b).all():
             raise ValueError("line needs two distinct defining points")
-        d = self.sys.multidegree[0]
-        on_line = [(tuple((x + t * y) % p for x, y in zip(a_pt, b_pt)),) for t in range(d + 1)]
-        return self.rows(on_line, alpha)
-
-    def orders(self, idx: tuple[int, ...]) -> np.ndarray:
-        """Order of vanishing of each monomial along the span of the
-        coordinate points e_i, i in idx, of every factor: its degree in the
-        other variables. A point of multiplicity m at e_i imposes exactly the
-        vanishing of the monomials of order below m there: its Taylor rows
-        are their unit rows, each times a product of factorials of exponents
-        <= d < p. The rows of a line e_i e_j of multiplicity m span the unit
-        rows of the monomials of order below m along it."""
-        starts = np.cumsum([0, *(n + 1 for n in self.space.factors)])[:-1]
-        picked = self.E[:, [s + i for s in starts for i in idx]]
-        return sum(self.sys.multidegree) - picked.sum(axis=1)
+        t = np.arange(self.sys.multidegree[0] + 1)[:, None]
+        return self.rows((a + t * b) % p, alpha)
 
 
 def _condition_matrix(
@@ -538,7 +542,7 @@ def _condition_matrix(
         off = sample_points(
             sys.space, sys.total_points - subspace.points_on, cfg, trial=trial, salt="off"
         )
-        points = on + off
+        points = np.vstack([on, off])
     blocks = []
     start = 0
     for g in sys.points:
@@ -546,7 +550,7 @@ def _condition_matrix(
             blocks.append(builder.rows(points[max(start, frame) : start + g.count], g.multiplicity))
         start += g.count
     for i, j, alpha in lines:
-        blocks.append(builder.line_rows((points[i], points[j]), alpha))
+        blocks.append(builder.line_rows(points[[i, j]], alpha))
     return np.vstack(blocks) if blocks else np.zeros((0, builder.cols), dtype=np.int64)
 
 
@@ -613,7 +617,7 @@ def _oracle_series(
 
     Every trial of a pure or a line call puts its first points at the
     coordinate points, the frame (_trial_points). There each condition is a
-    monomial (_RowBuilder.orders), so it deletes a column. A cut's rank is
+    monomial (see the orders below), so it deletes a column. A cut's rank is
     the number of columns that its frame points and the lines joining them
     delete, plus the rank of its other rows, which are built on the columns
     left only: the one column restriction that a subspace call also uses.
@@ -669,18 +673,28 @@ def _oracle_series(
     mults = sys.point_multiplicities()
     if subspace is None:
         frame = min(sys.total_points, _frame_size(sys.space))
+        # order[i]: each monomial's order at e_i, its degree in the other
+        # variables. A point of multiplicity m at e_i imposes exactly the
+        # vanishing of the monomials of order below m there: its Taylor rows
+        # are their unit rows, each times a product of factorials of
+        # exponents <= d < p. Along the line e_i e_j the order is that at e_i
+        # plus that at e_j minus the degree, and the rows of a line of
+        # multiplicity alpha span the unit rows of those of order below alpha
+        total = sum(sys.multidegree)
+        starts = accumulate((n + 1 for n in sys.space.factors[:-1]), initial=0)
+        order = total - sum(builder.E[:, s : s + frame].T for s in starts)
         drop = np.zeros(builder.cols, dtype=bool)
         gone = [0]  # the columns the first k frame points delete, k = 0..frame
         for i, m in enumerate(mults[:frame]):
-            drop |= builder.orders((i,)) < m
-            gone.append(int(drop.sum()))
+            drop |= order[i] < m
+            gone.append(int(np.count_nonzero(drop)))
         lines = []  # the lines built as rows, through a sampled point
         for i, j, alpha in extra_schemes:
             if max(i, j) < frame:
-                drop |= builder.orders((i, j)) < alpha
+                drop |= order[i] + order[j] - total < alpha
             else:
                 lines.append((i, j, alpha))
-        gone[-1] = int(drop.sum())  # a line call has one cut, of all its points
+        gone[-1] = int(np.count_nonzero(drop))  # a line call has one cut, of all its points
         cols = builder.cols
     else:
         frame, gone, lines = 0, [0], list(extra_schemes)

@@ -1,6 +1,7 @@
 import random
 from bisect import bisect_left
 from dataclasses import replace
+from itertools import product as iproduct
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from fatpoints import oracle
 from fatpoints.oracle import (
     DEFAULT_PRIME,
     PANEL,
+    REDRAWS,
     OracleConfig,
     OracleSamplingError,
     PrimeField,
@@ -282,23 +284,32 @@ def _rows(sys, points, m, p=DEFAULT_PRIME):
 
 
 def test_monomial_exponents_counts():
-    assert len(_basis((3,), (9,))) == 220
-    assert len(_basis((1, 1), (2, 2))) == 9
+    assert _basis((3,), (9,)).shape == (220, 4)
+    assert _basis((1, 1), (2, 2)).shape == (9, 4)
     exps = _basis((2,), (2,))
-    assert all(sum(e) == 2 for e in exps) and len(set(exps)) == 6
+    assert (exps.sum(axis=1) == 2).all() and len(np.unique(exps, axis=0)) == 6
+    # lexicographic: first factor slowest, each factor's exponents decreasing
+    for factors, degree in [((2,), (3,)), ((1, 2), (2, 1)), ((1, 1, 1), (1, 2, 1))]:
+        per_factor = [
+            sorted((e for e in iproduct(range(d + 1), repeat=n + 1) if sum(e) == d), reverse=True)
+            for n, d in zip(factors, degree)
+        ]
+        want = [[x for block in combo for x in block] for combo in iproduct(*per_factor)]
+        assert _basis(factors, degree).tolist() == want, factors
+    assert not _basis((2,), (2,)).flags.writeable
 
 
 def test_sample_points_deterministic():
     pts1 = sample_points(Space((3,)), 5, CFG)
     pts2 = sample_points(Space((3,)), 5, CFG)
-    assert pts1 == pts2
-    assert sample_points(Space((3,)), 0, CFG) == []
+    assert np.array_equal(pts1, pts2)
+    assert sample_points(Space((3,)), 0, CFG).shape == (0, 4)
     # distinct points, nonzero coordinates, last coordinate normalized
-    assert len(set(pts1)) == 5
-    for (coords,) in pts1:
-        assert coords[-1] == 1 and all(c != 0 for c in coords)
+    assert pts1.shape == (5, 4) and pts1.dtype == np.int64
+    assert len(np.unique(pts1, axis=0)) == 5
+    assert (pts1[:, -1] == 1).all() and pts1.all()
     # a different trial gives different points
-    assert pts1 != sample_points(Space((3,)), 5, CFG, trial=1)
+    assert not np.array_equal(pts1, sample_points(Space((3,)), 5, CFG, trial=1))
 
 
 def test_sample_points_prefix_consistent():
@@ -310,41 +321,96 @@ def test_sample_points_prefix_consistent():
     ]:
         many = sample_points(space, 12, CFG, **kwargs)
         for h in range(13):
-            assert many[:h] == sample_points(space, h, CFG, **kwargs)
+            assert np.array_equal(many[:h], sample_points(space, h, CFG, **kwargs))
 
 
 def test_sample_points_subspace_constraint():
     pts = sample_points(Space((4,)), 6, CFG, subspace=2)
-    for (coords,) in pts:
-        assert coords[3] == coords[4] == 0 and coords[2] == 1
+    assert (pts[:, 3:] == 0).all() and (pts[:, 2] == 1).all() and pts[:, :2].all()
     for bad in (0, 5):
         with pytest.raises(ValueError, match="1 <= s <= n"):
             sample_points(Space((4,)), 2, CFG, subspace=bad)
 
 
+def normalize_factor(coords, p):
+    """Scale so the largest-index nonzero coordinate becomes 1."""
+    chart = max(i for i, x in enumerate(coords) if x % p != 0)
+    inv = pow(coords[chart] % p, -1, p)
+    return tuple((x * inv) % p for x in coords)
+
+
+def sequential_points(space, h, cfg, subspace=None, trial=0, salt=""):
+    """The points of sample_points drawn the plain way: one randrange(1, p)
+    per coordinate, each factor normalized on its own, a repeated point
+    drawn again up to REDRAWS times. Returns the points as flat tuples and
+    whether the draw gave up after the last of them."""
+    p = cfg.prime.p
+    rng = random.Random(f"{cfg.seed}:{trial}:{p}:{salt}")
+    points = []
+    for _ in range(h):
+        for _ in range(REDRAWS):
+            pt = ()
+            for n in space.factors:
+                width = (subspace + 1) if subspace is not None else (n + 1)
+                coords = [rng.randrange(1, p) for _ in range(width)] + [0] * (n + 1 - width)
+                pt += normalize_factor(tuple(coords), p)
+            if pt not in points:
+                break
+        else:
+            return points, True
+        points.append(pt)
+    return points, False
+
+
+def test_sample_points_match_the_sequential_stream():
+    # the bulk draw reads the same words as randrange one coordinate at a
+    # time: tiny primes reject words and repeat points (p = 2 has a single
+    # point per factor, p = 3 two on P^1), so they pin the redraw bound too
+    spaces = [
+        (Space((1,)), None), (Space((2,)), None), (Space((3,)), None), (Space((3,)), 1),
+        (Space((4,)), 2), (Space((1, 1)), None), (Space((1, 1, 1)), None), (Space((2, 3)), None),
+    ]
+    raised = 0
+    for p in (2, 3, 5, 7, 101, 65537, 2147483629, 2**31 - 1):
+        for (space, s), seed, trial in iproduct(spaces, (271828, 5, 7), range(3)):
+            cfg, salt = OracleConfig(PrimeField(p), seed=seed), ("", "off")[(seed + trial) % 2]
+            want, gave_up = sequential_points(space, 20, cfg, s, trial, salt)
+            drew = len(want)
+            for h in sorted({0, 1, 20, drew, drew + 1} - {21}):
+                case = (p, space, s, seed, trial, salt, h)
+                if gave_up and h > drew:
+                    with pytest.raises(OracleSamplingError):
+                        sample_points(space, h, cfg, s, trial, salt)
+                    raised += 1
+                else:
+                    pts = sample_points(space, h, cfg, s, trial, salt)
+                    assert pts.dtype == np.int64 and pts.tolist() == [list(x) for x in want[:h]], case
+    assert raised > 50
+
+
 def test_fat_point_row_counts():
     sys3 = make_system([3], [4], [(2, 1)])
-    pt = sample_points(Space((3,)), 1, CFG)[0]
-    assert _rows(sys3, [pt], 1).shape == (1, 35)
-    assert _rows(sys3, [pt], 2).shape == (4, 35)
-    assert _rows(sys3, [pt], 6).shape == (56, 35)
-    assert _rows(sys3, [pt, pt, pt], 2).shape == (12, 35)
-    assert _rows(sys3, [], 2).shape == (0, 35)
+    pt = sample_points(Space((3,)), 1, CFG)
+    assert _rows(sys3, pt, 1).shape == (1, 35)
+    assert _rows(sys3, pt, 2).shape == (4, 35)
+    assert _rows(sys3, pt, 6).shape == (56, 35)
+    assert _rows(sys3, np.vstack([pt, pt, pt]), 2).shape == (12, 35)
+    assert _rows(sys3, np.zeros((0, 4), dtype=np.int64), 2).shape == (0, 35)
     sysp = make_system([1, 1, 1], [2, 2, 2], [(2, 1)])
-    ptp = sample_points(Space((1, 1, 1)), 1, CFG)[0]
-    assert _rows(sysp, [ptp], 2).shape == (4, 27)
+    ptp = sample_points(Space((1, 1, 1)), 1, CFG)
+    assert _rows(sysp, ptp, 2).shape == (4, 27)
     with pytest.raises(NotImplementedError):
-        _rows(sysp, [ptp], 3)
+        _rows(sysp, ptp, 3)
     with pytest.raises(ValueError, match="nonzero coordinate"):
-        _rows(sys3, [((0, 0, 0, 0),)], 1)
+        _rows(sys3, np.zeros((1, 4), dtype=np.int64), 1)
 
 
 def test_fat_point_rows_kill_expected_monomials():
     # at a coordinate point the m-fold conditions kill exactly the monomials
     # of low degree in the other variables
     sys3 = make_system([2], [3], [(2, 1)])
-    pt = ((1, 0, 0),)
-    rows = _rows(sys3, [pt], 2)
+    pt = np.array([[1, 0, 0]])
+    rows = _rows(sys3, pt, 2)
     rank = rank_mod_p(rows, DEFAULT_PRIME)
     assert rank == 3
     h0 = 10 - rank
@@ -352,7 +418,23 @@ def test_fat_point_rows_kill_expected_monomials():
 
 
 def coordinate_points(factors, k):
-    return [tuple(tuple(int(c == i) for c in range(n + 1)) for n in factors) for i in range(k)]
+    """The points e_0..e_{k-1}, e_i in every factor, one row each."""
+    rows = [[int(c == i) for n in factors for c in range(n + 1)] for i in range(k)]
+    return np.array(rows, dtype=np.int64).reshape(k, sum(n + 1 for n in factors))
+
+
+def frame_orders(sys, idx):
+    """Order of vanishing of each monomial along the span of the coordinate
+    points e_i, i in idx, of every factor: its degree in the other
+    variables, in plain Python."""
+    out = []
+    for exps in _basis(sys.space.factors, sys.multidegree).tolist():
+        order, start = 0, 0
+        for n, d in zip(sys.space.factors, sys.multidegree):
+            order += d - sum(exps[start + i] for i in idx)
+            start += n + 1
+        out.append(order)
+    return np.array(out)
 
 
 def test_frame_conditions_delete_columns():
@@ -375,21 +457,22 @@ def test_frame_conditions_delete_columns():
         ([2], [5], (3, 3, 2), ((0, 1, 1), (1, 2, 2))),
         ([4], [4], (2, 2, 2), ((0, 1, 3), (1, 2, 3), (0, 2, 1))),
     ]:
-        builder = _RowBuilder(make_system(factors, degree, []), p)
+        empty = make_system(factors, degree, [])
+        builder = _RowBuilder(empty, p)
         frame = coordinate_points(factors, len(mults))
-        blocks = [builder.rows([pt], m) for pt, m in zip(frame, mults)]
-        blocks += [builder.line_rows((frame[i], frame[j]), alpha) for i, j, alpha in lines]
+        blocks = [builder.rows(frame[i : i + 1], m) for i, m in enumerate(mults)]
+        blocks += [builder.line_rows(frame[[i, j]], alpha) for i, j, alpha in lines]
         A = np.vstack(blocks)
         drop = np.zeros(builder.cols, dtype=bool)
         for i, m in enumerate(mults):
-            drop |= builder.orders((i,)) < m
+            drop |= frame_orders(empty, (i,)) < m
         for i, j, alpha in lines:
             # Bezout: the line adds columns exactly past the order that its
             # two points force along it
-            line = builder.orders((i, j)) < alpha
+            line = frame_orders(empty, (i, j)) < alpha
             assert (line & ~drop).any() == (alpha > mults[i] + mults[j] - degree[0]), (i, j)
         for i, j, alpha in lines:
-            drop |= builder.orders((i, j)) < alpha
+            drop |= frame_orders(empty, (i, j)) < alpha
         case = (factors, degree, mults, lines)
         assert rank_mod_p(A, p) == drop.sum() == slow_rank_mod_p(A.tolist(), p), case
         assert not A[:, ~drop].any(), case
@@ -401,20 +484,48 @@ def test_frame_conditions_delete_columns():
 
 
 def _value_row(sys, point, p=DEFAULT_PRIME):
-    """Every monomial evaluated at the point, each factor scaled so its last
-    nonzero coordinate is 1, in plain Python."""
-    flat = []
-    for coords in point:
+    """Every monomial evaluated at the point, one row of factor blocks, each
+    factor scaled so its last nonzero coordinate is 1, in plain Python."""
+    flat, start = [], 0
+    for n in sys.space.factors:
+        coords = point.tolist()[start : start + n + 1]
         last = max(i for i, x in enumerate(coords) if x % p)
         inv = pow(coords[last], -1, p)
         flat.extend(x * inv % p for x in coords)
+        start += n + 1
     row = []
-    for exps in _basis(sys.space.factors, sys.multidegree):
+    for exps in _basis(sys.space.factors, sys.multidegree).tolist():
         val = 1
         for x, a in zip(flat, exps):
             val = val * pow(x, a, p) % p
         row.append(val)
     return row
+
+
+def test_frame_only_calls_sample_build_and_eliminate_nothing(monkeypatch):
+    # every point and line of these line calls lies on the frame, so the
+    # count of columns left is the answer: nothing is sampled, no row is
+    # built and nothing is eliminated
+    calls = []
+
+    def spy(owner, name):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, **kw: calls.append(name) or real(*a, **kw))
+
+    for owner, name in [(oracle, "sample_points"), (oracle, "_eliminate"), (_RowBuilder, "rows")]:
+        spy(owner, name)
+    for spec, h0 in [(([3], [14], [(8, 4)]), 206), (([4], [8], [(5, 5)]), 155)]:
+        res = h0_oracle(make_system(*spec), OracleConfig(), extra_schemes=THREE_LINES)
+        assert (res.h0, res.certified, res.trials_used) == (h0, True, 1), spec
+    assert calls == []
+    # the spies do see a call past the frame
+    h0_oracle(make_system([3], [4], [(2, 6)]), OracleConfig())
+    assert set(calls) == {"sample_points", "_eliminate", "rows"}
+    # the builder uses the cached basis array as it is, read-only
+    sys = make_system([3], [14], [(8, 4)])
+    assert _RowBuilder(sys, DEFAULT_PRIME).E is _RowBuilder(sys, DEFAULT_PRIME).E
+    assert _RowBuilder(sys, DEFAULT_PRIME).E is _basis((3,), (14,))
+    assert not _basis((3,), (14,)).flags.writeable
 
 
 def test_batched_rows_match_single_points():
@@ -427,8 +538,8 @@ def test_batched_rows_match_single_points():
         for m in mults:
             pts = sample_points(sys.space, rng.randrange(2, 7), CFG, salt=f"batch{m}")
             # a point given at another scale is the same point
-            pts.append(tuple(tuple(3 * x for x in coords) for coords in pts[0]))
-            single = [builder.rows([pt], m) for pt in pts]
+            pts = np.vstack([pts, 3 * pts[:1]])
+            single = [builder.rows(pt[None], m) for pt in pts]
             assert np.array_equal(builder.rows(pts, m), np.vstack(single)), (factors, m)
             assert single[0].shape[0] == binom(sum(factors) + m - 1, m - 1)
             assert all(block[0].tolist() == _value_row(sys, pt) for block, pt in zip(single, pts))
@@ -440,17 +551,17 @@ def test_batched_rows_match_single_points():
     plane = sample_points(Space((3,)), 3, CFG, subspace=2)
     line = sample_points(Space((3,)), 2, CFG, subspace=1)
     free = sample_points(Space((3,)), 3, CFG, salt="free")
-    pts = [plane[0], free[0], line[0], free[1], plane[1], plane[2], line[1], free[2]]
+    pts = np.vstack([plane[0], free[0], line[0], free[1], plane[1], plane[2], line[1], free[2]])
     for m in (1, 2, 3):
-        single = [builder.rows([pt], m) for pt in pts]
+        single = [builder.rows(pt[None], m) for pt in pts]
         assert np.array_equal(builder.rows(pts, m), np.vstack(single)), m
         assert all(block[0].tolist() == _value_row(sys, pt) for block, pt in zip(single, pts))
     # on P1xP1 a point may take a different chart in either factor
     sys = make_system([1, 1], [2, 3], [])
     builder = _RowBuilder(sys, DEFAULT_PRIME)
-    pts = [((1, 0), (5, 1)), ((3, 7), (2, 9)), ((4, 1), (1, 0)), ((1, 0), (0, 1)), ((6, 1), (8, 1))]
+    pts = np.array([[1, 0, 5, 1], [3, 7, 2, 9], [4, 1, 1, 0], [1, 0, 0, 1], [6, 1, 8, 1]])
     for m in (1, 2):
-        single = [builder.rows([pt], m) for pt in pts]
+        single = [builder.rows(pt[None], m) for pt in pts]
         assert np.array_equal(builder.rows(pts, m), np.vstack(single)), m
         assert all(block[0].tolist() == _value_row(sys, pt) for block, pt in zip(single, pts))
 
@@ -469,8 +580,7 @@ def _line_conditions(n, d, alpha):
 
 
 def test_line_rows_examples():
-    pts = sample_points(Space((3,)), 2, CFG)
-    line = (pts[0], pts[1])
+    line = pts = sample_points(Space((3,)), 2, CFG)
     sys1 = make_system([3], [1], [])
     rows = _line_rows(sys1, line, 1)
     assert rank_mod_p(rows, DEFAULT_PRIME) == 2  # planes containing the line
@@ -478,24 +588,22 @@ def test_line_rows_examples():
     rows = _line_rows(sys2, line, 2)
     assert rank_mod_p(rows, DEFAULT_PRIME) == 7  # quadrics doubly on it: h0 = 3
     with pytest.raises(ValueError):
-        _line_rows(sys2, (pts[0], pts[0]), 2)
+        _line_rows(sys2, pts[[0, 0]], 2)
     # the same point given at two scales is still a degenerate line
-    scaled = (tuple(2 * x for x in pts[0][0]),)
     with pytest.raises(ValueError):
-        _line_rows(sys2, (pts[0], scaled), 2)
+        _line_rows(sys2, np.vstack([pts[0], 2 * pts[0]]), 2)
     for n in (2, 3, 4):
         space = Space((n,))
-        a, b = sample_points(space, 2, CFG, salt="line")
-        e0 = (tuple(int(i == 0) for i in range(n + 1)),)
-        e1n = (tuple(int(i in (1, n)) for i in range(n + 1)),)
+        ab = sample_points(space, 2, CFG, salt="line")
+        e0_e1n = np.array([[int(i == 0) for i in range(n + 1)], [int(i in (1, n)) for i in range(n + 1)]])
         for d in range(1, 9):
             sys = make_system([n], [d], [])
             for alpha in range(1, min(4, d + 1) + 1):
                 want = _line_conditions(n, d, alpha)
-                assert rank_mod_p(_line_rows(sys, (a, b), alpha), DEFAULT_PRIME) == want
+                assert rank_mod_p(_line_rows(sys, ab, alpha), DEFAULT_PRIME) == want
                 # e0 + t (e1 + en) has its last nonzero coordinate at 0 for
                 # t = 0 and at n otherwise, so this line spans two charts
-                for line in ((e0, e1n), (e1n, e0)):
+                for line in (e0_e1n, e0_e1n[::-1]):
                     got = rank_mod_p(_line_rows(sys, line, alpha), DEFAULT_PRIME)
                     assert got == want, (n, d, alpha, line)
 
@@ -600,7 +708,7 @@ def test_section_certificate_needs_independent_value_rows(monkeypatch):
 
     def first_point_twice(*args, **kwargs):
         points = real(*args, **kwargs)
-        return points[:1] + points[:-1]
+        return np.vstack([points[:1], points[:-1]])
 
     monkeypatch.setattr(oracle, "sample_points", first_point_twice)
     assert oracle._section_lower(sys, OracleConfig(), 0, 100) == 0
@@ -632,11 +740,11 @@ def test_lines_in_the_base_locus_add_no_rank():
     for n, d, mi, mj in [(2, 5, 4, 3), (3, 6, 4, 4), (3, 7, 5, 3), (4, 4, 3, 3)]:
         sys = make_system([n], [d], [(mi, 1), (mj, 1)])
         builder = _RowBuilder(sys, DEFAULT_PRIME)
-        a, b = sample_points(sys.space, 2, CFG)
-        points = np.vstack([builder.rows([a], mi), builder.rows([b], mj)])
+        ab = sample_points(sys.space, 2, CFG)
+        points = np.vstack([builder.rows(ab[:1], mi), builder.rows(ab[1:], mj)])
         base = rank_mod_p(points, DEFAULT_PRIME)
         for alpha in range(1, mi + mj - d + 2):
-            rank = rank_mod_p(np.vstack([points, builder.line_rows((a, b), alpha)]), DEFAULT_PRIME)
+            rank = rank_mod_p(np.vstack([points, builder.line_rows(ab, alpha)]), DEFAULT_PRIME)
             assert (rank == base) == (alpha <= mi + mj - d), (n, d, mi, mj, alpha)
 
 
@@ -747,7 +855,7 @@ def frame_then_sampled(space, h, cfg, trial):
     """A trial's points, built apart from the oracle: e_i in every factor
     for i up to the smallest factor dimension, then sample_points."""
     k = min(h, min(space.factors) + 1)
-    return coordinate_points(space.factors, k) + sample_points(space, h - k, cfg, trial=trial)
+    return np.vstack([coordinate_points(space.factors, k), sample_points(space, h - k, cfg, trial=trial)])
 
 
 def reference_oracle(sys, cfg, lines=()):
@@ -769,7 +877,7 @@ def reference_oracle(sys, cfg, lines=()):
         for g in sys.points:
             blocks.append(builder.rows(points[start : start + g.count], g.multiplicity))
             start += g.count
-        blocks += [builder.line_rows((points[i], points[j]), alpha) for i, j, alpha in lines]
+        blocks += [builder.line_rows(points[[i, j]], alpha) for i, j, alpha in lines]
         A = np.vstack(blocks)
         value = cols - rank_mod_p(A, p)
         if exact:
