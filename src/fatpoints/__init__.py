@@ -38,7 +38,6 @@ from .oracle import (
     cross_checked_h0,
     h0_oracle,
     h0_prefix_oracle,
-    restrict_to_subspace,
     sample_points,
 )
 from .systems import (

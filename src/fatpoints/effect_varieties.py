@@ -8,7 +8,9 @@ residual subtracts degrees and multiplicities componentwise. Every other class
 removes the conditions of combinatorics.neighbourhood_count, read off its
 normal bundle; a line gives back the germ at each fat point it meets, absorbed
 by that point (valid when the point is fat enough, which a configuration
-checks and reports).
+checks and reports). The subspace type, systems.LinearSubspace, is the one
+the oracle's subspace calls take, and systems.check_subspace decides whether
+it fits a system for every function here that reads one.
 
 The cohomological (h^1) check follows the three-condition definition, with
 h^2 of the residual asserted zero only where that is actually known: divisors
@@ -20,15 +22,14 @@ from dataclasses import asdict, dataclass, field
 from typing import Sequence, Union
 
 from .combinatorics import binom, neighbourhood_count
-from .oracle import (
-    OracleConfig,
-    SubspaceScheme,
-    h0_oracle,
-    restrict_to_subspace,
-)
+from .oracle import OracleConfig, h0_oracle
 from .systems import (
     FatPointGroup,
+    LinearSubspace,
     LinearSystem,
+    Space,
+    check_subspace,
+    point_conditions,
     virtual_dim,
 )
 
@@ -53,18 +54,6 @@ class Hypersurface:
     @classmethod
     def through_all(cls, sys: LinearSystem, e: Sequence[int], c: int = 1) -> "Hypersurface":
         return cls(tuple(e), tuple((i, c) for i in range(len(sys.points))))
-
-
-@dataclass(frozen=True)
-class LinearSubspace:
-    s: int
-    through_first: int  # number of system points spanning / lying on it
-
-    def __post_init__(self) -> None:
-        if self.s < 1:
-            raise ValueError("subspace dimension must be >= 1")
-        if self.through_first < 1:
-            raise ValueError("a subspace candidate must contain base points")
 
 
 @dataclass(frozen=True)
@@ -189,30 +178,16 @@ def residual_divisor(sys: LinearSystem, Y: Hypersurface, alpha: int) -> LinearSy
     return LinearSystem(sys.space, new_deg, tuple(groups))
 
 
-def linear_space_residual_nu(
-    sys: LinearSystem, s: int, m: int, points_on: int | None = None
-) -> int:
-    """Virtual dimension of |dH - m Y - (points off Y)| for a linear Y = P^s.
-
-    The first ``points_on`` system points lie on Y (default s+1, the points
-    spanning it) and are absorbed by the m-fold removal; the remaining points
-    impose their full conditions.
-    """
-    if sys.space.nfactors != 1:
-        raise ValueError("linear subspace residuals need a single factor")
-    n = sys.space.n
-    if not (1 <= s <= n - 1):
-        raise ValueError(f"need 1 <= s <= n-1, got s={s} in P^{n}")
+def linear_space_residual_nu(sys: LinearSystem, Y: LinearSubspace, m: int) -> int:
+    """Virtual dimension of |dH - m Y - (points off Y)| for a linear Y = P^s:
+    the first Y.through_first system points lie on Y and are absorbed by the
+    m-fold removal; the others impose their full conditions."""
+    check_subspace(sys, Y)
     if m < 1:
         raise ValueError("m must be >= 1")
-    h = sys.total_points
-    on = min(s + 1, h) if points_on is None else points_on
-    if not (0 <= on <= h):
-        raise ValueError(f"points_on out of range: {on}")
-    mults = sys.point_multiplicities()
-    off_conditions = sum(binom(mj + n - 1, n) for mj in mults[on:])
-    d = sys.multidegree[0]
-    return binom(d + n, n) - 1 - neighbourhood_count(n, s, d, m) - off_conditions
+    off = sum(point_conditions(mj, sys.space) for mj in sys.point_multiplicities()[Y.through_first :])
+    n, d = sys.space.n, sys.multidegree[0]
+    return binom(d + n, n) - 1 - neighbourhood_count(n, Y.s, d, m) - off
 
 
 def rnc_double_residual_nu(d: int, n: int) -> int:
@@ -331,18 +306,9 @@ def _classify_divisor(sys: LinearSystem, Y: Hypersurface, checks: dict[str, bool
     return _scan_report(sys, nu_of_alpha, checks, values)
 
 
-def _check_subspace(sys: LinearSystem, Y: LinearSubspace) -> None:
-    if sys.space.nfactors != 1:
-        raise NotImplementedError("linear subspace candidates live in a single P^n")
-    if not (1 <= Y.s <= sys.space.n - 1):
-        raise ValueError(f"need 1 <= s <= n-1, got s={Y.s} in P^{sys.space.n}")
-
-
 def _classify_subspace(sys: LinearSystem, Y: LinearSubspace) -> SevReport:
-    _check_subspace(sys, Y)
+    check_subspace(sys, Y)
     mults = sys.point_multiplicities()
-    if Y.through_first > len(mults):
-        raise ValueError("subspace claims more incident points than the system has")
     checks = {"points_span": Y.through_first >= Y.s + 1}
     if Y.s == sys.space.n - 1:
         # a hyperplane is the degree-1 divisor through its points, one group each
@@ -350,8 +316,7 @@ def _classify_subspace(sys: LinearSystem, Y: LinearSubspace) -> SevReport:
         H = Hypersurface((1,), tuple((i, 1) for i in range(Y.through_first)))
         return _classify_divisor(LinearSystem(sys.space, sys.multidegree, groups), H, checks)
     nu_of_alpha = {
-        a: linear_space_residual_nu(sys, Y.s, a, points_on=Y.through_first)
-        for a in range(1, max(mults) + 1)
+        a: linear_space_residual_nu(sys, Y, a) for a in range(1, max(mults) + 1)
     }
     return _scan_report(sys, nu_of_alpha, checks, {})
 
@@ -545,8 +510,8 @@ def h1_sev_check(
             h2_residual=0 if handled else None,
         )
     elif isinstance(Y, LinearSubspace):
-        _check_subspace(sys, Y)
-        restricted = restrict_to_subspace(sys, Y.s, points_on=Y.through_first)
+        check_subspace(sys, Y)
+        restricted = LinearSystem(Space((Y.s,)), sys.multidegree, sys.first_points(Y.through_first).points)
         rr = h0_oracle(restricted, oracle_cfg)
         h0_restr, h1_restr, handled = rr.h0, rr.h1, False
         values.update(h0_restriction=h0_restr, h1_restriction=h1_restr)
@@ -554,7 +519,7 @@ def h1_sev_check(
             # the restriction sequence then identifies h0(L - Y) with h0(L)
             h0_res = h0_oracle(sys, oracle_cfg).h0
         else:
-            h0_res = h0_oracle(sys, oracle_cfg, subspace=SubspaceScheme(Y.s, Y.through_first)).h0
+            h0_res = h0_oracle(sys, oracle_cfg, subspace=Y).h0
         values.update(h0_residual=h0_res, h2_residual=None)
     else:
         e, mults_on = _curve_data(sys, Y)

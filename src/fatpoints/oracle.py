@@ -4,7 +4,9 @@ The generic dimension of a fat-point system is computed by interpolation:
 put the first points at the coordinate points, where each condition deletes
 a column, sample the others, build the matrix of their vanishing conditions
 (Taylor rows up to the imposed multiplicity, plus optional
-vanishing-along-a-line rows), and row reduce modulo a word-sized prime. For
+vanishing-along-a-line rows), and row reduce modulo a word-sized prime. The
+forms vanishing on a linear subspace P^s keep only the columns of monomials
+outside x_0..x_s, and the points on it are sampled in P^s. For
 a fat-point system, with or without lines, each trial value is a proven
 upper bound on the generic h^0 over Q, and systems.lower_h0 a proven lower
 bound: once they meet, the answer is certified, and `verify` asserts only
@@ -24,9 +26,11 @@ import numpy as np
 
 from .combinatorics import binom
 from .systems import (
+    LinearSubspace,
     LinearSystem,
     Space,
     check_lines,
+    check_subspace,
     lower_h0,
     monomial_count,
     point_conditions,
@@ -97,16 +101,6 @@ class OracleConfig:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-
-
-@dataclass(frozen=True)
-class SubspaceScheme:
-    """Vanishing on the P^s x_{s+1} = ... = x_n = 0 through the first
-    ``points_on`` system points: the condition matrix keeps only the columns
-    of monomials not in x_0..x_s alone, the forms that vanish on it."""
-
-    s: int
-    points_on: int
 
 
 @dataclass(frozen=True)
@@ -350,29 +344,24 @@ def sample_points(
     space: Space,
     h: int,
     cfg: OracleConfig,
-    subspace: int | None = None,
     trial: int = 0,
     salt: str = "",
 ) -> np.ndarray:
     """Draw h deterministic pseudo-random points in general position, one
     int64 row each, factor blocks concatenated.
 
-    subspace: None, or s to restrict the points to x_{s+1} = ... = x_n = 0.
-    Unconstrained coordinates are drawn from 1..p-1 so every chart works,
-    and each factor is scaled so its last one is 1; a candidate equal to an
-    earlier point is redrawn. The coordinates are those of randrange(1, p)
-    called one after another on one stream: each takes 32-bit words until
-    one's top k bits, k the bit length of p - 1, are below p - 1, so the
-    words are drawn in bulk and filtered as an array.
+    Coordinates are drawn from 1..p-1 so every chart works, and each factor
+    is scaled so its last one is 1; a candidate equal to an earlier point is
+    redrawn. The coordinates are those of randrange(1, p) called one after
+    another on one stream: each takes 32-bit words until one's top k bits,
+    k the bit length of p - 1, are below p - 1, so the words are drawn in
+    bulk and filtered as an array.
     """
     if h < 0:
         raise ValueError("point count must be >= 0")
     p = cfg.prime.p
-    if subspace is not None and (space.nfactors != 1 or not (1 <= subspace <= space.n)):
-        raise ValueError("subspace constraint needs a single factor and 1 <= s <= n")
     k = (p - 1).bit_length()
-    drawn = [c <= (n if subspace is None else subspace) for n in space.factors for c in range(n + 1)]
-    width = sum(drawn)
+    width = sum(n + 1 for n in space.factors)
     words = width * h * 2**k // (p - 1) + 2 * width  # enough on average, then doubled
     rng = random.Random(f"{cfg.seed}:{trial}:{p}:{salt}")
     spare = np.empty(0, dtype=np.int64)  # coordinates drawn past the last candidate
@@ -382,8 +371,7 @@ def sample_points(
         bits = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
         bits, words = np.frombuffer(bits, "<u4") >> (32 - k), 2 * words
         spare = np.concatenate([spare, bits[bits < p - 1] + 1])
-        cand = np.zeros((len(spare) // width, len(drawn)), dtype=np.int64)
-        cand[:, drawn] = spare[: len(cand) * width].reshape(-1, width)
+        cand = spare[: len(spare) // width * width].reshape(-1, width)
         spare = spare[len(cand) * width :]
         _normalize(cand, space.factors, p)
         for key in map(bytes, cand):
@@ -395,7 +383,7 @@ def sample_points(
                 # the bound is per point, so the first h points of a call
                 # for more points are exactly this call's, or both raise
                 raise OracleSamplingError("could not sample distinct points in general position")
-    return np.frombuffer(bytearray(b"".join(points)), dtype=np.int64).reshape(h, len(drawn))
+    return np.frombuffer(bytearray(b"".join(points)), dtype=np.int64).reshape(h, width)
 
 
 def _frame_size(space: Space) -> int:
@@ -529,20 +517,22 @@ def _condition_matrix(
     cfg: OracleConfig,
     trial: int,
     lines: list[LineScheme],
-    subspace: SubspaceScheme | None,
+    subspace: LinearSubspace | None,
 ) -> np.ndarray:
     """The condition rows of one trial past its frame points: the fat points
-    in group order, then the given line schemes."""
+    in group order, then the given line schemes. A subspace call has no
+    frame: its first points are sampled in the P^s, the others off it."""
     frame = 0
     if subspace is None:
         points = _trial_points(sys.space, sys.total_points, cfg, trial)
         frame = _frame_size(sys.space)
     else:
-        on = sample_points(sys.space, subspace.points_on, cfg, subspace=subspace.s, trial=trial)
-        off = sample_points(
-            sys.space, sys.total_points - subspace.points_on, cfg, trial=trial, salt="off"
-        )
-        points = np.vstack([on, off])
+        k = subspace.through_first
+        on = sample_points(Space((subspace.s,)), k, cfg, trial=trial)
+        off = sample_points(sys.space, sys.total_points - k, cfg, trial=trial, salt="off")
+        # x_{s+1} = ... = x_n = 0: zeros out to the n + 1 coordinates of P^n
+        pad = np.zeros((k, off.shape[1] - on.shape[1]), dtype=np.int64)
+        points = np.vstack([np.hstack([on, pad]), off])
     blocks = []
     start = 0
     for g in sys.points:
@@ -611,7 +601,7 @@ def _oracle_series(
     cfg: OracleConfig,
     counts: list[int],
     extra_schemes: tuple[LineScheme, ...] | list[LineScheme] = (),
-    subspace: SubspaceScheme | None = None,
+    subspace: LinearSubspace | None = None,
 ) -> list[OracleResult]:
     """h0_oracle of sys cut to its first h points, for each h in counts.
 
@@ -667,6 +657,8 @@ def _oracle_series(
     if extra_schemes and sys.space.nfactors != 1:
         raise NotImplementedError("line schemes are only supported on a single factor")
     check_lines(sys, extra_schemes)
+    if subspace is not None:
+        check_subspace(sys, subspace)
     pure = not extra_schemes and subspace is None
 
     builder = _RowBuilder(sys, p)
@@ -695,19 +687,18 @@ def _oracle_series(
             else:
                 lines.append((i, j, alpha))
         gone[-1] = int(np.count_nonzero(drop))  # a line call has one cut, of all its points
-        cols = builder.cols
+        cols, free = builder.cols, 0
     else:
         frame, gone, lines = 0, [0], list(extra_schemes)
         drop = ~builder.E[:, subspace.s + 1 :].any(axis=1)
         cols = builder.cols - int(drop.sum())
+        free = sum(binom(m - 1 + subspace.s, subspace.s) for m in mults[: subspace.through_first])
     builder.E = builder.E[~drop]
     builder.cols = len(builder.E)
     prefix = [0, *accumulate(point_conditions(m, sys.space) for m in mults)]
     skip = prefix[frame]  # the frame's rows
     conditions = [prefix[h] for h in counts]  # each cut's naive point conditions
     monomials = monomial_count(sys.space, sys.multidegree)
-    on = mults[: subspace.points_on] if subspace else ()
-    free = sum(binom(m - 1 + subspace.s, subspace.s) for m in on)
     lower = [0 if extra_schemes else max(cols - c + free, 0) for c in conditions]
     # a line's naive rows: multiplicity alpha at d + 1 points of it
     d = sys.multidegree[0]
@@ -777,12 +768,14 @@ def h0_oracle(
     sys: LinearSystem,
     cfg: OracleConfig | None = None,
     extra_schemes: tuple[LineScheme, ...] | list[LineScheme] = (),
-    subspace: SubspaceScheme | None = None,
+    subspace: LinearSubspace | None = None,
 ) -> OracleResult:
     """Generic h^0 of the system (minimum of cols - rank over random trials).
 
     extra_schemes adds vanishing to order alpha along lines through pairs of
     the sampled base points, given as (i, j, alpha) flattened point indices.
+    subspace adds vanishing on a linear P^s through the first points, which
+    systems.check_subspace must accept.
     h1 (the naive condition count minus the rank) and special (h0 - 1 above
     the expected dimension) are only meaningful, and only reported, for pure
     fat-point systems; with extra schemes or a subspace they are None.
@@ -798,21 +791,6 @@ def h0_prefix_oracle(sys: LinearSystem, cfg: OracleConfig | None = None) -> list
     when a cut past the first trial's prefix misses its bound)."""
     cfg = cfg or OracleConfig()
     return _oracle_series(sys, cfg, list(range(sys.total_points + 1)))
-
-
-def restrict_to_subspace(sys: LinearSystem, s: int, points_on: int | None = None) -> LinearSystem:
-    """The system cut to a linear P^s: same degree, first points_on points."""
-    if sys.space.nfactors != 1:
-        raise ValueError("restriction to a subspace needs a single factor")
-    n = sys.space.n
-    if not (1 <= s <= n):
-        raise ValueError(f"need 1 <= s <= {n}, got {s}")
-    if s == n:
-        return sys
-    keep = sys.total_points if points_on is None else points_on
-    if not (0 <= keep <= sys.total_points):
-        raise ValueError(f"points_on out of range: {keep}")
-    return LinearSystem(Space((s,)), sys.multidegree, sys.first_points(keep).points)
 
 
 def cross_checked_h0(

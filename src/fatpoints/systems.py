@@ -176,6 +176,32 @@ def check_lines(sys: LinearSystem, lines: Sequence[tuple[int, int, int]]) -> Non
             raise ValueError("line multiplicity must be >= 1")
 
 
+@dataclass(frozen=True)
+class LinearSubspace:
+    """The P^s x_{s+1} = ... = x_n = 0 of a single P^n, through the first
+    through_first base points of a system."""
+
+    s: int
+    through_first: int
+
+    def __post_init__(self) -> None:
+        if self.s < 1:
+            raise ValueError("subspace dimension must be >= 1")
+        if self.through_first < 1:
+            raise ValueError("a subspace candidate must contain base points")
+
+
+def check_subspace(sys: LinearSystem, Y: LinearSubspace) -> None:
+    """Reject a subspace Y that is no proper subspace of the single P^n of
+    sys, or that claims more base points than sys has."""
+    if sys.space.nfactors != 1:
+        raise NotImplementedError("linear subspace candidates live in a single P^n")
+    if Y.s > sys.space.n - 1:
+        raise ValueError(f"need 1 <= s <= n-1, got s={Y.s} in P^{sys.space.n}")
+    if Y.through_first > sys.total_points:
+        raise ValueError("subspace claims more incident points than the system has")
+
+
 def lower_h0(sys: LinearSystem, lines: Sequence[tuple[int, int, int]] = ()) -> int:
     """A proven lower bound on the generic h0 of a fat-point system over Q,
     the largest of five rules in integer arithmetic:

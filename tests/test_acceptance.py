@@ -22,7 +22,6 @@ from fatpoints.oracle import (
     OracleConfig,
     cross_checked_h0,
     h0_oracle,
-    restrict_to_subspace,
 )
 from fatpoints.cli import main
 from fatpoints.search import scan_product_divisors, verify_cgg
@@ -121,7 +120,7 @@ def test_criterion_4_quartic_triple_points():
         failures.append(("plane-1sev", rep.to_json()))
     if rep.values["nu_by_alpha"][2] != 22:
         failures.append(("plane-2sev-nu", rep.values["nu_by_alpha"]))
-    restricted = restrict_to_subspace(sys, 2)
+    restricted = make_system([2], [6], [(4, 3)])  # the plane through the three points
     rr = cross_checked_h0(restricted, CFG)
     if not (rr.agreed and rr.h0 - 1 > dim_report(restricted).expected_dim):
         failures.append(("restricted-not-special", rr.h0))

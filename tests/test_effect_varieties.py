@@ -17,7 +17,7 @@ from fatpoints.effect_varieties import (
     residual_divisor,
     rnc_double_residual_nu,
 )
-from fatpoints.oracle import OracleConfig
+from fatpoints.oracle import OracleConfig, h0_oracle
 from fatpoints.systems import make_system, virtual_dim
 
 CFG = OracleConfig(trials=2, seed=20259)
@@ -51,8 +51,9 @@ def test_residual_divisor_composition():
 
 def test_linear_space_residual_values():
     # |4H - 2 line| and |2H - 2 line| in P^3, both base points on the line
-    assert linear_space_residual_nu(make_system([3], [4], [(2, 2)]), 1, 2) == 21
-    assert linear_space_residual_nu(make_system([3], [2], [(2, 2)]), 1, 2) == 2
+    line = LinearSubspace(1, 2)
+    assert linear_space_residual_nu(make_system([3], [4], [(2, 2)]), line, 2) == 21
+    assert linear_space_residual_nu(make_system([3], [2], [(2, 2)]), line, 2) == 2
 
 
 def test_linear_space_residual_span_corollary():
@@ -60,7 +61,7 @@ def test_linear_space_residual_span_corollary():
     for n in range(2, 9):
         for h in range(2, n + 1):
             sys = make_system([n], [2], [(2, h)])
-            assert linear_space_residual_nu(sys, h - 1, 2, points_on=h) >= 0
+            assert linear_space_residual_nu(sys, LinearSubspace(h - 1, h), 2) >= 0
 
 
 def test_rnc_residual_values():
@@ -336,6 +337,25 @@ def test_h1_check_product_divisor():
     rep = h1_sev_check(sys, Hypersurface.through_all(sys, (1, 1, 1)), CFG)
     assert rep.is_h1_sev
     assert rep.values["h1_restriction"] == 2
+
+
+def test_every_subspace_caller_checks_the_subspace():
+    # a product, P^n itself and more points than the system has are rejected,
+    # each with one error type, by every function that takes a subspace
+    callers = [
+        lambda sys, Y: h0_oracle(sys, CFG, subspace=Y),
+        classify_alpha_sev,
+        lambda sys, Y: h1_sev_check(sys, Y, CFG),
+        lambda sys, Y: linear_space_residual_nu(sys, Y, 1),
+    ]
+    for sys, Y, error, message in [
+        (make_system([1, 1], [2, 2], [(2, 2)]), LinearSubspace(1, 1), NotImplementedError, "single P"),
+        (make_system([3], [4], [(2, 3)]), LinearSubspace(3, 3), ValueError, "s <= n-1, got s=3"),
+        (make_system([3], [4], [(2, 3)]), LinearSubspace(2, 4), ValueError, "more incident points"),
+    ]:
+        for call in callers:
+            with pytest.raises(error, match=message):
+                call(sys, Y)
 
 
 def test_h1_check_subspace_fallback_residual():

@@ -17,7 +17,6 @@ from fatpoints.oracle import (
     SECOND_PRIME,
     CrossCheckedH0,
     OracleResult,
-    SubspaceScheme,
     _RowBuilder,
     _basis,
     _condition_matrix,
@@ -30,11 +29,10 @@ from fatpoints.oracle import (
     h0_oracle,
     h0_prefix_oracle,
     rank_mod_p,
-    restrict_to_subspace,
     sample_points,
 )
 from fatpoints.combinatorics import binom
-from fatpoints.systems import Space, dim_report, lower_h0, make_system, virtual_dim
+from fatpoints.systems import LinearSubspace, Space, dim_report, lower_h0, make_system, virtual_dim
 
 CFG = OracleConfig(trials=2, seed=4242)
 
@@ -312,24 +310,35 @@ def test_sample_points_deterministic():
     assert not np.array_equal(pts1, sample_points(Space((3,)), 5, CFG, trial=1))
 
 
+def points_on_subspace(n, s, h, cfg, trial=0, salt=""):
+    """Points of P^n on x_{s+1} = ... = x_n = 0 as a subspace call draws
+    them: P^s samples padded with zeros."""
+    pts = sample_points(Space((s,)), h, cfg, trial, salt)
+    return np.hstack([pts, np.zeros((h, n - s), dtype=np.int64)])
+
+
 def test_sample_points_prefix_consistent():
-    for space, kwargs in [
-        (Space((3,)), {}),
-        (Space((1, 1)), {}),
-        (Space((4,)), {"subspace": 2}),
-        (Space((2,)), {"salt": "off", "trial": 2}),
+    for draw in [
+        lambda h: sample_points(Space((3,)), h, CFG),
+        lambda h: sample_points(Space((1, 1)), h, CFG),
+        lambda h: points_on_subspace(4, 2, h, CFG),
+        lambda h: sample_points(Space((2,)), h, CFG, salt="off", trial=2),
     ]:
-        many = sample_points(space, 12, CFG, **kwargs)
+        many = draw(12)
         for h in range(13):
-            assert np.array_equal(many[:h], sample_points(space, h, CFG, **kwargs))
+            assert np.array_equal(many[:h], draw(h))
 
 
 def test_sample_points_subspace_constraint():
-    pts = sample_points(Space((4,)), 6, CFG, subspace=2)
+    pts = points_on_subspace(4, 2, 6, CFG)
     assert (pts[:, 3:] == 0).all() and (pts[:, 2] == 1).all() and pts[:, :2].all()
-    for bad in (0, 5):
-        with pytest.raises(ValueError, match="1 <= s <= n"):
-            sample_points(Space((4,)), 2, CFG, subspace=bad)
+    # a subspace call builds its rows at these points, then at points off it
+    sys = make_system([4], [3], [(2, 6), (1, 2)])
+    builder = _RowBuilder(sys, DEFAULT_PRIME)
+    off = sample_points(Space((4,)), 2, CFG, trial=1, salt="off")
+    on_rows = builder.rows(points_on_subspace(4, 2, 6, CFG, trial=1), 2)
+    got = _condition_matrix(builder, sys, CFG, 1, [], LinearSubspace(2, 6))
+    assert np.array_equal(got, np.vstack([on_rows, builder.rows(off, 1)]))
 
 
 def normalize_factor(coords, p):
@@ -370,6 +379,13 @@ def test_sample_points_match_the_sequential_stream():
         (Space((1,)), None), (Space((2,)), None), (Space((3,)), None), (Space((3,)), 1),
         (Space((4,)), 2), (Space((1, 1)), None), (Space((1, 1, 1)), None), (Space((2, 3)), None),
     ]
+    # a subspace's points are P^s samples padded with zeros, as a subspace
+    # call draws them
+    def draw(space, s, h, cfg, trial, salt):
+        if s is None:
+            return sample_points(space, h, cfg, trial, salt)
+        return points_on_subspace(space.n, s, h, cfg, trial, salt)
+
     raised = 0
     for p in (2, 3, 5, 7, 101, 65537, 2147483629, 2**31 - 1):
         for (space, s), seed, trial in iproduct(spaces, (271828, 5, 7), range(3)):
@@ -380,10 +396,10 @@ def test_sample_points_match_the_sequential_stream():
                 case = (p, space, s, seed, trial, salt, h)
                 if gave_up and h > drew:
                     with pytest.raises(OracleSamplingError):
-                        sample_points(space, h, cfg, s, trial, salt)
+                        draw(space, s, h, cfg, trial, salt)
                     raised += 1
                 else:
-                    pts = sample_points(space, h, cfg, s, trial, salt)
+                    pts = draw(space, s, h, cfg, trial, salt)
                     assert pts.dtype == np.int64 and pts.tolist() == [list(x) for x in want[:h]], case
     assert raised > 50
 
@@ -548,8 +564,8 @@ def test_batched_rows_match_single_points():
     # (chart x_1) interleaved with free points (chart x_3)
     sys = make_system([3], [4], [])
     builder = _RowBuilder(sys, DEFAULT_PRIME)
-    plane = sample_points(Space((3,)), 3, CFG, subspace=2)
-    line = sample_points(Space((3,)), 2, CFG, subspace=1)
+    plane = points_on_subspace(3, 2, 3, CFG)
+    line = points_on_subspace(3, 1, 2, CFG)
     free = sample_points(Space((3,)), 3, CFG, salt="free")
     pts = np.vstack([plane[0], free[0], line[0], free[1], plane[1], plane[2], line[1], free[2]])
     for m in (1, 2, 3):
@@ -647,7 +663,7 @@ def test_line_calls_certify_at_one_trial():
     assert (res.h0, res.lower, res.certified, res.trials_used) == (30, 30, True, 1)
     # a subspace call certifies like a pure one: quadrics vanishing on a
     # plane through 3 of 7 points, where the 3 points on it impose nothing
-    res = h0_oracle(make_system([3], [2], [(1, 7)]), cfg, subspace=SubspaceScheme(2, 3))
+    res = h0_oracle(make_system([3], [2], [(1, 7)]), cfg, subspace=LinearSubspace(2, 3))
     assert (res.h0, res.lower, res.certified, res.trials_used) == (0, 0, True, 1)
 
 
@@ -655,15 +671,14 @@ def test_subspace_calls_certify_at_one_trial(monkeypatch):
     # on forms vanishing on the P^s, a point of multiplicity m on it imposes
     # at most C(m-1+n, n) - C(m-1+s, s) conditions: the plane through the
     # sextic's three quadruple points leaves 56 - 3 x (20 - 10) = 26
-    sextic, plane = make_system([3], [6], [(4, 3)]), SubspaceScheme(2, 3)
+    sextic, plane = make_system([3], [6], [(4, 3)]), LinearSubspace(2, 3)
     res = h0_oracle(sextic, OracleConfig(), subspace=plane)
     assert (res.h0, res.lower, res.certified, res.trials_used) == (26, 26, True, 1)
-    # points sampled off the plane impose all 60 conditions: the trial value
-    # 0 is below the bound, which must fail loudly
+    # points of P^3 drawn for the plane's P^2 lie off the plane and impose
+    # all 60 conditions: the trial value 0 is below the bound, which must
+    # fail loudly
     real = oracle.sample_points
-    monkeypatch.setattr(
-        oracle, "sample_points", lambda space, h, cfg, subspace=None, **kw: real(space, h, cfg, **kw)
-    )
+    monkeypatch.setattr(oracle, "sample_points", lambda space, h, cfg, **kw: real(Space((3,)), h, cfg, **kw))
     with pytest.raises(OracleSamplingError, match="lower bound 26"):
         h0_oracle(sextic, OracleConfig(), subspace=plane)
 
@@ -676,7 +691,7 @@ def test_subspace_call_keeps_its_lines():
     for d, m, alpha, h0 in [(6, 4, 3, 24), (6, 4, 2, 26), (5, 3, 2, 22), (7, 4, 3, 49), (6, 3, 3, 36)]:
         on_plane = h0_oracle(
             make_system([3], [d], [(m, 3)]), CFG,
-            extra_schemes=((0, 1, alpha),), subspace=SubspaceScheme(2, 3),
+            extra_schemes=((0, 1, alpha),), subspace=LinearSubspace(2, 3),
         )
         divided = h0_oracle(make_system([3], [d - 1], [(m - 1, 3)]), CFG, extra_schemes=((0, 1, alpha - 1),))
         assert on_plane.h0 == divided.h0 == h0, (d, m, alpha)
@@ -749,16 +764,16 @@ def test_lines_in_the_base_locus_add_no_rank():
 
 
 def test_subspace_residual_closed_form():
-    # forms vanishing on a P^s of P^n through k of h simple points: the k
-    # points impose nothing more, the h - k general points off it impose
+    # forms vanishing on a P^s of P^n through k >= 1 of h simple points: the
+    # k points impose nothing more, the h - k general points off it impose
     # independent conditions
     for n in range(2, 5):
         for s in range(1, n):
             for d in range(1, 5):
-                for h in range(9):
-                    sys = make_system([n], [d], [(1, h)] if h else [])
-                    for k in range(h + 1):
-                        res = h0_oracle(sys, CFG, subspace=SubspaceScheme(s, k))
+                for h in range(1, 9):
+                    sys = make_system([n], [d], [(1, h)])
+                    for k in range(1, h + 1):
+                        res = h0_oracle(sys, CFG, subspace=LinearSubspace(s, k))
                         want = max(binom(d + n, n) - binom(d + s, s) - (h - k), 0)
                         assert res.h0 == want, (n, s, d, h, k)
 
@@ -1064,17 +1079,6 @@ def test_cross_checked_h0_keeps_the_smaller_value(monkeypatch):
     assert cross_checked_h0(sys, CFG) == CrossCheckedH0(4, False, (4, 5), (CFG.prime.p, SECOND_PRIME))
     monkeypatch.setattr(oracle, "h0_oracle", skewed(CFG.prime.p))
     assert cross_checked_h0(sys, CFG) == CrossCheckedH0(4, False, (5, 4), (CFG.prime.p, SECOND_PRIME))
-
-
-def test_restrict_to_subspace():
-    sys = make_system([5], [2], [(2, 4)])
-    r = restrict_to_subspace(sys, 3)
-    assert r == make_system([3], [2], [(2, 4)])
-    r = restrict_to_subspace(make_system([3], [6], [(4, 3)]), 2)
-    assert r == make_system([2], [6], [(4, 3)])
-    assert restrict_to_subspace(sys, 5) == sys
-    r = restrict_to_subspace(make_system([3], [2], [(2, 5), (1, 2)]), 2, points_on=6)
-    assert r == make_system([2], [2], [(2, 5), (1, 1)])
 
 
 def test_two_primes_two_seeds_agree():
