@@ -5,7 +5,6 @@ classification scans, and an exact finite-field interpolation oracle."""
 from .combinatorics import (
     A_ratio,
     binom,
-    eta_product,
     linear_expected_h0,
     phi_hyp,
     phi_product,

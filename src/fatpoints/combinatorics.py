@@ -132,13 +132,6 @@ def phi_product(d: Sequence[int], e: Sequence[int], n: Sequence[int]) -> int:
     return mono - resid - (through - 1) * (sum(n) + 1)
 
 
-def eta_product(e: Sequence[int], n: Sequence[int]) -> int:
-    """The d = 2e slice of :func:`phi_product`, non-decreasing in each n_i."""
-    if any(ei < 1 for ei in e):
-        raise ValueError("eta_product: need e_i >= 1")
-    return phi_product([2 * ei for ei in e], e, n)
-
-
 def linear_expected_h0(n: int, d: int, mults: Sequence[int]) -> int:
     """h0 of degree-d forms on P^n with multiplicity m_i at s <= n+2 general
     points: the linear expected dimension plus one, C(n+d, n) +

@@ -214,11 +214,15 @@ def lower_h0(sys: LinearSystem, lines: Sequence[tuple[int, int, int]] = ()) -> i
        lower(L - alpha Y) for alpha up to the largest multiplicity. Only
        minimal e are tried: for e' >= e, L - alpha Y' embeds in L - alpha Y;
     3. linear_expected_h0, on a single P^n with at most n+2 points;
-    4. the double rational normal curve, on a single P^n, n >= 2, d >= 2,
-       with at most n+3 points, none of multiplicity above 2: the forms
-       singular along the curve C of degree n through the points lie in L,
-       and at least C(n+d, n) - h0(O_2C(d)) of them are independent, with
-       h0(O_2C(d)) at most neighbourhood_count(n, 1, d, 2, e=n, c=n+2);
+    4. the Cremona transformation (Laface and Ugaglia, Trans. AMS 2006), on
+       a single P^n, n >= 2: put the largest m_0..m_n, each at most d, at
+       the frame e_0..e_n, with k = (n-1) d - (m_0 + ... + m_n) < 0. F in L
+       uses only x^a with a_j <= w_j = d - m_j, and u = w - a maps these a
+       onto the u of degree d + k with u_j <= (d + k) - (m_j + k), those of
+       Cr L = L(d + k; (m_0 + k)+, ..., (m_n + k)+, m_{n+1}, ...). That is
+       G(x) = x^w F(1/x), and on the torus mult_q G = mult_{1/q} F, with
+       1/q general for general q: h0(L) = h0(Cr L), 0 when d + k < 0, so
+       lower(L) >= lower(Cr L), and the degree drops at each step;
     5. a pencil: in rule 2, when monomial_count(e) >= h + 2 and lower(L -
        alpha Y) >= 1, lower(L) >= lower(L - alpha Y) + alpha. Take Y1, Y2
        through the points, G0 != 0 in L - alpha Y, Y1 not dividing Y2^alpha
@@ -251,8 +255,10 @@ def _lower_h0(factors: tuple[int, ...], degree: tuple[int, ...], mults: tuple[in
         (n,), (d,) = factors, degree
         if len(mults) <= n + 2:
             best = max(best, linear_expected_h0(n, d, mults))
-        if n >= 2 and d >= 2 and len(mults) <= n + 3 and max(mults, default=0) <= 2:
-            best = max(best, binom(n + d, n) - neighbourhood_count(n, 1, d, 2, e=n, c=n + 2))
+        k = (n - 1) * d - sum(mults[: n + 1])
+        if n >= 2 and len(mults) > n and mults[0] <= d and k < 0 <= d + k:
+            cremona = [m + k for m in mults[: n + 1] if m + k > 0] + list(mults[n + 1 :])
+            best = max(best, _lower_h0(factors, (d + k,), tuple(sorted(cremona, reverse=True))))
 
     def through(e: tuple[int, ...]) -> bool:
         return any(e) and monomial_count(space, e) > len(mults)

@@ -6,7 +6,6 @@ import pytest
 from fatpoints.combinatorics import (
     A_ratio,
     binom,
-    eta_product,
     linear_expected_h0,
     neighbourhood_count,
     phi_hyp,
@@ -128,15 +127,10 @@ def test_phi_product_errors():
         phi_product([2, 1], [1, 1], [1, 1])  # d2 < 2 e2
 
 
-def test_eta_product_examples():
-    assert eta_product([1, 1], [1, 1]) == -1
-    assert eta_product([2, 1], [1, 2]) == -3
-    assert eta_product([1, 1, 1], [1, 1, 3]) < 0
-
-
-def test_eta_requires_positive_e():
-    with pytest.raises(ValueError):
-        eta_product([0, 1], [1, 1])
+def test_phi_product_at_d_equal_2e():
+    assert phi_product([2, 2], [1, 1], [1, 1]) == -1
+    assert phi_product([4, 2], [2, 1], [1, 2]) == -3
+    assert phi_product([2, 2, 2], [1, 1, 1], [1, 1, 3]) < 0
 
 
 def test_phi_monotone_in_d_small_grid():

@@ -1060,10 +1060,9 @@ def test_prefix_series_matches_each_cut():
 
 
 def test_cross_checked_h0_keeps_the_smaller_value(monkeypatch):
-    # septics quadruple at 6 points of P^3, special along the twisted cubic
-    # through them: h0 = 4, above the bound 0 that every rule leaves, so
-    # the second prime runs
-    sys = make_system([3], [7], [(4, 6)])
+    # sextics quadruple at 8 points of P^5: h0 = 43, above the bound 14
+    # that every rule leaves, so the second prime runs
+    sys = make_system([5], [6], [(4, 8)])
     real = oracle.h0_oracle
 
     def skewed(skew_prime):
@@ -1076,25 +1075,47 @@ def test_cross_checked_h0_keeps_the_smaller_value(monkeypatch):
     # both values bound h0 from above: the smaller is kept, whichever prime
     # read it
     monkeypatch.setattr(oracle, "h0_oracle", skewed(SECOND_PRIME))
-    assert cross_checked_h0(sys, CFG) == CrossCheckedH0(4, False, (4, 5), (CFG.prime.p, SECOND_PRIME))
+    assert cross_checked_h0(sys, CFG) == CrossCheckedH0(43, False, (43, 44), (CFG.prime.p, SECOND_PRIME))
     monkeypatch.setattr(oracle, "h0_oracle", skewed(CFG.prime.p))
-    assert cross_checked_h0(sys, CFG) == CrossCheckedH0(4, False, (5, 4), (CFG.prime.p, SECOND_PRIME))
+    assert cross_checked_h0(sys, CFG) == CrossCheckedH0(43, False, (44, 43), (CFG.prime.p, SECOND_PRIME))
 
 
 def test_two_primes_two_seeds_agree():
-    # cuts the lower-bound rules leave open: the twisted cubic through six
-    # points, h0 4, 14 and 32 against bounds 0, 10 and 28
-    for spec in [([3], [7], [(4, 6)]), ([3], [9], [(5, 6)]), ([3], [11], [(6, 6)])]:
+    # cuts the lower-bound rules leave open: sextics quadruple at 8 and 9
+    # points of P^5, h0 43 and 3 against bounds 14 and 0
+    for spec in [([5], [6], [(4, 8)]), ([5], [6], [(4, 9)])]:
         cc = cross_checked_h0(make_system(*spec), CFG)
         assert not cc.certified
         assert cc.agreed and cc.primes[0] != cc.primes[1]
-    # certified cuts use one prime, the double rational normal curve case too
+    # certified cuts use one prime, the Cremona reductions of the cubics
+    # double at 7 points of P^4 and of the twisted cubic through 6 points too
     for spec in [
-        ([3], [4], [(2, 9)]), ([1, 1], [4, 2], [(2, 5)]), ([3], [6], [(4, 3)]), ([4], [3], [(2, 7)])
+        ([3], [4], [(2, 9)]), ([1, 1], [4, 2], [(2, 5)]), ([3], [6], [(4, 3)]), ([4], [3], [(2, 7)]),
+        ([3], [7], [(4, 6)]), ([3], [9], [(5, 6)]), ([3], [11], [(6, 6)]),
     ]:
         cc = cross_checked_h0(make_system(*spec), CFG)
         assert cc.certified and cc.agreed
         assert cc.primes == (CFG.prime.p,) and cc.values == (cc.h0,)
+
+
+def test_cremona_closes_the_census_gaps():
+    # the Cremona rule of lower_h0 certifies these cuts at their first
+    # trial: the twisted cubic through six points of P^3, (12, 7, 6) and
+    # (13, 7, 6), and the rational normal quartic through seven of P^4
+    closed = [
+        ([3], [7], [(4, 6)], 4), ([3], [9], [(5, 6)], 14), ([3], [11], [(6, 6)], 32),
+        ([3], [12], [(7, 6)], 1), ([3], [13], [(7, 6)], 60), ([4], [6], [(4, 7)], 1),
+        ([4], [8], [(5, 7)], 31),
+    ]
+    # where k = 4 d - 6 m = 0 the rule does not apply, and these stay open
+    still_open = [([5], [6], [(4, 8)]), ([5], [6], [(4, 9)])]
+    for seed in (271828, 5, 7):
+        cfg = OracleConfig(seed=seed)
+        for *spec, h0 in closed:
+            res = h0_oracle(make_system(*spec), cfg)
+            assert (res.h0, res.certified, res.trials_used) == (h0, True, 1), (seed, spec)
+        for spec in still_open:
+            assert not h0_oracle(make_system(*spec), cfg).certified, (seed, spec)
 
 
 def test_explicit_second_prime_config():

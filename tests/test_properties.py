@@ -150,6 +150,23 @@ def bound_grid(max_monomials=None):
                     yield make_system(factors, degree, [(m, h)])
 
 
+def cremona_grid():
+    """a^i b^j on P^2-P^4 (degree <= 8, at most 120 monomials, n+1 to n+3
+    points, a > b) where k = (n-1) d - (m_0 + ... + m_n) < 0, so the
+    Cremona rule of lower_h0 applies, and the twisted cubic through six
+    points of P^3 with h0 4, 14 and 32."""
+    for n, d in product(range(2, 5), range(2, 9)):
+        if monomial_count(Space((n,)), (d,)) > 120:
+            continue
+        for a, b, i in product(range(2, d + 1), range(1, d), range(1, n + 2)):
+            for j in range(max(n + 1 - i, 0), n + 4 - i):
+                mults = [a] * i + [b] * j
+                if b < a and (n - 1) * d < sum(mults[: n + 1]):
+                    yield make_system([n], [d], [(a, i), (b, j)] if j else [(a, i)])
+    for d, m in [(7, 4), (9, 5), (11, 6)]:
+        yield make_system([3], [d], [(m, 6)])
+
+
 def bounds_within_h0(sys, cfg):
     """Neither lower bound exceeds h0; h0_oracle itself raises where a bound
     exceeds a trial value."""
@@ -159,6 +176,8 @@ def bounds_within_h0(sys, cfg):
 
 def test_lower_bounds_never_exceed_h0_on_grid():
     # every fifth system with at most 50 monomials (26 section certificates);
-    # the whole grid, 5,196 systems with 624 certificates, takes about 70 s
+    # the whole grid, 5,196 systems with 624 certificates, takes about 70 s;
+    # then every system of the Cremona grid
     cfg = OracleConfig(seed=5)
     assert all(bounds_within_h0(sys, cfg) for sys in list(bound_grid(50))[::5])
+    assert all(bounds_within_h0(sys, cfg) for sys in cremona_grid())

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from fatpoints.combinatorics import binom, neighbourhood_count
 from fatpoints.oracle import h0_oracle
 from fatpoints.systems import (
     FatPointGroup,
@@ -146,9 +147,11 @@ def test_lower_h0_examples():
     assert lower_h0(sys) == 5
     # no points, and the floor where nothing else applies
     assert lower_h0(make_system([2], [3], [])) == 10
-    # cubics double at 7 points of P^4: the floor is 0, and the forms singular
-    # along the rational normal curve through them leave 35 - 2 x 16 - 2 = 1;
-    # plane quartics double at 5 points: the double conic, 15 - 12 - 2 = 1
+    # cubics double at 7 points of P^4: the floor is 0, and the Cremona
+    # reduction at five of them leaves quadrics double at 2 points and
+    # through 5, then hyperplanes through 4 points, 1; plane quartics
+    # double at 5 points, the double conic: the reduction at three of them
+    # leaves conics double at 2 points, the double line
     assert lower_h0(make_system([4], [3], [(2, 7)])) == 1
     assert lower_h0(make_system([2], [4], [(2, 5)])) == 1
     assert lower_h0(make_system([2], [5], [(2, 3), (1, 2)])) == virtual_dim(
@@ -164,6 +167,21 @@ def test_lower_h0_examples():
     assert lower_h0(make_system([2], [4], [(2, 4)])) == 3  # 15 - 12, the floor too
     # a net through the points is not a pencil: the floor stays, 30 - 25
     assert lower_h0(make_system([1, 3], [2, 2], [(2, 5)])) == 5
+
+
+def test_lower_h0_keeps_the_double_rational_normal_curve_bound():
+    # forms singular along the rational normal curve C through at most n+3
+    # points of multiplicity at most 2 lie in L, and at least C(n+d, n) -
+    # h0(O_2C(d)) of them are independent; the Cremona rule and the others
+    # reach that count on every such system
+    for n in range(2, 6):
+        for d in range(2, 9):
+            rnc = binom(n + d, n) - neighbourhood_count(n, 1, d, 2, e=n, c=n + 2)
+            for doubles in range(n + 4):
+                for simples in range(n + 4 - doubles):
+                    pts = [(m, c) for m, c in ((2, doubles), (1, simples)) if c]
+                    sys = make_system([n], [d], pts)
+                    assert lower_h0(sys) >= rnc, (n, d, doubles, simples)
 
 
 def test_lower_h0_with_lines():
