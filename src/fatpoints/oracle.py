@@ -21,6 +21,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
+from math import comb
 
 import numpy as np
 
@@ -402,96 +403,104 @@ def _trial_points(space: Space, h: int, cfg: OracleConfig, trial: int) -> np.nda
 
 
 @lru_cache(maxsize=None)
-def _falling_table(max_a: int, max_b: int, p: int) -> np.ndarray:
-    """FALL[a, b] = a (a-1) ... (a-b+1) mod p, zero when b > a."""
-    fall = np.zeros((max_a + 1, max_b + 1), dtype=np.int64)
-    fall[:, 0] = 1
-    for b in range(1, max_b + 1):
-        for a in range(max_a + 1):
-            fall[a, b] = fall[a, b - 1] * max(a - b + 1, 0) % p
-    fall.flags.writeable = False
-    return fall
+def _taylor(
+    factors: tuple[int, ...], multidegree: tuple[int, ...], chart: tuple[int, ...], m: int, p: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only tables of the Taylor rows of order < m in one chart, one row
+    per derivative multi-index beta (by total order, then lexicographically)
+    and one column per basis monomial a: a point x's row beta is
+    coef[beta] * value(x)[idx[beta]], value(x) its row of basis monomials.
 
-
-@lru_cache(maxsize=None)
-def _derivative_indices(factors: tuple[int, ...], charts: tuple[int, ...], m: int) -> np.ndarray:
-    """Multi-indices of total order <= m-1 over the non-chart positions, one
-    row each, ordered by total order and then lexicographically."""
-    width = sum(n + 1 for n in factors)
-    free = [v for v in range(width) if v not in charts]
-    # a slack exponent in front turns "total order <= m-1" into "exactly m-1"
+    Entry a is prod_v FALL(a_v, beta_v) x_v^(a_v - beta_v) over the
+    non-chart v. The chart coordinate is 1, so x^(a - beta) is the value at
+    x of the basis monomial whose non-chart exponents are a - beta and whose
+    chart exponents make up the degree. Where beta_v > a_v, coef is 0 and
+    idx names the monomial of non-chart exponents max(a - beta, 0).
+    """
+    E = _basis(factors, multidegree)
+    free = [v for v in range(E.shape[1]) if v not in chart]
+    # a slack exponent in front turns "order <= m-1" into "exactly m-1"
     exps = _factor_exponents(len(free) + 1, m - 1)
-    betas = np.zeros((len(exps), width), dtype=np.int64)
+    betas = np.zeros((len(exps), E.shape[1]), dtype=np.int64)
     betas[:, free] = exps[:, 1:]
-    out = betas[np.lexsort([*betas.T[::-1], betas.sum(axis=1)])]
-    out.flags.writeable = False
-    return out
+    betas = betas[np.lexsort([*betas.T[::-1], betas.sum(axis=1)])]
+    a = np.arange(max(multidegree, default=0) + 1)
+    fall = np.ones((len(a), m), dtype=np.int64)  # FALL(a, b) = a (a-1) ... (a-b+1) mod p
+    for b in range(1, m):
+        fall[:, b] = fall[:, b - 1] * np.maximum(a - b + 1, 0) % p
+    coef = np.ones((len(betas), len(E)), dtype=np.int64)
+    for v in free:
+        coef = coef * fall[E[:, v], betas[:, v, None]] % p
+    # idx in closed form: in a factor of n + 1 variables and degree d, the
+    # basis lists before t the exponent vectors larger than t at the first
+    # entry i where they differ, C(s + q - 1, q) of them for each i, s the
+    # sum of t past i and q = n - i; the first factor varies slowest
+    idx = np.zeros(coef.shape, dtype=np.intp)
+    start = 0
+    for n, d, c in zip(factors, multidegree, chart):
+        t = [np.maximum(E[:, v] - betas[:, v, None], 0) for v in range(start, start + n + 1)]
+        t[c - start] += d - sum(t)
+        idx *= comb(n + d, n)
+        past = d
+        for i in range(n):
+            past = past - t[i]
+            idx += np.array([comb(s + n - i - 1, n - i) for s in range(d + 1)])[past]
+        start += n + 1
+    coef.flags.writeable = idx.flags.writeable = False
+    return coef, idx
 
 
 class _RowBuilder:
-    """Condition rows of one system mod p, built a batch of points at a time."""
+    """Condition rows of one system mod p, built a batch of points at a time
+    on the basis columns that keep marks (all of them by default)."""
 
-    def __init__(self, sys: LinearSystem, p: int):
+    def __init__(self, sys: LinearSystem, p: int, keep: np.ndarray | None = None):
         self.sys = sys
         self.p = p
         self.space = sys.space
         self.E = _basis(sys.space.factors, sys.multidegree)
-        self.cols = self.E.shape[0]
+        self.keep = keep
+        self.cols = len(self.E) if keep is None else int(np.count_nonzero(keep))
         self.width = self.E.shape[1]
         self.maxdeg = max(sys.multidegree) if sys.multidegree else 0
 
-    def _taylor(self, charts: tuple[int, ...], m: int) -> tuple[np.ndarray, list]:
-        """Point-independent parts of the order < m Taylor rows in one chart.
-
-        Row beta, column a is prod_v FALL[a_v, beta_v] x_v^(a_v - beta_v); the
-        falling factorials (zero where beta_v > a_v) make the coefficient
-        table, and each non-chart v contributes its exponents a_v - beta_v
-        (the chart coordinate is 1).
-        """
-        betas = _derivative_indices(self.space.factors, charts, m)
-        fall = _falling_table(self.maxdeg, m - 1, self.p)
-        coef = np.ones((len(betas), self.cols), dtype=np.int64)
-        exponents = []
-        for v in range(self.width):
-            if v in charts:
-                continue
-            a, b = self.E[:, v], betas[:, v, None]
-            coef = coef * fall[a, b] % self.p
-            exponents.append((v, np.maximum(a - b, 0)))
-        return coef, exponents
-
-    def rows(self, points: np.ndarray, m: int) -> np.ndarray:
+    def rows(self, points: np.ndarray, m: int, out: np.ndarray | None = None) -> np.ndarray:
         """Rows of multiplicity m at every point, a row of points each,
-        stacked in point order: the value and all chart derivatives of order
-        < m, one row per derivative multi-index. Each factor is normalized so
-        its last nonzero coordinate is 1; points whose charts differ are built
-        in separate sub-batches."""
+        stacked in point order into out (allocated if None): the value and
+        all chart derivatives of order < m, one row per derivative
+        multi-index. Each factor is normalized so its last nonzero coordinate
+        is 1. Each point's value row is computed once; each run of points in
+        one chart then takes one gather through the _taylor index table, one
+        product with its coefficients and one reduction, in place."""
         if self.space.nfactors > 1 and m > 2:
             raise NotImplementedError("multiplicity >= 3 on products is not supported")
         p = self.p
         X = np.remainder(points, p, dtype=np.int64).reshape(len(points), self.width)
         charts = _normalize(X, self.space.factors, p)
 
-        # powers x_v^k of every coordinate, k = 0..maxdeg
+        # powers x_v^k of every coordinate, k = 0..maxdeg, with 0^0 = 1
         powers = np.ones((len(points), self.width, self.maxdeg + 1), dtype=np.int64)
         for k in range(1, self.maxdeg + 1):
             powers[:, :, k] = powers[:, :, k - 1] * X % p
+        values = np.ones((len(points), len(self.E)), dtype=np.int64)
+        for v in range(self.width):
+            values *= powers[:, v, self.E[:, v]]
+            values %= p
 
         nbeta = binom(self.width - self.space.nfactors + m - 1, m - 1)
-        out = np.empty((len(points), nbeta, self.cols), dtype=np.int64)
-        groups: dict[tuple[int, ...], list[int]] = {}
-        for i, chart in enumerate(map(tuple, charts.tolist())):
-            groups.setdefault(chart, []).append(i)
-        for chart, idx in groups.items():
-            coef, exponents = self._taylor(chart, m)
-            vals = np.empty((len(idx), *coef.shape), dtype=np.int64)
-            vals[:] = coef
-            for v, e in exponents:
-                # residues are below 2^31, so each product is below 2^62
-                vals *= powers[idx, v][:, e]
-                vals %= p
-            out[idx] = vals
-        return out.reshape(len(points) * nbeta, self.cols)
+        if out is None:
+            out = np.empty((len(points) * nbeta, self.cols), dtype=np.int64)
+        block = out.reshape(len(points), nbeta, self.cols)
+        charts = charts.tolist()
+        starts = [i for i, chart in enumerate(charts) if i == 0 or chart != charts[i - 1]]
+        for lo, hi in zip(starts, [*starts[1:], len(charts)]):
+            coef, idx = _taylor(self.space.factors, self.sys.multidegree, tuple(charts[lo]), m, p)
+            if self.keep is not None:
+                coef, idx = coef[:, self.keep], idx[:, self.keep]
+            np.take(values[lo:hi], idx, axis=1, out=block[lo:hi])
+            block[lo:hi] *= coef  # residues are below 2^31, so each product is below 2^62
+            block[lo:hi] %= p
+        return out
 
     def line_rows(self, line: np.ndarray, alpha: int) -> np.ndarray:
         """Rows forcing vanishing to order alpha along the line ab, its two
@@ -520,8 +529,9 @@ def _condition_matrix(
     subspace: LinearSubspace | None,
 ) -> np.ndarray:
     """The condition rows of one trial past its frame points: the fat points
-    in group order, then the given line schemes. A subspace call has no
-    frame: its first points are sampled in the P^s, the others off it."""
+    in group order, each group written into one preallocated matrix, then
+    the given line schemes. A subspace call has no frame: its first points
+    are sampled in the P^s, the others off it."""
     frame = 0
     if subspace is None:
         points = _trial_points(sys.space, sys.total_points, cfg, trial)
@@ -533,15 +543,18 @@ def _condition_matrix(
         # x_{s+1} = ... = x_n = 0: zeros out to the n + 1 coordinates of P^n
         pad = np.zeros((k, off.shape[1] - on.shape[1]), dtype=np.int64)
         points = np.vstack([np.hstack([on, pad]), off])
-    blocks = []
-    start = 0
+    spans, start = [], 0  # (first point, end point, multiplicity) past the frame
     for g in sys.points:
         if start + g.count > frame:
-            blocks.append(builder.rows(points[max(start, frame) : start + g.count], g.multiplicity))
+            spans.append((max(start, frame), start + g.count, g.multiplicity))
         start += g.count
-    for i, j, alpha in lines:
-        blocks.append(builder.line_rows(points[[i, j]], alpha))
-    return np.vstack(blocks) if blocks else np.zeros((0, builder.cols), dtype=np.int64)
+    sizes = [(hi - lo) * point_conditions(m, sys.space) for lo, hi, m in spans]
+    A = np.empty((sum(sizes), builder.cols), dtype=np.int64)
+    for (lo, hi, m), part in zip(spans, np.split(A, list(accumulate(sizes)))):
+        builder.rows(points[lo:hi], m, out=part)
+    if lines:
+        A = np.vstack([A, *(builder.line_rows(points[[i, j]], alpha) for i, j, alpha in lines)])
+    return A
 
 
 def _section_lower(sys: LinearSystem, cfg: OracleConfig, trial: int, value: int) -> int:
@@ -661,7 +674,7 @@ def _oracle_series(
         check_subspace(sys, subspace)
     pure = not extra_schemes and subspace is None
 
-    builder = _RowBuilder(sys, p)
+    E = _basis(sys.space.factors, sys.multidegree)
     mults = sys.point_multiplicities()
     if subspace is None:
         frame = min(sys.total_points, _frame_size(sys.space))
@@ -674,28 +687,31 @@ def _oracle_series(
         # multiplicity alpha span the unit rows of those of order below alpha
         total = sum(sys.multidegree)
         starts = accumulate((n + 1 for n in sys.space.factors[:-1]), initial=0)
-        order = total - sum(builder.E[:, s : s + frame].T for s in starts)
-        drop = np.zeros(builder.cols, dtype=bool)
-        gone = [0]  # the columns the first k frame points delete, k = 0..frame
+        order = total - sum(E[:, s : s + frame].T for s in starts)
+        keep = np.ones(len(E), dtype=bool)
+        left = [len(E)]  # the columns the first k frame points keep, k = 0..frame
         for i, m in enumerate(mults[:frame]):
-            drop |= order[i] < m
-            gone.append(int(np.count_nonzero(drop)))
+            keep &= order[i] >= m
+            left.append(int(np.count_nonzero(keep)))
         lines = []  # the lines built as rows, through a sampled point
         for i, j, alpha in extra_schemes:
             if max(i, j) < frame:
-                drop |= order[i] + order[j] - total < alpha
+                keep &= order[i] + order[j] - total >= alpha
             else:
                 lines.append((i, j, alpha))
-        gone[-1] = int(np.count_nonzero(drop))  # a line call has one cut, of all its points
-        cols, free = builder.cols, 0
+        left[-1] = int(np.count_nonzero(keep))  # a line call has one cut, of all its points
+        cols, free = len(E), 0
     else:
-        frame, gone, lines = 0, [0], list(extra_schemes)
-        drop = ~builder.E[:, subspace.s + 1 :].any(axis=1)
-        cols = builder.cols - int(drop.sum())
+        frame, lines = 0, list(extra_schemes)
+        keep = E[:, subspace.s + 1 :].any(axis=1)
+        cols = int(np.count_nonzero(keep))
+        left = [cols]
         free = sum(binom(m - 1 + subspace.s, subspace.s) for m in mults[: subspace.through_first])
-    builder.E = builder.E[~drop]
-    builder.cols = len(builder.E)
-    prefix = [0, *accumulate(point_conditions(m, sys.space) for m in mults)]
+    builder = _RowBuilder(sys, p, keep)
+    prefix = [0]  # the naive conditions of the first h points, one binom per group
+    for g in sys.points:
+        c = point_conditions(g.multiplicity, sys.space)
+        prefix.extend(range(prefix[-1] + c, prefix[-1] + g.count * c + 1, c))
     skip = prefix[frame]  # the frame's rows
     conditions = [prefix[h] for h in counts]  # each cut's naive point conditions
     monomials = monomial_count(sys.space, sys.multidegree)
@@ -709,7 +725,7 @@ def _oracle_series(
     pending = []
     for i, h in enumerate(counts):
         if h <= frame:  # all frame points: exact
-            best[i] = lower[i] = cols - gone[h]
+            best[i] = lower[i] = left[h]
             used[i] = 1
         else:
             pending.append(i)

@@ -2,6 +2,7 @@ import random
 from bisect import bisect_left
 from dataclasses import replace
 from itertools import product as iproduct
+from math import prod
 
 import numpy as np
 import pytest
@@ -546,7 +547,7 @@ def test_frame_only_calls_sample_build_and_eliminate_nothing(monkeypatch):
 
 def test_batched_rows_match_single_points():
     # a batch is the per-point rows stacked in point order, also when its
-    # points lie in different charts and are built in separate sub-batches
+    # points lie in different charts and are built in separate runs
     rng = random.Random(11)
     for factors, degree, mults in [([3], [6], (1, 2, 3, 4)), ([1, 1], [2, 3], (1, 2))]:
         sys = make_system(factors, degree, [])
@@ -580,6 +581,101 @@ def test_batched_rows_match_single_points():
         single = [builder.rows(pt[None], m) for pt in pts]
         assert np.array_equal(builder.rows(pts, m), np.vstack(single)), m
         assert all(block[0].tolist() == _value_row(sys, pt) for block, pt in zip(single, pts))
+
+
+def slow_taylor_rows(sys, point, m, p=DEFAULT_PRIME):
+    """The rows of multiplicity m at one point in plain Python ints: each
+    factor scaled so its last nonzero coordinate, its chart, is 1; then one
+    row per multi-index beta over the non-chart positions of order below m
+    (by order, then lexicographically), entry a the Taylor coefficient
+    prod_v FALL(a_v, beta_v) x_v^(a_v - beta_v) mod p, zero where some
+    beta_v > a_v."""
+    x, chart, start = [], set(), 0
+    for n in sys.space.factors:
+        coords = normalize_factor([int(c) for c in point[start : start + n + 1]], p)
+        chart.add(start + max(i for i, c in enumerate(coords) if c))
+        x += coords
+        start += n + 1
+    free = [v for v in range(len(x)) if v not in chart]
+    betas = [b for b in iproduct(range(m), repeat=len(free)) if sum(b) < m]
+    betas.sort(key=lambda b: (sum(b), b))
+    monomials = _basis(sys.space.factors, sys.multidegree).tolist()
+    rows = []
+    for beta in betas:
+        row = []
+        for a in monomials:
+            val = 1
+            for v, b in zip(free, beta):
+                if b > a[v]:
+                    val = 0
+                    break
+                val = val * prod(range(a[v] - b + 1, a[v] + 1)) * pow(x[v], a[v] - b, p) % p
+            row.append(val)
+        rows.append(row)
+    return rows
+
+
+def test_rows_match_plain_taylor_coefficients():
+    # rows, on the whole basis and on kept columns, entry for entry against
+    # plain integers: at sampled points, at points padded with zeros onto a
+    # subspace, in other charts with zero non-chart coordinates (0^0 = 1),
+    # and at points a + t b of a line, in interleaved charts
+    p = DEFAULT_PRIME
+    rng = random.Random(22)
+    cases = [([n], [4], (1, 2, 3, 4)) for n in (2, 3, 4, 5)]
+    cases += [([1, 1], [2, 3], (1, 2)), ([1, 2], [2, 2], (1, 2)), ([1, 1, 1], [1, 2, 1], (1, 2))]
+    for factors, degree, mults in cases:
+        sys = make_system(factors, degree, [])
+        sampled = sample_points(sys.space, 4, CFG, salt="taylor")
+        a, b = sampled[2:]
+        other = sampled[:2].copy()
+        other[0, factors[0]] = 0  # the first factor's chart moves down one
+        other[1, [0, sum(n + 1 for n in factors) - 1]] = 0  # so does the last's, and x_0 = 0
+        pts = [sampled[0], other[0], (a + b) % p, sampled[1], other[1], (a + 2 * b) % p]
+        if len(factors) == 1:
+            pts.insert(2, points_on_subspace(factors[0], 1, 1, CFG)[0])
+        pts = np.array(pts)
+        keep = np.array([rng.random() < 0.6 for _ in _basis(sys.space.factors, sys.multidegree)])
+        for m in mults:
+            want = np.array([row for pt in pts for row in slow_taylor_rows(sys, pt, m)])
+            assert np.array_equal(_RowBuilder(sys, p).rows(pts, m), want), (factors, m)
+            kept = _RowBuilder(sys, p, keep)
+            assert kept.cols == keep.sum()
+            assert np.array_equal(kept.rows(pts, m), want[:, keep]), (factors, m)
+
+
+def test_condition_matrix_stacks_group_and_line_rows(monkeypatch):
+    # one preallocated matrix per trial: the same rows as building every
+    # group past the frame and every line on its own, stacked the way
+    # reference_oracle stacks them, for a pure, a line and a subspace call
+    p = DEFAULT_PRIME
+    sys = make_system([3], [6], [(3, 2), (2, 4), (1, 3)])
+    cols = len(_basis((3,), (6,)))
+    keep = np.arange(cols) % 5 != 0
+    tables = []  # for each builder, the tables of its _taylor calls
+    real = oracle._taylor
+    monkeypatch.setattr(oracle, "_taylor", lambda *args: tables[-1].append(real(*args)) or tables[-1][-1])
+    for builder in (_RowBuilder(sys, p), _RowBuilder(sys, p, keep)):
+        tables.append([])
+        for lines in ([], [(0, 5, 2), (4, 7, 1)]):
+            points = frame_then_sampled(sys.space, sys.total_points, CFG, 1)
+            blocks = [np.zeros((0, builder.cols), dtype=np.int64)]
+            blocks.append(builder.rows(points[4:6], 2))  # the frame is points 0..3
+            blocks.append(builder.rows(points[6:], 1))
+            blocks += [builder.line_rows(points[[i, j]], alpha) for i, j, alpha in lines]
+            got = _condition_matrix(builder, sys, CFG, 1, lines, None)
+            assert np.array_equal(got, np.vstack(blocks)), lines
+        on = points_on_subspace(3, 2, 3, CFG, trial=1)
+        off = sample_points(Space((3,)), 6, CFG, trial=1, salt="off")
+        groups = [(on[:2], 3), (np.vstack([on[2:], off[:3]]), 2), (off[3:], 1)]
+        want = np.vstack([builder.rows(pts, m) for pts, m in groups])
+        got = _condition_matrix(builder, sys, CFG, 1, [], LinearSubspace(2, 3))
+        assert np.array_equal(got, want)
+    # both builders read the very same cached read-only tables
+    coef, idx = real((3,), (6,), (3,), 2, p)
+    assert all(any(c is coef and i is idx for c, i in got) for got in tables)
+    assert not coef.flags.writeable and not idx.flags.writeable
+    assert coef.shape == idx.shape == (binom(3 + 1, 3), cols)
 
 
 def _line_rows(sys, line, alpha, p=DEFAULT_PRIME):
