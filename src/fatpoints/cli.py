@@ -100,7 +100,7 @@ def _add_system_args(p: argparse.ArgumentParser) -> None:
 def _add_oracle_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None, help="oracle seed (default SEV_SEED or built-in)")
     p.add_argument("--prime", type=int, default=PrimeField().p, help="oracle prime")
-    p.add_argument("--trials", type=int, default=3, help="independent point samples")
+    p.add_argument("--trials", type=int, default=OracleConfig().trials, help="independent point samples")
 
 
 def _add_variety_args(p: argparse.ArgumentParser, extra_kinds: tuple[str, ...] = ()) -> None:

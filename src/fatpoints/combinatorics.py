@@ -54,8 +54,10 @@ def neighbourhood_count(
     In normal coordinates x' of a linear Y, F = sum_beta x'^beta F_beta, and F
     vanishes to order k along Y when F_beta = 0 for |beta| < k; F_beta of order
     j is a form of degree d - j on Y, already of order (m - j)+ at a point of
-    multiplicity m. A rational curve C of degree e in P^3 has deg N_C = 4e - 2,
-    so c = 2e - 1 with euler gives chi(O_2C(d)) = 3de - 4e + 5, balanced or not.
+    multiplicity m. At d = m - 1 with no points the sum is the length an m-fold
+    point shares with the k-fold Y, the whole point C(m+n-1, n) once k >= m.
+    A rational curve C of degree e in P^3 has deg N_C = 4e - 2, so c = 2e - 1
+    with euler gives chi(O_2C(d)) = 3de - 4e + 5, balanced or not.
     """
     if not 0 <= s < n:
         raise ValueError(f"neighbourhood_count: need 0 <= s < n, got s={s}, n={n}")

@@ -5,12 +5,12 @@ system when removing it alpha-fold raises the virtual dimension while the
 residual stays effective; a configuration chains several removals. A divisor's
 residual subtracts degrees and multiplicities componentwise. Every other class
 (a linear subspace, the rational normal curve, a rational curve in P^3, a line)
-removes the conditions of combinatorics.neighbourhood_count, read off its
-normal bundle; a line gives back the germ at each fat point it meets, absorbed
-by that point (valid when the point is fat enough, which a configuration
-checks and reports). The subspace type, systems.LinearSubspace, is the one
-the oracle's subspace calls take, and systems.check_subspace decides whether
-it fits a system for every function here that reads one.
+reads nu(L - alpha Y) from one removal count: the conditions of
+combinatorics.neighbourhood_count, read off its normal bundle, less the length
+neighbourhood_count(n, s, m - 1, alpha) that each m-fold point on Y shares with
+the alpha-fold Y, the whole point once alpha >= m. The subspace type,
+systems.LinearSubspace, is the one the oracle's subspace calls take, and
+systems.check_subspace decides whether it fits a system for every reader.
 
 The cohomological (h^1) check follows the three-condition definition, with
 h^2 of the residual asserted zero only where that is actually known: divisors
@@ -29,7 +29,6 @@ from .systems import (
     LinearSystem,
     Space,
     check_subspace,
-    point_conditions,
     virtual_dim,
 )
 
@@ -178,16 +177,26 @@ def residual_divisor(sys: LinearSystem, Y: Hypersurface, alpha: int) -> LinearSy
     return LinearSystem(sys.space, new_deg, tuple(groups))
 
 
+def _residual_nu(
+    sys: LinearSystem, alpha: int, on: Sequence[int], s: int = 1, e: int = 1, c: int = 1, euler: bool = False
+) -> int:
+    """The removal count nu(L - alpha Y) for Y = P^s, or a rational curve
+    (s = 1), embedded by O(e) with N_Y = O(c)^(n-s) through points of
+    multiplicities ``on``: each m-fold point on Y already imposes the jets of
+    normal order j < min(alpha, m) and tangent order < m - j."""
+    n, d = sys.space.n, sys.multidegree[0]
+    shared = sum(neighbourhood_count(n, s, m - 1, alpha) for m in on)
+    return virtual_dim(sys) - neighbourhood_count(n, s, d, alpha, e, c, euler=euler) + shared
+
+
 def linear_space_residual_nu(sys: LinearSystem, Y: LinearSubspace, m: int) -> int:
-    """Virtual dimension of |dH - m Y - (points off Y)| for a linear Y = P^s:
-    the first Y.through_first system points lie on Y and are absorbed by the
-    m-fold removal; the others impose their full conditions."""
+    """The removal count of a linear Y = P^s through the first Y.through_first
+    points: a point on Y of multiplicity at most m is absorbed whole, a fatter
+    one only in its jets of normal order below m."""
     check_subspace(sys, Y)
     if m < 1:
         raise ValueError("m must be >= 1")
-    off = sum(point_conditions(mj, sys.space) for mj in sys.point_multiplicities()[Y.through_first :])
-    n, d = sys.space.n, sys.multidegree[0]
-    return binom(d + n, n) - 1 - neighbourhood_count(n, Y.s, d, m) - off
+    return _residual_nu(sys, m, sys.point_multiplicities()[: Y.through_first], s=Y.s)
 
 
 def rnc_double_residual_nu(d: int, n: int) -> int:
@@ -206,21 +215,6 @@ def p3_rational_curve_chi(d: int, e: int) -> int:
     if d < 0 or e < 1:
         raise ValueError("need d >= 0 and e >= 1")
     return binom(d + 3, 3) - neighbourhood_count(3, 1, d, 2, e=e, c=2 * e - 1, euler=True)
-
-
-def line_point_overlap(m: int, alpha: int, n: int) -> int:
-    """Length of the intersection of an m-fold point with the alpha-fold
-    structure on a line through it (inside P^n)."""
-    return sum(binom(k + n - 2, n - 2) * (m - k) for k in range(min(alpha, m)))
-
-
-def _line_step_chi(sys: LinearSystem, Y: Line, alpha: int) -> int:
-    """chi of the restriction of the accumulated system to a new alpha-fold
-    line; its negative is the change in virtual dimension."""
-    _, mults = _curve_data(sys, Y)
-    n = sys.space.n
-    overlap = sum(line_point_overlap(m, alpha, n) for m in mults)
-    return neighbourhood_count(n, 1, sys.multidegree[0], alpha) - overlap
 
 
 def _curve_data(sys: LinearSystem, Y: EffectVariety) -> tuple[int, list[int]]:
@@ -329,10 +323,9 @@ def _require_double_points(sys: LinearSystem, what: str) -> None:
 def _classify_rnc(sys: LinearSystem, Y: RationalNormalCurve) -> SevReport:
     n, on = _curve_data(sys, Y)
     _require_double_points(sys, "rational normal curve")
-    h = sys.total_points
     nu = rnc_double_residual_nu(sys.multidegree[0], n)
     values: dict[str, object] = {"points_on_curve": len(on), "nu_double_curve": nu}
-    return _scan_report(sys, {2: nu - (h - len(on)) * (n + 1)}, {}, values)
+    return _scan_report(sys, {2: _residual_nu(sys, 2, on, e=n, c=n + 2)}, {}, values)
 
 
 def _classify_p3_curve(sys: LinearSystem, Y: RationalCurveP3) -> SevReport:
@@ -342,20 +335,18 @@ def _classify_p3_curve(sys: LinearSystem, Y: RationalCurveP3) -> SevReport:
     checks = {"curve_through_points": 2 * e >= h}
     if e in GENERAL_POSITION_CAP:
         checks["points_general_position"] = len(on) == h
-    chi = p3_rational_curve_chi(d, e)
-    values: dict[str, object] = {"chi": chi}
+    values: dict[str, object] = {"chi": p3_rational_curve_chi(d, e)}
     if e == 1:
         values["nu_as_multiple_line"] = binom(d + 3, 3) - 1 - neighbourhood_count(3, 1, d, 2)
+    nu_res = _residual_nu(sys, 2, on, e=e, c=2 * e - 1, euler=True)
     # no nonzero form of degree d <= 1 is singular along a curve: there L - 2C
     # is empty whatever chi says
-    return _scan_report(sys, {2: chi - 1}, checks, values, residual_empty=d < 2)
+    return _scan_report(sys, {2: nu_res}, checks, values, residual_empty=d < 2)
 
 
 def _classify_line(sys: LinearSystem, Y: Line) -> SevReport:
     _, on = _curve_data(sys, Y)
-    nu_sys = virtual_dim(sys)
-    nu_of_alpha = {a: nu_sys - _line_step_chi(sys, Y, a) for a in range(1, max(on) + 1)}
-    return _scan_report(sys, nu_of_alpha, {}, {})
+    return _scan_report(sys, {a: _residual_nu(sys, a, on) for a in range(1, max(on) + 1)}, {}, {})
 
 
 def classify_alpha_sev(sys: LinearSystem, Y: EffectVariety) -> SevReport:
@@ -441,7 +432,7 @@ def classify_configuration(
                 for pt in set(prev) & set(pair):
                     absorbed = absorbed and mults[pt] >= step.alpha + prev_alpha - 1
             seen.append((pair, step.alpha))
-            nus.append(nus[-1] - _line_step_chi(sys, Y, step.alpha))
+            nus.append(nus[-1] + _residual_nu(sys, step.alpha, _curve_data(sys, Y)[1]) - nu_sys)
         checks["line_overlaps_absorbed"] = absorbed
         residual = sys
         lines = [(*s.variety.through_pair, s.alpha) for s in steps]  # type: ignore[union-attr]

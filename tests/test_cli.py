@@ -300,9 +300,11 @@ def test_subspace_needs_s_below_n(capsys, monkeypatch):
 def test_multiplicity_past_the_degree_is_answered(capsys):
     # a subspace, a line and a line step whose multiplicity runs past the
     # degree: the normal orders above d have no conditions, so each valid
-    # (empty) system gets a negative verdict, not a binom input error
+    # (empty) system gets a negative verdict, not a binom input error; the
+    # line as a P^1 reads the values of the line through the same two points
     for variety, nu_by_alpha in (
-        (["P4:d=1:4x2", "--variety", "linear", "--s", "1"], {"1": 2, "2": -1, "3": -1, "4": -1}),
+        (["P4:d=1:4x2", "--variety", "linear", "--s", "1"], {"1": -60, "2": -45, "3": -21, "4": -1}),
+        (["P4:d=1:4x2", "--variety", "line", "--pair", "0,1"], {"1": -60, "2": -45, "3": -21, "4": -1}),
         (["P3:d=1:4x2", "--variety", "line", "--pair", "0,1"], {"1": -31, "2": -21, "3": -9, "4": -1}),
     ):
         code, out, err = run(capsys, "classify", "--system", *variety)

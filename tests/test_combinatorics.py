@@ -14,6 +14,7 @@ from fatpoints.combinatorics import (
     rising,
 )
 from fatpoints.effect_varieties import p3_rational_curve_chi
+from fatpoints.systems import Space, point_conditions
 
 
 def pascal_binom(a: int, b: int) -> int:
@@ -246,3 +247,27 @@ def test_neighbourhood_count_line_excess():
                         )
                         got = neighbourhood_count(n, 1, d, alpha, points=(mi, mj))
                         assert got == want, (n, d, mi, mj, alpha)
+
+
+def line_point_overlap(m: int, alpha: int, n: int) -> int:
+    """Length of the intersection of an m-fold point with the alpha-fold
+    structure on a line through it (inside P^n), written out as the jets of
+    normal order k < min(alpha, m), each with m - k tangent orders."""
+    return sum(pascal_binom(k + n - 2, n - 2) * (m - k) for k in range(min(alpha, m)))
+
+
+def test_point_term_of_the_removal_count():
+    # an m-fold point meets the alpha-fold P^s in neighbourhood_count(n, s,
+    # m - 1, alpha): on a line that is the written-out overlap above, and
+    # once alpha >= m it is the whole point
+    for n in range(2, 8):
+        for m in range(1, 12):
+            for alpha in range(1, 14):
+                want = line_point_overlap(m, alpha, n)
+                assert neighbourhood_count(n, 1, m - 1, alpha) == want, (n, m, alpha)
+    for n in range(1, 7):
+        for s in range(n):
+            for m in range(1, 8):
+                for k in range(m, m + 4):
+                    want = point_conditions(m, Space((n,)))
+                    assert neighbourhood_count(n, s, m - 1, k) == want, (n, s, m, k)

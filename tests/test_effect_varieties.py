@@ -64,6 +64,38 @@ def test_linear_space_residual_span_corollary():
             assert linear_space_residual_nu(sys, LinearSubspace(h - 1, h), 2) >= 0
 
 
+def test_line_as_a_subspace_reads_the_line_count():
+    # the P^1 through the first two points is the line through points 0 and
+    # 1: both read nu(L - alpha Y) from the one removal count, even where a
+    # point is fatter than alpha and so is not absorbed whole
+    for n in (3, 4):
+        for d in range(8):
+            for points in ([(4, 3)], [(2, 2)], [(5, 1), (2, 3)], [(1, 1), (3, 2)], [(3, 2), (1, 2)]):
+                sys = make_system([n], [d], points)
+                a = classify_alpha_sev(sys, LinearSubspace(1, 2))
+                b = classify_alpha_sev(sys, Line((0, 1)))
+                assert a.values["nu_by_alpha"] == b.values["nu_by_alpha"], (n, d, points)
+                assert (a.alpha_max, a.nu_residual) == (b.alpha_max, b.nu_residual), (n, d, points)
+    rep = classify_alpha_sev(QUARTIC43, LinearSubspace(1, 2))
+    assert rep.values["nu_by_alpha"] == {1: 24, 2: 24, 3: 21, 4: 13} and rep.alpha_max == 2
+
+
+def test_subspace_residual_is_below_the_oracle():
+    # the removal count bounds the conditions that Y and the points impose
+    # together, so h0(L - Y) >= nu(L - Y) + 1; a point fatter than Y's
+    # multiplicity 1 keeps its conditions past the first normal order, e.g.
+    # |2H - 2p - line through p| has h0 5 and nu 4
+    assert linear_space_residual_nu(make_system([3], [2], [(2, 1)]), LinearSubspace(1, 1), 1) == 4
+    for n, d in ((3, 2), (3, 3), (4, 2)):
+        for m in (1, 2, 3):
+            for h in (1, 2, 3):
+                for s in range(1, n - 1):
+                    for t in range(1, min(h, s + 2) + 1):
+                        sys, Y = make_system([n], [d], [(m, h)]), LinearSubspace(s, t)
+                        nu = linear_space_residual_nu(sys, Y, 1)
+                        assert h0_oracle(sys, CFG, subspace=Y).h0 >= nu + 1, (n, d, m, h, s, t)
+
+
 def test_rnc_residual_values():
     assert rnc_double_residual_nu(3, 3) == -1
     assert rnc_double_residual_nu(4, 2) == 0
