@@ -7,7 +7,6 @@ from .combinatorics import (
     binom,
     linear_expected_h0,
     phi_hyp,
-    phi_product,
     psi_hyp_alpha1,
     rising,
 )

@@ -105,35 +105,6 @@ def A_ratio(e: int, n: int) -> Fraction:
     return Fraction(rising(n + e, e), rising(e, e)) - (n + 1)
 
 
-def _check_product_args(d: Sequence[int], e: Sequence[int], n: Sequence[int]) -> None:
-    if not (len(d) == len(e) == len(n)):
-        raise ValueError("product arguments must have equal lengths")
-    if len(d) < 2:
-        raise ValueError("product case needs at least two factors")
-    for di, ei, ni in zip(d, e, n):
-        if ni < 1:
-            raise ValueError(f"factor dimension must be >= 1, got {ni}")
-        if ei < 0 or di < 2 * ei:
-            raise ValueError(f"need d_i >= 2e_i >= 0, got d={di}, e={ei}")
-
-
-def phi_product(d: Sequence[int], e: Sequence[int], n: Sequence[int]) -> int:
-    """Multidegree version of :func:`phi_hyp` on a product of projective spaces.
-
-    prod C(d_i+n_i,n_i) - prod C(d_i-2e_i+n_i,n_i)
-        - (prod C(e_i+n_i,n_i) - 1) * (sum n_i + 1).
-    """
-    _check_product_args(d, e, n)
-    mono = 1
-    resid = 1
-    through = 1
-    for di, ei, ni in zip(d, e, n):
-        mono *= binom(di + ni, ni)
-        resid *= binom(di - 2 * ei + ni, ni)
-        through *= binom(ei + ni, ni)
-    return mono - resid - (through - 1) * (sum(n) + 1)
-
-
 def linear_expected_h0(n: int, d: int, mults: Sequence[int]) -> int:
     """h0 of degree-d forms on P^n with multiplicity m_i at s <= n+2 general
     points: the linear expected dimension plus one, C(n+d, n) +

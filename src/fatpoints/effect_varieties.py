@@ -12,6 +12,13 @@ the alpha-fold Y, the whole point once alpha >= m. The subspace type,
 systems.LinearSubspace, is the one the oracle's subspace calls take, and
 systems.check_subspace decides whether it fits a system for every reader.
 
+One scan, _scan_alpha, reads alpha from 1 to the most times Y fits in L:
+floor(d/e), and ceil(m/c) over the points on Y, for a divisor; min(d, m on
+Y) for a linear P^s, a line and a hyperplane among them, the divisor bound
+with e = c = 1. On that range a hyperplane's removal count is nu of its
+divisor residual, so both descriptions of a hyperplane, and of a line, give
+one report. The rational normal curve and the P^3 curves are read at alpha = 2.
+
 The cohomological (h^1) check follows the three-condition definition, with
 h^2 of the residual asserted zero only where that is actually known: divisors
 with effective residual, and smooth rational curves through double points.
@@ -19,7 +26,7 @@ with effective residual, and smooth rational curves through double points.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 from .combinatorics import binom, neighbourhood_count
 from .oracle import OracleConfig, h0_oracle
@@ -287,32 +294,25 @@ def _scan_report(
     return SevReport(holds, is_sev, alpha_max, nu_sys, nu_res, checks, values)
 
 
-def _classify_divisor(sys: LinearSystem, Y: Hypersurface, checks: dict[str, bool]) -> SevReport:
-    """The divisor verdict, which also requires the caller's own checks."""
-    alpha_bound = _alpha_bound(sys, Y)
-    values: dict[str, object] = {"alpha_bound": alpha_bound}
-    checks["alpha_admissible"] = alpha_bound >= 1
-    if alpha_bound < 1:
+def _scan_alpha(
+    sys: LinearSystem, bound: int, nu: Callable[[int], int], checks: dict[str, bool]
+) -> SevReport:
+    """The one alpha scan: nu(alpha) for alpha = 1..bound, the most times Y
+    fits in sys, judged by _scan_report with the caller's own checks. Below
+    1, L - Y is empty and no alpha is admissible."""
+    values: dict[str, object] = {"alpha_bound": bound}
+    checks["alpha_admissible"] = bound >= 1
+    if bound < 1:
         return SevReport(False, False, 0, virtual_dim(sys), None, checks, values)
-    nu_of_alpha = {
-        a: virtual_dim(residual_divisor(sys, Y, a)) for a in range(1, alpha_bound + 1)
-    }
-    return _scan_report(sys, nu_of_alpha, checks, values)
+    return _scan_report(sys, {a: nu(a) for a in range(1, bound + 1)}, checks, values)
 
 
-def _classify_subspace(sys: LinearSystem, Y: LinearSubspace) -> SevReport:
-    check_subspace(sys, Y)
-    mults = sys.point_multiplicities()
-    checks = {"points_span": Y.through_first >= Y.s + 1}
-    if Y.s == sys.space.n - 1:
-        # a hyperplane is the degree-1 divisor through its points, one group each
-        groups = tuple(FatPointGroup(m, 1) for m in mults)
-        H = Hypersurface((1,), tuple((i, 1) for i in range(Y.through_first)))
-        return _classify_divisor(LinearSystem(sys.space, sys.multidegree, groups), H, checks)
-    nu_of_alpha = {
-        a: linear_space_residual_nu(sys, Y, a) for a in range(1, max(mults) + 1)
-    }
-    return _scan_report(sys, nu_of_alpha, checks, {})
+def _classify_linear(sys: LinearSystem, s: int, on: Sequence[int], checks: dict[str, bool]) -> SevReport:
+    """A linear P^s through points of multiplicities ``on``, a line or a
+    hyperplane included: it fits min(d, on) times, the divisor bound read
+    with e = c = 1, and each alpha reads the removal count."""
+    bound = min([sys.multidegree[0], *on])
+    return _scan_alpha(sys, bound, lambda a: _residual_nu(sys, a, on, s=s), checks)
 
 
 def _require_double_points(sys: LinearSystem, what: str) -> None:
@@ -321,6 +321,7 @@ def _require_double_points(sys: LinearSystem, what: str) -> None:
 
 
 def _classify_rnc(sys: LinearSystem, Y: RationalNormalCurve) -> SevReport:
+    """The rational normal curve through double points, read at alpha = 2."""
     n, on = _curve_data(sys, Y)
     _require_double_points(sys, "rational normal curve")
     nu = rnc_double_residual_nu(sys.multidegree[0], n)
@@ -329,6 +330,8 @@ def _classify_rnc(sys: LinearSystem, Y: RationalNormalCurve) -> SevReport:
 
 
 def _classify_p3_curve(sys: LinearSystem, Y: RationalCurveP3) -> SevReport:
+    """A rational curve of P^3 through double points, read at alpha = 2 by
+    its euler characteristic."""
     e, on = _curve_data(sys, Y)
     _require_double_points(sys, "rational curve")
     d, h = sys.multidegree[0], sys.total_points
@@ -344,25 +347,23 @@ def _classify_p3_curve(sys: LinearSystem, Y: RationalCurveP3) -> SevReport:
     return _scan_report(sys, {2: nu_res}, checks, values, residual_empty=d < 2)
 
 
-def _classify_line(sys: LinearSystem, Y: Line) -> SevReport:
-    _, on = _curve_data(sys, Y)
-    return _scan_report(sys, {a: _residual_nu(sys, a, on) for a in range(1, max(on) + 1)}, {}, {})
-
-
 def classify_alpha_sev(sys: LinearSystem, Y: EffectVariety) -> SevReport:
     """Scan the admissible removal multiplicities for Y and report whether it
     has the special-effect property for sys (and is a special-effect variety,
-    i.e. the best residual is also effective)."""
+    i.e. the best residual is also effective). Divisors and linear P^s scan
+    alpha up to their bound with _scan_alpha; the curves read alpha = 2."""
     if isinstance(Y, Hypersurface):
-        return _classify_divisor(sys, Y, {})
+        return _scan_alpha(sys, _alpha_bound(sys, Y), lambda a: virtual_dim(residual_divisor(sys, Y, a)), {})
     if isinstance(Y, LinearSubspace):
-        return _classify_subspace(sys, Y)
+        check_subspace(sys, Y)
+        on = sys.point_multiplicities()[: Y.through_first]
+        return _classify_linear(sys, Y.s, on, {"points_span": Y.through_first >= Y.s + 1})
     if isinstance(Y, RationalNormalCurve):
         return _classify_rnc(sys, Y)
     if isinstance(Y, RationalCurveP3):
         return _classify_p3_curve(sys, Y)
     if isinstance(Y, Line):
-        return _classify_line(sys, Y)
+        return _classify_linear(sys, 1, _curve_data(sys, Y)[1], {})
     raise NotImplementedError(f"unsupported variety class {type(Y).__name__}")
 
 

@@ -6,13 +6,13 @@ a column, sample the others, build the matrix of their vanishing conditions
 (Taylor rows up to the imposed multiplicity, plus optional
 vanishing-along-a-line rows), and row reduce modulo a word-sized prime. The
 forms vanishing on a linear subspace P^s keep only the columns of monomials
-outside x_0..x_s, and the points on it are sampled in P^s. For
-a fat-point system, with or without lines, each trial value is a proven
-upper bound on the generic h^0 over Q, and systems.lower_h0 a proven lower
-bound: once they meet, the answer is certified, and `verify` asserts only
-certified values. Otherwise the minimum over independent trials is the
-generic value with overwhelming probability; cross_checked_h0 recomputes
-such a value at a second prime and seed.
+outside x_0..x_s, and the points on it are sampled points of P^n with
+x_{s+1}..x_n set to 0. For a fat-point system, with or without lines, each
+trial value is a proven upper bound on the generic h^0 over Q, and
+systems.lower_h0 a proven lower bound: once they meet, the answer is
+certified, and `verify` asserts only certified values. Otherwise the minimum
+over independent trials is the generic value with overwhelming probability;
+cross_checked_h0 recomputes such a value at a second prime and seed.
 """
 from __future__ import annotations
 
@@ -346,7 +346,6 @@ def sample_points(
     h: int,
     cfg: OracleConfig,
     trial: int = 0,
-    salt: str = "",
 ) -> np.ndarray:
     """Draw h deterministic pseudo-random points in general position, one
     int64 row each, factor blocks concatenated.
@@ -364,7 +363,7 @@ def sample_points(
     k = (p - 1).bit_length()
     width = sum(n + 1 for n in space.factors)
     words = width * h * 2**k // (p - 1) + 2 * width  # enough on average, then doubled
-    rng = random.Random(f"{cfg.seed}:{trial}:{p}:{salt}")
+    rng = random.Random(f"{cfg.seed}:{trial}:{p}:")
     spare = np.empty(0, dtype=np.int64)  # coordinates drawn past the last candidate
     points: dict[bytes, None] = {}  # the normalized points, in order
     redraws = 0
@@ -530,19 +529,16 @@ def _condition_matrix(
 ) -> np.ndarray:
     """The condition rows of one trial past its frame points: the fat points
     in group order, each group written into one preallocated matrix, then
-    the given line schemes. A subspace call has no frame: its first points
-    are sampled in the P^s, the others off it."""
+    the given line schemes. A subspace call has no frame: its points are
+    sampled in P^n, and the first ones moved onto the P^s x_{s+1} = ... =
+    x_n = 0 by zeroing those coordinates."""
     frame = 0
     if subspace is None:
         points = _trial_points(sys.space, sys.total_points, cfg, trial)
         frame = _frame_size(sys.space)
     else:
-        k = subspace.through_first
-        on = sample_points(Space((subspace.s,)), k, cfg, trial=trial)
-        off = sample_points(sys.space, sys.total_points - k, cfg, trial=trial, salt="off")
-        # x_{s+1} = ... = x_n = 0: zeros out to the n + 1 coordinates of P^n
-        pad = np.zeros((k, off.shape[1] - on.shape[1]), dtype=np.int64)
-        points = np.vstack([np.hstack([on, pad]), off])
+        points = sample_points(sys.space, sys.total_points, cfg, trial=trial)
+        points[: subspace.through_first, subspace.s + 1 :] = 0
     spans, start = [], 0  # (first point, end point, multiplicity) past the frame
     for g in sys.points:
         if start + g.count > frame:

@@ -299,13 +299,15 @@ def test_subspace_needs_s_below_n(capsys, monkeypatch):
 
 def test_multiplicity_past_the_degree_is_answered(capsys):
     # a subspace, a line and a line step whose multiplicity runs past the
-    # degree: the normal orders above d have no conditions, so each valid
-    # (empty) system gets a negative verdict, not a binom input error; the
-    # line as a P^1 reads the values of the line through the same two points
+    # degree: each valid (empty) system gets a negative verdict, not a binom
+    # input error. A linear Y fits min(d, m) = 1 times, so the scan reads
+    # alpha = 1 only, and the line as a P^1 reads the values of the line
+    # through the same two points; the line step of a configuration takes
+    # its alpha as given, and the normal orders above d have no conditions
     for variety, nu_by_alpha in (
-        (["P4:d=1:4x2", "--variety", "linear", "--s", "1"], {"1": -60, "2": -45, "3": -21, "4": -1}),
-        (["P4:d=1:4x2", "--variety", "line", "--pair", "0,1"], {"1": -60, "2": -45, "3": -21, "4": -1}),
-        (["P3:d=1:4x2", "--variety", "line", "--pair", "0,1"], {"1": -31, "2": -21, "3": -9, "4": -1}),
+        (["P4:d=1:4x2", "--variety", "linear", "--s", "1"], {"1": -60}),
+        (["P4:d=1:4x2", "--variety", "line", "--pair", "0,1"], {"1": -60}),
+        (["P3:d=1:4x2", "--variety", "line", "--pair", "0,1"], {"1": -31}),
     ):
         code, out, err = run(capsys, "classify", "--system", *variety)
         rep = json.loads(out)

@@ -9,7 +9,6 @@ from fatpoints.combinatorics import (
     linear_expected_h0,
     neighbourhood_count,
     phi_hyp,
-    phi_product,
     psi_hyp_alpha1,
     rising,
 )
@@ -105,33 +104,6 @@ def test_A_ratio_monotone_grid():
     for e in range(1, 11):
         for n in range(3, 11):
             assert A_ratio(e + 1, n) > A_ratio(e, n)
-
-
-def test_phi_product_examples():
-    assert phi_product([2, 2], [1, 1], [1, 1]) == -1
-    assert phi_product([2, 2, 2], [1, 1, 1], [1, 1, 1]) == -2
-    assert phi_product([2, 2, 2, 2], [1, 1, 1, 1], [1, 1, 1, 1]) == 5
-
-
-def test_phi_product_t_copies_closed_form():
-    # at d = 2e, e = n = 1: 3^t - 2^t (t+1) + t
-    for t in range(2, 7):
-        assert phi_product([2] * t, [1] * t, [1] * t) == 3**t - 2**t * (t + 1) + t
-
-
-def test_phi_product_errors():
-    with pytest.raises(ValueError):
-        phi_product([2, 2], [1], [1, 1])
-    with pytest.raises(ValueError):
-        phi_product([2], [1], [1])
-    with pytest.raises(ValueError):
-        phi_product([2, 1], [1, 1], [1, 1])  # d2 < 2 e2
-
-
-def test_phi_product_at_d_equal_2e():
-    assert phi_product([2, 2], [1, 1], [1, 1]) == -1
-    assert phi_product([4, 2], [2, 1], [1, 2]) == -3
-    assert phi_product([2, 2, 2], [1, 1, 1], [1, 1, 3]) < 0
 
 
 def test_phi_monotone_in_d_small_grid():

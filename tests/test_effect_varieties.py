@@ -18,7 +18,7 @@ from fatpoints.effect_varieties import (
     rnc_double_residual_nu,
 )
 from fatpoints.oracle import OracleConfig, h0_oracle
-from fatpoints.systems import make_system, virtual_dim
+from fatpoints.systems import FatPointGroup, LinearSystem, make_system, virtual_dim
 
 CFG = OracleConfig(trials=2, seed=20259)
 
@@ -66,18 +66,55 @@ def test_linear_space_residual_span_corollary():
 
 def test_line_as_a_subspace_reads_the_line_count():
     # the P^1 through the first two points is the line through points 0 and
-    # 1: both read nu(L - alpha Y) from the one removal count, even where a
-    # point is fatter than alpha and so is not absorbed whole
-    for n in (3, 4):
+    # 1: both scan alpha up to min(d, m on the line) and read nu(L - alpha Y)
+    # from the one removal count, so they give one report, also where a
+    # point off the line is fatter than those on it, a point on it is fatter
+    # than alpha, or d = 0 leaves no alpha at all
+    for n in (2, 3, 4, 5):
         for d in range(8):
-            for points in ([(4, 3)], [(2, 2)], [(5, 1), (2, 3)], [(1, 1), (3, 2)], [(3, 2), (1, 2)]):
+            for points in (
+                [(4, 3)], [(2, 2)], [(5, 1), (2, 3)], [(1, 1), (3, 2)], [(3, 2), (1, 2)],
+                [(1, 1), (3, 1), (5, 1)], [(3, 1), (4, 1), (1, 1)],
+            ):
                 sys = make_system([n], [d], points)
-                a = classify_alpha_sev(sys, LinearSubspace(1, 2))
-                b = classify_alpha_sev(sys, Line((0, 1)))
-                assert a.values["nu_by_alpha"] == b.values["nu_by_alpha"], (n, d, points)
-                assert (a.alpha_max, a.nu_residual) == (b.alpha_max, b.nu_residual), (n, d, points)
+                a = classify_alpha_sev(sys, LinearSubspace(1, 2)).to_json()
+                b = classify_alpha_sev(sys, Line((0, 1))).to_json()
+                assert a["checks"].pop("points_span")
+                assert a == b, (n, d, points)
+                on = sys.point_multiplicities()[:2]
+                assert b["values"]["alpha_bound"] == min(d, *on), (n, d, points)
     rep = classify_alpha_sev(QUARTIC43, LinearSubspace(1, 2))
     assert rep.values["nu_by_alpha"] == {1: 24, 2: 24, 3: 21, 4: 13} and rep.alpha_max == 2
+    # P2:d=4:3,4,1: the point off the line is not read, so alpha stops at 3
+    rep = classify_alpha_sev(make_system([2], [4], [(3, 1), (4, 1), (1, 1)]), Line((0, 1)))
+    assert (rep.is_sev, rep.alpha_max, rep.values["nu_by_alpha"]) == (True, 3, {1: -1, 2: 0, 3: 0})
+
+
+def hyperplane_as_a_divisor(sys, Y):
+    """The report of a hyperplane read as the degree-1 divisor through its
+    points, one group each, scanned up to the divisor bound, with the
+    points_span check first and required for the property."""
+    groups = tuple(FatPointGroup(m, 1) for m in sys.point_multiplicities())
+    H = Hypersurface((1,), tuple((i, 1) for i in range(Y.through_first)))
+    rep = classify_alpha_sev(LinearSystem(sys.space, sys.multidegree, groups), H)
+    span = Y.through_first >= Y.s + 1
+    rep.checks = {"points_span": span, **rep.checks}
+    rep.holds_property, rep.is_sev = rep.holds_property and span, rep.is_sev and span
+    return rep
+
+
+def test_hyperplane_reads_its_divisor_residual():
+    # on alpha <= min(d, m on H) the removal count of a hyperplane is nu of
+    # its divisor residual (two hockey-stick identities), so it keeps the
+    # divisor's report
+    for n in (2, 3, 4, 5):
+        for d in range(7):
+            for points in ([(3, 1), (1, 2)], [(2, 3)], [(4, 1), (2, 2), (1, 1)], [(1, 1), (3, 1), (5, 1)]):
+                sys = make_system([n], [d], points)
+                for k in range(1, sys.total_points + 1):
+                    Y = LinearSubspace(n - 1, k)
+                    want = hyperplane_as_a_divisor(sys, Y).to_json()
+                    assert classify_alpha_sev(sys, Y).to_json() == want, (n, d, points, k)
 
 
 def test_subspace_residual_is_below_the_oracle():

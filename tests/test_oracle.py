@@ -3,6 +3,7 @@ from bisect import bisect_left
 from dataclasses import replace
 from itertools import product as iproduct
 from math import prod
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -311,11 +312,13 @@ def test_sample_points_deterministic():
     assert not np.array_equal(pts1, sample_points(Space((3,)), 5, CFG, trial=1))
 
 
-def points_on_subspace(n, s, h, cfg, trial=0, salt=""):
-    """Points of P^n on x_{s+1} = ... = x_n = 0 as a subspace call draws
-    them: P^s samples padded with zeros."""
-    pts = sample_points(Space((s,)), h, cfg, trial, salt)
-    return np.hstack([pts, np.zeros((h, n - s), dtype=np.int64)])
+def points_on_subspace(n, s, h, cfg, trial=0, through=None):
+    """The h points of P^n that a subspace call through the first
+    ``through`` points (all by default) draws: samples of P^n, the first
+    ones moved onto x_{s+1} = ... = x_n = 0 by zeroing those coordinates."""
+    pts = sample_points(Space((n,)), h, cfg, trial)
+    pts[:through, s + 1 :] = 0
+    return pts
 
 
 def test_sample_points_prefix_consistent():
@@ -323,7 +326,7 @@ def test_sample_points_prefix_consistent():
         lambda h: sample_points(Space((3,)), h, CFG),
         lambda h: sample_points(Space((1, 1)), h, CFG),
         lambda h: points_on_subspace(4, 2, h, CFG),
-        lambda h: sample_points(Space((2,)), h, CFG, salt="off", trial=2),
+        lambda h: sample_points(Space((2,)), h, CFG, trial=2),
     ]:
         many = draw(12)
         for h in range(13):
@@ -332,14 +335,16 @@ def test_sample_points_prefix_consistent():
 
 def test_sample_points_subspace_constraint():
     pts = points_on_subspace(4, 2, 6, CFG)
-    assert (pts[:, 3:] == 0).all() and (pts[:, 2] == 1).all() and pts[:, :2].all()
-    # a subspace call builds its rows at these points, then at points off it
+    assert (pts[:, 3:] == 0).all() and pts[:, :3].all()
+    assert np.array_equal(pts[:, :3], sample_points(Space((4,)), 6, CFG)[:, :3])
+    # a subspace call builds its rows at these points, then at the points of
+    # the same draw that it leaves off the P^s
     sys = make_system([4], [3], [(2, 6), (1, 2)])
     builder = _RowBuilder(sys, DEFAULT_PRIME)
-    off = sample_points(Space((4,)), 2, CFG, trial=1, salt="off")
-    on_rows = builder.rows(points_on_subspace(4, 2, 6, CFG, trial=1), 2)
+    pts = points_on_subspace(4, 2, 8, CFG, trial=1, through=6)
+    assert pts[6:].all()
     got = _condition_matrix(builder, sys, CFG, 1, [], LinearSubspace(2, 6))
-    assert np.array_equal(got, np.vstack([on_rows, builder.rows(off, 1)]))
+    assert np.array_equal(got, np.vstack([builder.rows(pts[:6], 2), builder.rows(pts[6:], 1)]))
 
 
 def normalize_factor(coords, p):
@@ -349,21 +354,19 @@ def normalize_factor(coords, p):
     return tuple((x * inv) % p for x in coords)
 
 
-def sequential_points(space, h, cfg, subspace=None, trial=0, salt=""):
+def sequential_points(space, h, cfg, trial=0):
     """The points of sample_points drawn the plain way: one randrange(1, p)
     per coordinate, each factor normalized on its own, a repeated point
     drawn again up to REDRAWS times. Returns the points as flat tuples and
     whether the draw gave up after the last of them."""
     p = cfg.prime.p
-    rng = random.Random(f"{cfg.seed}:{trial}:{p}:{salt}")
+    rng = random.Random(f"{cfg.seed}:{trial}:{p}:")
     points = []
     for _ in range(h):
         for _ in range(REDRAWS):
             pt = ()
             for n in space.factors:
-                width = (subspace + 1) if subspace is not None else (n + 1)
-                coords = [rng.randrange(1, p) for _ in range(width)] + [0] * (n + 1 - width)
-                pt += normalize_factor(tuple(coords), p)
+                pt += normalize_factor(tuple(rng.randrange(1, p) for _ in range(n + 1)), p)
             if pt not in points:
                 break
         else:
@@ -377,30 +380,22 @@ def test_sample_points_match_the_sequential_stream():
     # time: tiny primes reject words and repeat points (p = 2 has a single
     # point per factor, p = 3 two on P^1), so they pin the redraw bound too
     spaces = [
-        (Space((1,)), None), (Space((2,)), None), (Space((3,)), None), (Space((3,)), 1),
-        (Space((4,)), 2), (Space((1, 1)), None), (Space((1, 1, 1)), None), (Space((2, 3)), None),
+        Space((1,)), Space((2,)), Space((3,)), Space((4,)), Space((1, 1)), Space((1, 1, 1)), Space((2, 3)),
     ]
-    # a subspace's points are P^s samples padded with zeros, as a subspace
-    # call draws them
-    def draw(space, s, h, cfg, trial, salt):
-        if s is None:
-            return sample_points(space, h, cfg, trial, salt)
-        return points_on_subspace(space.n, s, h, cfg, trial, salt)
-
     raised = 0
     for p in (2, 3, 5, 7, 101, 65537, 2147483629, 2**31 - 1):
-        for (space, s), seed, trial in iproduct(spaces, (271828, 5, 7), range(3)):
-            cfg, salt = OracleConfig(PrimeField(p), seed=seed), ("", "off")[(seed + trial) % 2]
-            want, gave_up = sequential_points(space, 20, cfg, s, trial, salt)
+        for space, seed, trial in iproduct(spaces, (271828, 5, 7), range(3)):
+            cfg = OracleConfig(PrimeField(p), seed=seed)
+            want, gave_up = sequential_points(space, 20, cfg, trial)
             drew = len(want)
             for h in sorted({0, 1, 20, drew, drew + 1} - {21}):
-                case = (p, space, s, seed, trial, salt, h)
+                case = (p, space, seed, trial, h)
                 if gave_up and h > drew:
                     with pytest.raises(OracleSamplingError):
-                        draw(space, s, h, cfg, trial, salt)
+                        sample_points(space, h, cfg, trial)
                     raised += 1
                 else:
-                    pts = draw(space, s, h, cfg, trial, salt)
+                    pts = sample_points(space, h, cfg, trial)
                     assert pts.dtype == np.int64 and pts.tolist() == [list(x) for x in want[:h]], case
     assert raised > 50
 
@@ -553,7 +548,7 @@ def test_batched_rows_match_single_points():
         sys = make_system(factors, degree, [])
         builder = _RowBuilder(sys, DEFAULT_PRIME)
         for m in mults:
-            pts = sample_points(sys.space, rng.randrange(2, 7), CFG, salt=f"batch{m}")
+            pts = sample_points(sys.space, rng.randrange(2, 7), CFG, trial=m)
             # a point given at another scale is the same point
             pts = np.vstack([pts, 3 * pts[:1]])
             single = [builder.rows(pt[None], m) for pt in pts]
@@ -567,7 +562,7 @@ def test_batched_rows_match_single_points():
     builder = _RowBuilder(sys, DEFAULT_PRIME)
     plane = points_on_subspace(3, 2, 3, CFG)
     line = points_on_subspace(3, 1, 2, CFG)
-    free = sample_points(Space((3,)), 3, CFG, salt="free")
+    free = sample_points(Space((3,)), 3, CFG, trial=1)
     pts = np.vstack([plane[0], free[0], line[0], free[1], plane[1], plane[2], line[1], free[2]])
     for m in (1, 2, 3):
         single = [builder.rows(pt[None], m) for pt in pts]
@@ -617,16 +612,16 @@ def slow_taylor_rows(sys, point, m, p=DEFAULT_PRIME):
 
 def test_rows_match_plain_taylor_coefficients():
     # rows, on the whole basis and on kept columns, entry for entry against
-    # plain integers: at sampled points, at points padded with zeros onto a
-    # subspace, in other charts with zero non-chart coordinates (0^0 = 1),
-    # and at points a + t b of a line, in interleaved charts
+    # plain integers: at sampled points, at points moved onto a subspace by
+    # zeroing coordinates, in other charts with zero non-chart coordinates
+    # (0^0 = 1), and at points a + t b of a line, in interleaved charts
     p = DEFAULT_PRIME
     rng = random.Random(22)
     cases = [([n], [4], (1, 2, 3, 4)) for n in (2, 3, 4, 5)]
     cases += [([1, 1], [2, 3], (1, 2)), ([1, 2], [2, 2], (1, 2)), ([1, 1, 1], [1, 2, 1], (1, 2))]
     for factors, degree, mults in cases:
         sys = make_system(factors, degree, [])
-        sampled = sample_points(sys.space, 4, CFG, salt="taylor")
+        sampled = sample_points(sys.space, 4, CFG, trial=2)
         a, b = sampled[2:]
         other = sampled[:2].copy()
         other[0, factors[0]] = 0  # the first factor's chart moves down one
@@ -665,9 +660,8 @@ def test_condition_matrix_stacks_group_and_line_rows(monkeypatch):
             blocks += [builder.line_rows(points[[i, j]], alpha) for i, j, alpha in lines]
             got = _condition_matrix(builder, sys, CFG, 1, lines, None)
             assert np.array_equal(got, np.vstack(blocks)), lines
-        on = points_on_subspace(3, 2, 3, CFG, trial=1)
-        off = sample_points(Space((3,)), 6, CFG, trial=1, salt="off")
-        groups = [(on[:2], 3), (np.vstack([on[2:], off[:3]]), 2), (off[3:], 1)]
+        pts = points_on_subspace(3, 2, 9, CFG, trial=1, through=3)
+        groups = [(pts[:2], 3), (pts[2:6], 2), (pts[6:], 1)]
         want = np.vstack([builder.rows(pts, m) for pts, m in groups])
         got = _condition_matrix(builder, sys, CFG, 1, [], LinearSubspace(2, 3))
         assert np.array_equal(got, want)
@@ -706,7 +700,7 @@ def test_line_rows_examples():
         _line_rows(sys2, np.vstack([pts[0], 2 * pts[0]]), 2)
     for n in (2, 3, 4):
         space = Space((n,))
-        ab = sample_points(space, 2, CFG, salt="line")
+        ab = sample_points(space, 2, CFG, trial=1)
         e0_e1n = np.array([[int(i == 0) for i in range(n + 1)], [int(i in (1, n)) for i in range(n + 1)]])
         for d in range(1, 9):
             sys = make_system([n], [d], [])
@@ -770,11 +764,11 @@ def test_subspace_calls_certify_at_one_trial(monkeypatch):
     sextic, plane = make_system([3], [6], [(4, 3)]), LinearSubspace(2, 3)
     res = h0_oracle(sextic, OracleConfig(), subspace=plane)
     assert (res.h0, res.lower, res.certified, res.trials_used) == (26, 26, True, 1)
-    # points of P^3 drawn for the plane's P^2 lie off the plane and impose
-    # all 60 conditions: the trial value 0 is below the bound, which must
-    # fail loudly
-    real = oracle.sample_points
-    monkeypatch.setattr(oracle, "sample_points", lambda space, h, cfg, **kw: real(Space((3,)), h, cfg, **kw))
+    # points meant for the plane but left off it impose all 60 conditions:
+    # the trial value 0 is below the bound, which must fail loudly
+    real = oracle._condition_matrix
+    off = SimpleNamespace(s=plane.s, through_first=0)
+    monkeypatch.setattr(oracle, "_condition_matrix", lambda *args: real(*args[:5], off))
     with pytest.raises(OracleSamplingError, match="lower bound 26"):
         h0_oracle(sextic, OracleConfig(), subspace=plane)
 
