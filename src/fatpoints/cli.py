@@ -7,8 +7,10 @@ go to stdout as JSON (or CSV/Markdown for scans), diagnostics to stderr.
 
 Exit codes: 0 success or affirmative verdict, 1 negative verdict or
 verification mismatch, 2 malformed input, 3 unsupported request, 4 oracle
-sampling failure. Every randomized command reports the seed and prime used,
-so runs are replayable; SEV_SEED overrides the default seed.
+sampling failure, and 141 (128 + SIGPIPE, as a shell reports a process the
+signal ended) when the reader of stdout closed it early, as `| head` does.
+Every randomized command reports the seed and prime used, so runs are
+replayable; SEV_SEED overrides the default seed.
 """
 from __future__ import annotations
 
@@ -45,6 +47,7 @@ EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_UNSUPPORTED = 3
 EXIT_ORACLE = 4
+EXIT_BROKEN_PIPE = 141
 
 
 def _parse_shorthand(text: str) -> LinearSystem:
@@ -301,7 +304,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader has gone, which is no input error: stop quietly, with
+        # stdout on devnull so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except OracleSamplingError as exc:
         print(f"oracle failure: {exc}", file=sys.stderr)
         return EXIT_ORACLE

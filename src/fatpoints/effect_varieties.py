@@ -307,12 +307,17 @@ def _scan_alpha(
     return _scan_report(sys, {a: nu(a) for a in range(1, bound + 1)}, checks, values)
 
 
+def _linear_bound(sys: LinearSystem, on: Sequence[int]) -> int:
+    """The most times a linear P^s through points of multiplicities ``on``
+    fits in sys: min(d, on), the divisor bound read with e = c = 1."""
+    return min([sys.multidegree[0], *on])
+
+
 def _classify_linear(sys: LinearSystem, s: int, on: Sequence[int], checks: dict[str, bool]) -> SevReport:
     """A linear P^s through points of multiplicities ``on``, a line or a
-    hyperplane included: it fits min(d, on) times, the divisor bound read
-    with e = c = 1, and each alpha reads the removal count."""
-    bound = min([sys.multidegree[0], *on])
-    return _scan_alpha(sys, bound, lambda a: _residual_nu(sys, a, on, s=s), checks)
+    hyperplane included: alpha runs up to _linear_bound, and each alpha
+    reads the removal count."""
+    return _scan_alpha(sys, _linear_bound(sys, on), lambda a: _residual_nu(sys, a, on, s=s), checks)
 
 
 def _require_double_points(sys: LinearSystem, what: str) -> None:
@@ -393,12 +398,13 @@ def classify_configuration(
     values: dict[str, object] = {}
     nu_sys = virtual_dim(sys)
     nus = [nu_sys]
+    # every step's alpha must be at most the bound _scan_alpha would read
+    admissible = True
 
     if kinds <= {Hypersurface}:
         # per-group bookkeeping keeps the point_mults group indices stable
         # even after a step exhausts some multiplicities
         mults = [g.multiplicity for g in sys.points]
-        admissible = True
         residual = sys
         for step in steps:
             Y = step.variety
@@ -415,7 +421,6 @@ def classify_configuration(
                 tuple(FatPointGroup(m, g.count) for m, g in zip(mults, sys.points) if m >= 1),
             )
             nus.append(virtual_dim(residual))
-        checks["alpha_admissible"] = admissible
         lines: list[tuple[int, int, int]] = []
     elif kinds <= {Line}:
         seen: list[tuple[tuple[int, int], int]] = []
@@ -433,7 +438,9 @@ def classify_configuration(
                 for pt in set(prev) & set(pair):
                     absorbed = absorbed and mults[pt] >= step.alpha + prev_alpha - 1
             seen.append((pair, step.alpha))
-            nus.append(nus[-1] + _residual_nu(sys, step.alpha, _curve_data(sys, Y)[1]) - nu_sys)
+            on = _curve_data(sys, Y)[1]
+            admissible = admissible and step.alpha <= _linear_bound(sys, on)
+            nus.append(nus[-1] + _residual_nu(sys, step.alpha, on) - nu_sys)
         checks["line_overlaps_absorbed"] = absorbed
         residual = sys
         lines = [(*s.variety.through_pair, s.alpha) for s in steps]  # type: ignore[union-attr]
@@ -443,6 +450,7 @@ def classify_configuration(
             "variety with classify_alpha_sev"
         )
 
+    checks["alpha_admissible"] = admissible
     deltas = [b - a for a, b in zip(nus, nus[1:])]
     checks["steps_nondecreasing"] = all(dlt >= 0 for dlt in deltas)
     checks["total_strict_increase"] = nus[-1] > nu_sys

@@ -172,20 +172,25 @@ def _basis(factors: tuple[int, ...], multidegree: tuple[int, ...]) -> np.ndarray
 
 
 def _halves(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Residues U = 2^16 Uh + Ul as float64 halves Uh < 2^15 and Ul < 2^16."""
-    return (U >> 16).astype(np.float64), (U & 0xFFFF).astype(np.float64)
+    """Residues U < 2^31 as U = 2^16 Uh + Ul in float64 halves, with
+    0 <= Uh <= 2^15 and the balanced -2^15 <= Ul < 2^15."""
+    Uh = (U + 0x8000) >> 16
+    return Uh.astype(np.float64), (U - (Uh << 16)).astype(np.float64)
 
 
 def _sub_mulmod(B: np.ndarray, X: np.ndarray, Uh: np.ndarray, Ul: np.ndarray, p: int) -> None:
-    """B <- (B - X @ U) mod p in place, exactly, with one reduction per entry
-    of B, for residues below 2^31, U = 2^16 Uh + Ul split by _halves, and at
-    most PANEL inner terms. The float64 product (2^16 X mod p) @ Uh sums terms
-    below 2^31 * 2^15, so it stays below 2^52, and X @ Ul sums terms below
-    2^31 * 2^16, so it stays below 2^53: both are exact in any summation
-    order, and B minus both stays above -2^54 in int64."""
-    B -= (((X << 16) % p).astype(np.float64) @ Uh).astype(np.int64)
-    B -= (X.astype(np.float64) @ Ul).astype(np.int64)
-    B %= p
+    """B <- (B - X @ U) mod p in place, exactly, for residues 0 <= B, X < p
+    below 2^31, U = 2^16 Uh + Ul split by _halves, and at most PANEL inner
+    terms. Every term of (2^16 X mod p) @ Uh and of X @ Ul has magnitude at
+    most (p - 1) 2^15 < 2^46, so each float64 product of at most 64 terms is
+    below 2^52 and exact in any summation order, and so is their sum T,
+    |T| < 2^53. B - T is then below 2^53 in magnitude as well, so it is
+    exact in float64 and converts exactly into B's int64, and B - (B // p) p
+    reduces it mod p."""
+    T = ((X << 16) % p).astype(np.float64) @ Uh
+    T += X.astype(np.float64) @ Ul
+    np.subtract(B, T, out=B, casting="unsafe")
+    B -= B // p * p
 
 
 def _unit_lower_inverse(L: np.ndarray, p: int) -> np.ndarray:
@@ -234,14 +239,15 @@ def _factor(
     """Factor columns c0:c1 of rows r: in place and return their pivot columns,
     each keeping its multipliers below the pivot, and, if inverse is set, the
     inverse of the unit lower triangular L11 those multipliers form in the
-    pivot rows. A panel wider than 8 columns with more than 4 times as many
-    rows is factored as two halves, the right one after _eliminate_right by
-    the left one, and L11^-1 is joined from theirs; any other column by
-    column. Row swaps move whole rows, so the multipliers to the left stay
-    with them.
+    pivot rows. A panel wider than 16 columns over more than PANEL rows is
+    factored as two halves, the right one after _eliminate_right by the left
+    one, and L11^-1 is joined from theirs; any other column by column, on a
+    contiguous transposed copy written back at the end. Row swaps move whole
+    rows of A and the matching columns of the copy, so the multipliers to
+    the left stay with their rows.
     """
     m, w = A.shape[0], c1 - c0
-    if w > 8 and m - r > 4 * w:
+    if w > 16 and m - r > PANEL:
         mid = c0 + w // 2
         left, Ainv = _factor(A, r, c0, mid, p, True)
         _eliminate_right(A, r, left, Ainv, mid, c1, p)
@@ -251,24 +257,28 @@ def _factor(
             return left + right, None
         C = A[r + k : r + k + len(right)][:, left]
         return left + right, _join_inverses(Ainv, C, Binv, p)
-    P = A[r:, c0:c1]
+    # a copy even where the transpose is already contiguous (one column),
+    # since the row swaps below would move a view's entries a second time
+    Q = A[r:, c0:c1].T.copy()
     pivots: list[int] = []
     for c in range(w):
         k = len(pivots)
         if k == m - r:
             break
-        nz = P[k:, c].nonzero()[0]
+        nz = Q[c, k:].nonzero()[0]
         if nz.size == 0:
             continue
         if nz[0]:
-            i = r + k + int(nz[0])
-            A[[r + k, i]] = A[[i, r + k]]
-        f = P[k + 1 :, c] * pow(int(P[k, c]), -1, p) % p
-        P[k + 1 :, c] = f
-        rest = P[k + 1 :, c + 1 :]
-        rest -= f[:, None] * P[k, c + 1 :]
+            i = k + int(nz[0])
+            A[r + k], A[r + i] = A[r + i].copy(), A[r + k].copy()
+            Q[:, k], Q[:, i] = Q[:, i].copy(), Q[:, k].copy()
+        f = Q[c, k + 1 :] * pow(int(Q[c, k]), -1, p) % p
+        Q[c, k + 1 :] = f
+        rest = Q[c + 1 :, k + 1 :]
+        rest -= Q[c + 1 :, k, None] * f
         rest %= p
         pivots.append(c0 + c)
+    A[r:, c0:c1] = Q.T
     if not inverse:
         return pivots, None
     return pivots, _unit_lower_inverse(A[r : r + len(pivots)][:, pivots], p)

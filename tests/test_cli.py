@@ -1,11 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
 from fatpoints import effect_varieties
-from fatpoints.cli import main
+from fatpoints.cli import EXIT_BROKEN_PIPE, main
 from fatpoints.oracle import DEFAULT_PRIME, SECOND_PRIME
 
 LU_SPEC = {"space": [3], "degree": [9], "points": [{"mult": 6, "count": 1}, {"mult": 4, "count": 8}]}
@@ -302,8 +303,9 @@ def test_multiplicity_past_the_degree_is_answered(capsys):
     # degree: each valid (empty) system gets a negative verdict, not a binom
     # input error. A linear Y fits min(d, m) = 1 times, so the scan reads
     # alpha = 1 only, and the line as a P^1 reads the values of the line
-    # through the same two points; the line step of a configuration takes
-    # its alpha as given, and the normal orders above d have no conditions
+    # through the same two points; the line step of a configuration reads
+    # its alpha as given, where the normal orders above d have no
+    # conditions, and past the same bound it is not admissible
     for variety, nu_by_alpha in (
         (["P4:d=1:4x2", "--variety", "linear", "--s", "1"], {"1": -60}),
         (["P4:d=1:4x2", "--variety", "line", "--pair", "0,1"], {"1": -60}),
@@ -315,6 +317,7 @@ def test_multiplicity_past_the_degree_is_answered(capsys):
     code, out, err = run(capsys, "classify", "--system", "P3:d=1:4x2", "--variety", "lines", "--pairs", "0-1:4")
     rep = json.loads(out)
     assert code == 1 and not rep["is_sev"] and rep["values"]["nu_steps"] == [-37, -1], err
+    assert not rep["holds_property"] and not rep["checks"]["alpha_admissible"]
 
 
 def test_empty_residual_is_a_verdict(capsys):
@@ -370,6 +373,24 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["virtual_dim"] == -1
+
+
+def test_closed_stdout_stops_quietly():
+    # a reader that closes the pipe early, as `| head` does, is no input
+    # error: the command stops without a message and exits 128 + SIGPIPE
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "fatpoints", "verify", "lemmas", "--format", "json"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_BROKEN_PIPE == 141, proc.stderr
+    assert "error" not in proc.stderr and "Traceback" not in proc.stderr, proc.stderr
 
 
 def test_stdin_spec(capsys, monkeypatch):

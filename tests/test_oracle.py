@@ -117,7 +117,7 @@ def test_rank_against_independent_elimination(monkeypatch):
     full = np.full((130, 130), p - 1, dtype=np.int64)
     assert rank_mod_p(full, p) == slow_rank_mod_p(full.tolist(), p) == 1
 
-    # tall matrices, whose panels are factored as halves down to 8 or fewer
+    # tall matrices, whose panels are factored as halves down to 16 or fewer
     # columns; each half-panel boundary b gets a zero column and a column
     # that depends only on the columns left of b in its panel, and the top
     # rows start with 48 zeros, so that the pivot searches swap rows
@@ -145,7 +145,7 @@ def test_rank_against_independent_elimination(monkeypatch):
             )
         widths.clear()
         pivots = _pivot_columns(mat, p)
-        assert {min(n, PANEL) // 2**j for j in range(4)} <= set(widths), (m, n, sorted(set(widths)))
+        assert {min(n, PANEL) // 2**j for j in range(3)} <= set(widths), (m, n, sorted(set(widths)))
         assert pivots == slow_pivot_columns(mat.tolist(), p), (m, n, r)
         assert not {c for b in bounds for c in (b, b + 1)} & set(pivots)
 
@@ -229,8 +229,8 @@ def test_eliminate_stops_with_the_schur_complement_below(monkeypatch):
     # _eliminate(B, h, p) on B = [R^T | S^T] factors the h columns of R^T
     # and leaves below its pivot rows [(R x)^T | (S x)^T] = [0 | (S x)^T]
     # for x over a basis of the kernel of R: R has more than PANEL rows in
-    # the first case, and in the second a panel of more than 8 columns with
-    # more than 4 times as many rows, factored as two halves
+    # the first case, and in the second a panel of more than 16 columns over
+    # more than PANEL rows, factored as two halves
     widths = []
     real_factor = oracle._factor
 
@@ -241,7 +241,7 @@ def test_eliminate_stops_with_the_schur_complement_below(monkeypatch):
     monkeypatch.setattr(oracle, "_factor", recording)
     rng = random.Random(17)
     p = DEFAULT_PRIME
-    for h, q, N in [(70, 10, 100), (12, 5, 80)]:
+    for h, q, N in [(70, 10, 100), (20, 5, 80)]:
         R = _product_mod(rng, h, N, N, p)
         # S mixes random rows with combinations of R, which vanish on its kernel
         S = np.vstack(
@@ -266,17 +266,58 @@ def test_eliminate_stops_with_the_schur_complement_below(monkeypatch):
         assert slow_rank_mod_p(ours, p) == slow_rank_mod_p(SK, p) == slow_rank_mod_p(ours + SK, p)
 
 
+ENGINE_PRIMES = (2, 65521, 65537, SECOND_PRIME, DEFAULT_PRIME)
+
+
 def test_exact_product_at_the_bound():
-    # every entry p - 1 over PANEL inner terms gives the largest sums
-    # _sub_mulmod forms, from the smallest and the largest B
-    for p in (DEFAULT_PRIME, SECOND_PRIME):
+    # every X entry p - 1 over PANEL inner terms gives the largest sums
+    # _sub_mulmod forms, from the smallest and the largest B; U sits at the
+    # edges of the balanced halves: 0x7FFF and 0x8000 give the largest
+    # positive and negative low half, 0xFFFF a low half of -1, and p - 1 the
+    # largest high half
+    for p in ENGINE_PRIMES:
         x = np.full((3, PANEL), p - 1, dtype=np.int64)
-        u = np.full((PANEL, 2), p - 1, dtype=np.int64)
-        for b in (0, p - 1):
-            B = np.full((3, 2), b, dtype=np.int64)
-            _sub_mulmod(B, x, *_halves(u), p)
-            want = (b - PANEL * (p - 1) * (p - 1)) % p
-            assert B.tolist() == [[want, want]] * 3, (p, b)
+        for v in sorted({u for u in (0x7FFF, 0x8000, 0xFFFF, p - 1) if u < p}):
+            Uh, Ul = _halves(np.full((PANEL, 2), v, dtype=np.int64))
+            assert (Uh * 2**16 + Ul == v).all() and 0 <= Uh.min() <= Uh.max() <= 2**15
+            assert -(2**15) <= Ul.min() <= Ul.max() < 2**15
+            for b in (0, p - 1):
+                B = np.full((3, 2), b, dtype=np.int64)
+                _sub_mulmod(B, x, Uh, Ul, p)
+                want = (b - PANEL * (p - 1) * v) % p
+                assert B.tolist() == [[want, want]] * 3, (p, v, b)
+
+
+def test_engine_edge_shapes_at_every_prime(monkeypatch):
+    # _pivot_columns, and _eliminate stopped halfway, against the plain-list
+    # elimination: one row; one column, whose transposed panel is already
+    # contiguous, so only a real copy keeps its row swaps from being undone;
+    # a last panel of one column; and square panels over between w and 4w
+    # unreduced rows, which are factored in halves. The top rows are zero,
+    # so the pivot searches swap rows; the primes put residues on both
+    # sides of 2^16
+    calls = []
+    real_factor = oracle._factor
+
+    def recording(A, r, c0, c1, p, inverse):
+        calls.append((c1 - c0, A.shape[0] - r))
+        return real_factor(A, r, c0, c1, p, inverse)
+
+    monkeypatch.setattr(oracle, "_factor", recording)
+    rng = random.Random(29)
+    for p in ENGINE_PRIMES:
+        for m, n, r in [(1, 9, 1), (1, 70, 1), (9, 1, 1), (70, 1, 1), (80, 65, 60), (100, 64, 64), (90, 90, 80)]:
+            mat = _product_mod(rng, m, r, n, p)
+            mat[: m // 4] = 0
+            want = slow_pivot_columns(mat.tolist(), p)
+            calls.clear()
+            assert _pivot_columns(mat, p) == want, (p, m, n)
+            if m > PANEL and n >= PANEL:
+                halved = [w for (w, rows), nxt in zip(calls, calls[1:]) if w < rows < 4 * w and nxt[0] == w // 2]
+                assert PANEL in halved, (p, m, n, calls)
+            for stop in sorted({1, n // 2, n - 1} - {0}):
+                B = mat.copy()
+                assert oracle._eliminate(B, stop, p) == [c for c in want if c < stop], (p, m, n, stop)
 
 
 def _rows(sys, points, m, p=DEFAULT_PRIME):
