@@ -24,10 +24,8 @@ from .effect_varieties import (
     classify_configuration,
     curve_restriction_cohomology,
     h1_sev_check,
-    linear_space_residual_nu,
     p3_rational_curve_chi,
     residual_divisor,
-    rnc_double_residual_nu,
 )
 from .oracle import (
     OracleConfig,

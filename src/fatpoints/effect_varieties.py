@@ -17,7 +17,8 @@ floor(d/e), and ceil(m/c) over the points on Y, for a divisor; min(d, m on
 Y) for a linear P^s, a line and a hyperplane among them, the divisor bound
 with e = c = 1. On that range a hyperplane's removal count is nu of its
 divisor residual, so both descriptions of a hyperplane, and of a line, give
-one report. The rational normal curve and the P^3 curves are read at alpha = 2.
+one report. The rational normal curve, whose normal bundle O(n+2)^(n-1) is
+balanced, scans alpha on the same range; the P^3 curves are read at alpha = 2.
 
 The cohomological (h^1) check follows the three-condition definition, with
 h^2 of the residual asserted zero only where that is actually known: divisors
@@ -196,26 +197,6 @@ def _residual_nu(
     return virtual_dim(sys) - neighbourhood_count(n, s, d, alpha, e, c, euler=euler) + shared
 
 
-def linear_space_residual_nu(sys: LinearSystem, Y: LinearSubspace, m: int) -> int:
-    """The removal count of a linear Y = P^s through the first Y.through_first
-    points: a point on Y of multiplicity at most m is absorbed whole, a fatter
-    one only in its jets of normal order below m."""
-    check_subspace(sys, Y)
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    return _residual_nu(sys, m, sys.point_multiplicities()[: Y.through_first], s=Y.s)
-
-
-def rnc_double_residual_nu(d: int, n: int) -> int:
-    """Virtual dimension of |dH - 2 C_n| for the rational normal curve,
-    C(d+n,n) - 1 - ((d-1)n^2 + 2); the postulation value needs d >= 3."""
-    if d < 3:
-        raise NotImplementedError("double rational-normal-curve postulation needs d >= 3")
-    if n < 2:
-        raise ValueError("need n >= 2")
-    return binom(d + n, n) - 1 - neighbourhood_count(n, 1, d, 2, e=n, c=n + 2)
-
-
 def p3_rational_curve_chi(d: int, e: int) -> int:
     """Euler characteristic of the double removal of a degree-e smooth
     rational curve in P^3 from degree-d forms: C(d+3,3) - 3de + 4e - 5."""
@@ -226,14 +207,17 @@ def p3_rational_curve_chi(d: int, e: int) -> int:
 
 def _curve_data(sys: LinearSystem, Y: EffectVariety) -> tuple[int, list[int]]:
     """Curve degree and the multiplicities of the base points on it, for a
-    curve class in the space where it lives: the rational normal curve
-    through up to n+3 points, a P^3 curve through up to its general-position
-    cap (else 2e) and the line joining two base points of a P^n, n >= 2."""
+    curve class in the space where it lives: the rational normal curve of a
+    P^n through up to n+3 points, a P^3 curve through up to its
+    general-position cap (else 2e) and the line joining two base points, both
+    lines and rational normal curves in a P^n with n >= 2."""
     mults = list(sys.point_multiplicities())
     if isinstance(Y, RationalNormalCurve):
         if sys.space.nfactors != 1:
             raise NotImplementedError("rational normal curves live in a single P^n")
         n = sys.space.n
+        if n == 1:
+            raise ValueError("rational normal curves need n >= 2")
         return n, mults[: n + 3]
     if isinstance(Y, RationalCurveP3):
         if sys.space.factors != (3,):
@@ -320,25 +304,19 @@ def _classify_linear(sys: LinearSystem, s: int, on: Sequence[int], checks: dict[
     return _scan_alpha(sys, _linear_bound(sys, on), lambda a: _residual_nu(sys, a, on, s=s), checks)
 
 
-def _require_double_points(sys: LinearSystem, what: str) -> None:
-    if any(m != 2 for m in sys.point_multiplicities()):
-        raise NotImplementedError(f"{what} classification is only known for double-point systems")
-
-
 def _classify_rnc(sys: LinearSystem, Y: RationalNormalCurve) -> SevReport:
-    """The rational normal curve through double points, read at alpha = 2."""
+    """The rational normal curve, N = O(n+2)^(n-1) balanced, so its removal
+    count holds at every alpha: scanned up to _linear_bound like a line."""
     n, on = _curve_data(sys, Y)
-    _require_double_points(sys, "rational normal curve")
-    nu = rnc_double_residual_nu(sys.multidegree[0], n)
-    values: dict[str, object] = {"points_on_curve": len(on), "nu_double_curve": nu}
-    return _scan_report(sys, {2: _residual_nu(sys, 2, on, e=n, c=n + 2)}, {}, values)
+    return _scan_alpha(sys, _linear_bound(sys, on), lambda a: _residual_nu(sys, a, on, e=n, c=n + 2), {})
 
 
 def _classify_p3_curve(sys: LinearSystem, Y: RationalCurveP3) -> SevReport:
     """A rational curve of P^3 through double points, read at alpha = 2 by
     its euler characteristic."""
     e, on = _curve_data(sys, Y)
-    _require_double_points(sys, "rational curve")
+    if any(m != 2 for m in sys.point_multiplicities()):
+        raise NotImplementedError("rational curve classification is only known for double-point systems")
     d, h = sys.multidegree[0], sys.total_points
     checks = {"curve_through_points": 2 * e >= h}
     if e in GENERAL_POSITION_CAP:
@@ -355,8 +333,9 @@ def _classify_p3_curve(sys: LinearSystem, Y: RationalCurveP3) -> SevReport:
 def classify_alpha_sev(sys: LinearSystem, Y: EffectVariety) -> SevReport:
     """Scan the admissible removal multiplicities for Y and report whether it
     has the special-effect property for sys (and is a special-effect variety,
-    i.e. the best residual is also effective). Divisors and linear P^s scan
-    alpha up to their bound with _scan_alpha; the curves read alpha = 2."""
+    i.e. the best residual is also effective). Divisors, linear P^s and the
+    rational normal curve scan alpha up to their bound with _scan_alpha; the
+    P^3 curves read alpha = 2."""
     if isinstance(Y, Hypersurface):
         return _scan_alpha(sys, _alpha_bound(sys, Y), lambda a: virtual_dim(residual_divisor(sys, Y, a)), {})
     if isinstance(Y, LinearSubspace):

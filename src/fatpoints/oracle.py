@@ -481,8 +481,6 @@ class _RowBuilder:
         is 1. Each point's value row is computed once; each run of points in
         one chart then takes one gather through the _taylor index table, one
         product with its coefficients and one reduction, in place."""
-        if self.space.nfactors > 1 and m > 2:
-            raise NotImplementedError("multiplicity >= 3 on products is not supported")
         p = self.p
         X = np.remainder(points, p, dtype=np.int64).reshape(len(points), self.width)
         charts = _normalize(X, self.space.factors, p)

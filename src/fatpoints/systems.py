@@ -133,23 +133,15 @@ def monomial_count(space: Space, multidegree: Sequence[int]) -> int:
 
 
 def point_conditions(m: int, space: Space) -> int:
-    """Number of linear conditions a multiplicity-m point imposes.
-
-    On P^n this is C(m+n-1, n). On a product only simple and double points
-    are supported (1 and sum(n_i)+1 conditions); the multihomogeneous theory
-    used here gives no condition count for m >= 3.
+    """Number of linear conditions a multiplicity-m point imposes: the
+    derivatives of order < m in N = sum(n_i) local coordinates,
+    C(m-1+N, N). On P^n this is C(m+n-1, n); on a product a double point
+    imposes N+1.
     """
     if m < 1:
         raise ValueError(f"multiplicity must be >= 1, got {m}")
-    if space.nfactors == 1:
-        return binom(m + space.n - 1, space.n)
-    if m == 1:
-        return 1
-    if m == 2:
-        return sum(space.factors) + 1
-    raise NotImplementedError(
-        f"multiplicity {m} points on a product space are not supported (only m <= 2)"
-    )
+    N = sum(space.factors)
+    return binom(m - 1 + N, N)
 
 
 def dim_report(sys: LinearSystem) -> DimReport:

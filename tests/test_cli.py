@@ -210,8 +210,6 @@ def test_exit_code_unsupported(capsys):
         "--curve-degree", "2",
     )
     assert code == 3 and "unsupported" in err
-    code, _, err = run(capsys, "oracle", "--system", "P1xP2:d=2,2:3x1")
-    assert code == 3
 
 
 def test_oracle_rejects_bad_primes(capsys):
@@ -353,10 +351,16 @@ def test_empty_residual_is_a_verdict(capsys):
 
 
 def test_line_needs_n_at_least_2(capsys):
-    # a line of P^1 is the whole space: an input error, not a binom failure
-    for cmd in ("classify", "h1check"):
-        code, out, err = run(capsys, cmd, "--system", "P1:d=3:2x2", "--variety", "line", "--pair", "0,1")
-        assert code == 2 and out == "" and "line candidates need n >= 2" in err, cmd
+    # a line of P^1, like its rational normal curve, is the whole space: an
+    # input error at every degree, not a binom failure
+    for system, variety, message in (
+        ("P1:d=3:2x2", ["line", "--pair", "0,1"], "line candidates need n >= 2"),
+        ("P1:d=2:2x3", ["rnc"], "rational normal curves need n >= 2"),
+        ("P1:d=4:2x3", ["rnc"], "rational normal curves need n >= 2"),
+    ):
+        for cmd in ("classify", "h1check"):
+            code, out, err = run(capsys, cmd, "--system", system, "--variety", *variety)
+            assert code == 2 and out == "" and message in err, (cmd, system)
 
 
 def test_same_seed_byte_identical(capsys):

@@ -12,10 +12,8 @@ from fatpoints.effect_varieties import (
     classify_configuration,
     curve_restriction_cohomology,
     h1_sev_check,
-    linear_space_residual_nu,
     p3_rational_curve_chi,
     residual_divisor,
-    rnc_double_residual_nu,
 )
 from fatpoints.oracle import OracleConfig, h0_oracle
 from fatpoints.systems import FatPointGroup, LinearSystem, make_system, virtual_dim
@@ -52,8 +50,8 @@ def test_residual_divisor_composition():
 def test_linear_space_residual_values():
     # |4H - 2 line| and |2H - 2 line| in P^3, both base points on the line
     line = LinearSubspace(1, 2)
-    assert linear_space_residual_nu(make_system([3], [4], [(2, 2)]), line, 2) == 21
-    assert linear_space_residual_nu(make_system([3], [2], [(2, 2)]), line, 2) == 2
+    assert classify_alpha_sev(make_system([3], [4], [(2, 2)]), line).values["nu_by_alpha"][2] == 21
+    assert classify_alpha_sev(make_system([3], [2], [(2, 2)]), line).values["nu_by_alpha"][2] == 2
 
 
 def test_linear_space_residual_span_corollary():
@@ -61,7 +59,7 @@ def test_linear_space_residual_span_corollary():
     for n in range(2, 9):
         for h in range(2, n + 1):
             sys = make_system([n], [2], [(2, h)])
-            assert linear_space_residual_nu(sys, LinearSubspace(h - 1, h), 2) >= 0
+            assert classify_alpha_sev(sys, LinearSubspace(h - 1, h)).values["nu_by_alpha"][2] >= 0
 
 
 def test_line_as_a_subspace_reads_the_line_count():
@@ -122,29 +120,34 @@ def test_subspace_residual_is_below_the_oracle():
     # together, so h0(L - Y) >= nu(L - Y) + 1; a point fatter than Y's
     # multiplicity 1 keeps its conditions past the first normal order, e.g.
     # |2H - 2p - line through p| has h0 5 and nu 4
-    assert linear_space_residual_nu(make_system([3], [2], [(2, 1)]), LinearSubspace(1, 1), 1) == 4
+    rep = classify_alpha_sev(make_system([3], [2], [(2, 1)]), LinearSubspace(1, 1))
+    assert rep.values["nu_by_alpha"][1] == 4
     for n, d in ((3, 2), (3, 3), (4, 2)):
         for m in (1, 2, 3):
             for h in (1, 2, 3):
                 for s in range(1, n - 1):
                     for t in range(1, min(h, s + 2) + 1):
                         sys, Y = make_system([n], [d], [(m, h)]), LinearSubspace(s, t)
-                        nu = linear_space_residual_nu(sys, Y, 1)
+                        nu = classify_alpha_sev(sys, Y).values["nu_by_alpha"][1]
                         assert h0_oracle(sys, CFG, subspace=Y).h0 >= nu + 1, (n, d, m, h, s, t)
 
 
+def rnc_double_nu(d, n):
+    """nu(dH - 2C) for the rational normal curve of P^n, no base points."""
+    return classify_alpha_sev(make_system([n], [d], []), RationalNormalCurve()).values["nu_by_alpha"][2]
+
+
 def test_rnc_residual_values():
-    assert rnc_double_residual_nu(3, 3) == -1
-    assert rnc_double_residual_nu(4, 2) == 0
-    assert rnc_double_residual_nu(3, 4) == 0
-    with pytest.raises(NotImplementedError):
-        rnc_double_residual_nu(2, 3)
+    assert rnc_double_nu(3, 3) == -1
+    assert rnc_double_nu(4, 2) == 0
+    assert rnc_double_nu(3, 4) == 0
 
 
 def test_rnc_residual_self_consistency():
-    for d in range(3, 9):
+    # the double curve costs (d-1)n^2 + 2 conditions from d = 2 on
+    for d in range(2, 9):
         for n in range(2, 7):
-            assert rnc_double_residual_nu(d, n) == binom(d + n, n) - 1 - ((d - 1) * n * n + 2)
+            assert rnc_double_nu(d, n) == binom(d + n, n) - 1 - ((d - 1) * n * n + 2)
 
 
 def test_p3_curve_chi_values():
@@ -209,6 +212,19 @@ def test_classify_rnc_examples():
     assert rep.is_sev and rep.alpha_max == 2
     rep = classify_alpha_sev(make_system([4], [3], [(2, 7)]), RationalNormalCurve())
     assert rep.is_sev and rep.alpha_max == 2
+
+
+def test_classify_rnc_scans_alpha():
+    # the twisted cubic through 6 points of P^3 is a 3-fold special-effect
+    # curve of the systems with 6 points of multiplicity m = (d + 1) / 2,
+    # and nu(L - 3C) + 1 is the certified h0
+    cfg = OracleConfig()
+    for d, m, h0 in ((7, 4, 4), (9, 5, 14), (11, 6, 32), (13, 7, 60)):
+        sys = make_system([3], [d], [(m, 6)])
+        rep = classify_alpha_sev(sys, RationalNormalCurve())
+        assert rep.is_sev and rep.alpha_max == 3 and rep.values["alpha_bound"] == m, (d, m)
+        res = h0_oracle(sys, cfg)
+        assert res.certified and res.h0 == rep.nu_residual + 1 == h0, (d, m)
 
 
 def test_classify_rnc_too_many_points():
@@ -415,7 +431,6 @@ def test_every_subspace_caller_checks_the_subspace():
         lambda sys, Y: h0_oracle(sys, CFG, subspace=Y),
         classify_alpha_sev,
         lambda sys, Y: h1_sev_check(sys, Y, CFG),
-        lambda sys, Y: linear_space_residual_nu(sys, Y, 1),
     ]
     for sys, Y, error, message in [
         (make_system([1, 1], [2, 2], [(2, 2)]), LinearSubspace(1, 1), NotImplementedError, "single P"),

@@ -452,10 +452,31 @@ def test_fat_point_row_counts():
     sysp = make_system([1, 1, 1], [2, 2, 2], [(2, 1)])
     ptp = sample_points(Space((1, 1, 1)), 1, CFG)
     assert _rows(sysp, ptp, 2).shape == (4, 27)
-    with pytest.raises(NotImplementedError):
-        _rows(sysp, ptp, 3)
+    assert _rows(sysp, ptp, 3).shape == (10, 27)
     with pytest.raises(ValueError, match="nonzero coordinate"):
         _rows(sys3, np.zeros((1, 4), dtype=np.int64), 1)
+
+
+def test_product_blowup_identity():
+    # P1xP1 blown up at a point p is P^2 blown up at two points, the fibres
+    # through p contracted: A = H - E1, B = H - E2 and E = H - E1 - E2 give
+    # L_{P1xP1}(a, b; m1, rest) = L_{P^2}(a + b - m1; a - m1, b - m1, rest),
+    # so a product point of any multiplicity takes the conditions of P^2
+    cfg = OracleConfig(seed=5)
+    pairs = 0
+    for b in range(1, 8):
+        for a in range(1, b + 1):
+            for m1 in range(1, a + 1):
+                for r in range(1, 5):
+                    k = (a + b + m1 + r) % 8
+                    rest = [(r, k)] if k else []
+                    prod = make_system([1, 1], [a, b], [(m1, 1), *rest])
+                    plane = make_system([2], [a + b - m1], [(x, 1) for x in (a - m1, b - m1) if x] + rest)
+                    case = (a, b, m1, r, k)
+                    assert virtual_dim(prod) == virtual_dim(plane), case
+                    assert h0_oracle(prod, cfg).h0 == h0_oracle(plane, cfg).h0, case
+                    pairs += 1
+    assert pairs == 336
 
 
 def test_fat_point_rows_kill_expected_monomials():

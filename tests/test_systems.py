@@ -41,11 +41,9 @@ def test_point_conditions_examples():
     assert point_conditions(2, Space((1, 1, 1))) == 4
     assert point_conditions(2, Space((4,))) == 5
     assert point_conditions(1, Space((2, 3))) == 1
-
-
-def test_point_conditions_product_multiplicity_cap():
-    with pytest.raises(NotImplementedError):
-        point_conditions(3, Space((1, 1)))
+    # a point of a product counts as one of P^N, N = sum(n_i)
+    assert point_conditions(3, Space((1, 1))) == point_conditions(3, Space((2,))) == 6
+    assert point_conditions(4, Space((1, 2))) == 20
 
 
 def test_virtual_dim_known_systems():
