@@ -13,6 +13,12 @@ systems.lower_h0 a proven lower bound: once they meet, the answer is
 certified, and `verify` asserts only certified values. Otherwise the minimum
 over independent trials is the generic value with overwhelming probability;
 cross_checked_h0 recomputes such a value at a second prime and seed.
+
+A trial's sampled points depend only on the space, the seed, the trial and
+the prime, and each trial reads the first points of one stream per such key
+(_PointStream). The process keeps up to STREAMS of them, so every series,
+trial and call on one key draws and normalizes each point once. A stream
+holds points only: no rank, matrix or answer is kept between calls.
 """
 from __future__ import annotations
 
@@ -44,6 +50,7 @@ MAX_PRIME = 2**31  # exclusive bound that keeps rank_mod_p's float64 products ex
 PANEL = 64  # columns per elimination panel, and inner dimension of every product
 CHUNK = 256  # rows per trailing update, which bounds its temporaries
 REDRAWS = 64  # draws allowed for each sampled point before sampling gives up
+STREAMS = 256  # point streams kept per process, the least recently used dropped first
 
 LineScheme = tuple[int, int, int]  # (point index, point index, alpha)
 
@@ -351,49 +358,97 @@ def _normalize(X: np.ndarray, factors: tuple[int, ...], p: int) -> np.ndarray:
     return charts
 
 
+class _PointStream:
+    """The sampled points of one trial, one stream per (factors, seed, trial,
+    prime): take(h) returns the first h of them, read-only, and draws only
+    those it does not hold yet.
+
+    Coordinates are drawn from 1..p-1 so every chart works, and each factor
+    is scaled so its last one is 1; a candidate equal to an earlier point is
+    redrawn, at most REDRAWS times in a row. The coordinates are those of
+    randrange(1, p) called one after another on one random.Random: each
+    takes 32-bit words until one's top k bits, k the bit length of p - 1,
+    are below p - 1, so the words are drawn in bulk and filtered as an
+    array. getrandbits hands out the same words however the draws are cut
+    into batches, and the stream keeps its random state and the
+    coordinates drawn past its last point, so the first h points are the
+    same whether they were taken at once or h grew over many takes. The
+    redraw bound counts per point, so a take of more points either extends
+    a shorter one or raises, and a take that raises leaves the stream as it
+    was before its first draw.
+    """
+
+    def __init__(self, factors: tuple[int, ...], seed: int, trial: int, p: int):
+        self.factors, self.p = factors, p
+        self.seed = f"{seed}:{trial}:{p}:"
+        self.width = sum(n + 1 for n in factors)
+        self._restart()
+
+    def _restart(self) -> None:
+        self.rng: random.Random | None = None  # seeded at the first draw
+        self.spare = np.empty(0, dtype=np.int64)  # coordinates drawn past the last point
+        self.seen: dict[bytes, None] = {}  # the normalized points, in order
+        self.points = np.empty((0, self.width), dtype=np.int64)
+        self.points.flags.writeable = False
+
+    def take(self, h: int) -> np.ndarray:
+        if h < 0:
+            raise ValueError("point count must be >= 0")
+        if h > len(self.points):
+            try:
+                self._extend(h)
+            except BaseException:
+                self._restart()
+                raise
+        return self.points[:h]
+
+    def _extend(self, h: int) -> None:
+        p, width = self.p, self.width
+        k = (p - 1).bit_length()
+        # enough words on average, then doubled
+        words = width * (h - len(self.seen)) * 2**k // (p - 1) + 2 * width
+        self.rng = self.rng or random.Random(self.seed)
+        spare, redraws = self.spare, 0
+        while len(self.seen) < h:
+            bits = self.rng.getrandbits(32 * words).to_bytes(4 * words, "little")
+            bits, words = np.frombuffer(bits, "<u4") >> (32 - k), 2 * words
+            spare = np.concatenate([spare, bits[bits < p - 1] + 1])
+            cand = spare[: len(spare) // width * width].reshape(-1, width)
+            _normalize(cand, self.factors, p)
+            used = len(cand)
+            for i, key in enumerate(map(bytes, cand)):
+                if key not in self.seen:
+                    self.seen[key], redraws = None, 0
+                    if len(self.seen) == h:
+                        used = i + 1
+                        break
+                elif (redraws := redraws + 1) == REDRAWS:
+                    raise OracleSamplingError("could not sample distinct points in general position")
+            # the candidates left are kept normalized: normalizing them
+            # again when they are read gives them back unchanged
+            spare = spare[used * width :]
+        self.spare = spare
+        self.points = np.frombuffer(b"".join(self.seen), dtype=np.int64).reshape(h, width)
+
+
+# one stream per key for the whole process, so that every series, trial and
+# call on the same space, seed, trial and prime reads the points drawn once;
+# a stream holds points only, never an answer
+_stream = lru_cache(maxsize=STREAMS)(_PointStream)
+
+
 def sample_points(
     space: Space,
     h: int,
     cfg: OracleConfig,
     trial: int = 0,
 ) -> np.ndarray:
-    """Draw h deterministic pseudo-random points in general position, one
-    int64 row each, factor blocks concatenated.
-
-    Coordinates are drawn from 1..p-1 so every chart works, and each factor
-    is scaled so its last one is 1; a candidate equal to an earlier point is
-    redrawn. The coordinates are those of randrange(1, p) called one after
-    another on one stream: each takes 32-bit words until one's top k bits,
-    k the bit length of p - 1, are below p - 1, so the words are drawn in
-    bulk and filtered as an array.
-    """
-    if h < 0:
-        raise ValueError("point count must be >= 0")
-    p = cfg.prime.p
-    k = (p - 1).bit_length()
-    width = sum(n + 1 for n in space.factors)
-    words = width * h * 2**k // (p - 1) + 2 * width  # enough on average, then doubled
-    rng = random.Random(f"{cfg.seed}:{trial}:{p}:")
-    spare = np.empty(0, dtype=np.int64)  # coordinates drawn past the last candidate
-    points: dict[bytes, None] = {}  # the normalized points, in order
-    redraws = 0
-    while len(points) < h:
-        bits = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
-        bits, words = np.frombuffer(bits, "<u4") >> (32 - k), 2 * words
-        spare = np.concatenate([spare, bits[bits < p - 1] + 1])
-        cand = spare[: len(spare) // width * width].reshape(-1, width)
-        spare = spare[len(cand) * width :]
-        _normalize(cand, space.factors, p)
-        for key in map(bytes, cand):
-            if key not in points:
-                points[key], redraws = None, 0
-                if len(points) == h:
-                    break
-            elif (redraws := redraws + 1) == REDRAWS:
-                # the bound is per point, so the first h points of a call
-                # for more points are exactly this call's, or both raise
-                raise OracleSamplingError("could not sample distinct points in general position")
-    return np.frombuffer(bytearray(b"".join(points)), dtype=np.int64).reshape(h, width)
+    """h deterministic pseudo-random points in general position, one int64
+    row each, factor blocks concatenated: a copy of the first h points of
+    the trial's _PointStream, which the process keeps, so they are drawn
+    and normalized once for every call. Every coordinate is nonzero and the
+    last one of each factor is 1."""
+    return _stream(space.factors, cfg.seed, trial, cfg.prime.p).take(h).copy()
 
 
 def _frame_size(space: Space) -> int:
@@ -402,13 +457,35 @@ def _frame_size(space: Space) -> int:
     return min(space.factors) + 1
 
 
-def _trial_points(space: Space, h: int, cfg: OracleConfig, trial: int) -> np.ndarray:
-    """The h points of a trial: the first min(h, _frame_size) at the
-    coordinate points, the rest from sample_points, so they are
-    prefix-consistent too."""
-    k = min(h, _frame_size(space))
-    frame = np.hstack([np.eye(k, n + 1, dtype=np.int64) for n in space.factors])
-    return np.vstack([frame, sample_points(space, h - k, cfg, trial=trial)])
+@lru_cache(maxsize=None)
+def _frame(space: Space) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The frame of a space, read-only: its coordinate points, their charts,
+    and the chart of every sampled point. e_i is normalized with chart i in
+    every factor; a sampled point has no zero coordinate, so its chart in
+    each factor is the factor's last coordinate."""
+    k, factors = _frame_size(space), space.factors
+    first = np.array([0, *accumulate(n + 1 for n in factors[:-1])])
+    out = (
+        np.hstack([np.eye(k, n + 1, dtype=np.int64) for n in factors]),
+        first + np.arange(k)[:, None],
+        first + np.array(factors),
+    )
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def _trial_points(space: Space, h: int, cfg: OracleConfig, trial: int) -> tuple[np.ndarray, np.ndarray]:
+    """The h points of a trial and their charts, as _normalize gives them:
+    the first min(h, _frame_size) at the coordinate points (_frame), the
+    rest the first points of the trial's stream (sample_points), so they
+    are prefix-consistent too."""
+    frame, frame_charts, chart = _frame(space)
+    k = min(h, len(frame))
+    points = np.concatenate([frame[:k], sample_points(space, h - k, cfg, trial=trial)])
+    charts = np.empty((h, len(chart)), dtype=np.int64)
+    charts[:k], charts[k:] = frame_charts[:k], chart
+    return points, charts
 
 
 @lru_cache(maxsize=None)
@@ -473,31 +550,32 @@ class _RowBuilder:
         self.width = self.E.shape[1]
         self.maxdeg = max(sys.multidegree) if sys.multidegree else 0
 
-    def rows(self, points: np.ndarray, m: int, out: np.ndarray | None = None) -> np.ndarray:
-        """Rows of multiplicity m at every point, a row of points each,
-        stacked in point order into out (allocated if None): the value and
-        all chart derivatives of order < m, one row per derivative
-        multi-index. Each factor is normalized so its last nonzero coordinate
-        is 1. Each point's value row is computed once; each run of points in
-        one chart then takes one gather through the _taylor index table, one
-        product with its coefficients and one reduction, in place."""
+    def rows(
+        self, X: np.ndarray, charts: np.ndarray, m: int, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Rows of multiplicity m at every point, a row of X each, stacked in
+        point order into out (allocated if None): the value and all chart
+        derivatives of order < m, one row per derivative multi-index. X holds
+        residues mod p, each factor scaled so that its last nonzero
+        coordinate is 1, and charts those coordinates' columns, one row per
+        point: as _normalize leaves them, or _trial_points gives them. Each
+        point's value row is computed once; each run of points in one chart
+        then takes one gather through the _taylor index table, one product
+        with its coefficients and one reduction, in place."""
         p = self.p
-        X = np.remainder(points, p, dtype=np.int64).reshape(len(points), self.width)
-        charts = _normalize(X, self.space.factors, p)
-
         # powers x_v^k of every coordinate, k = 0..maxdeg, with 0^0 = 1
-        powers = np.ones((len(points), self.width, self.maxdeg + 1), dtype=np.int64)
+        powers = np.ones((len(X), self.width, self.maxdeg + 1), dtype=np.int64)
         for k in range(1, self.maxdeg + 1):
             powers[:, :, k] = powers[:, :, k - 1] * X % p
-        values = np.ones((len(points), len(self.E)), dtype=np.int64)
+        values = np.ones((len(X), len(self.E)), dtype=np.int64)
         for v in range(self.width):
             values *= powers[:, v, self.E[:, v]]
             values %= p
 
         nbeta = binom(self.width - self.space.nfactors + m - 1, m - 1)
         if out is None:
-            out = np.empty((len(points) * nbeta, self.cols), dtype=np.int64)
-        block = out.reshape(len(points), nbeta, self.cols)
+            out = np.empty((len(X) * nbeta, self.cols), dtype=np.int64)
+        block = out.reshape(len(X), nbeta, self.cols)
         charts = charts.tolist()
         starts = [i for i, chart in enumerate(charts) if i == 0 or chart != charts[i - 1]]
         for lo, hi in zip(starts, [*starts[1:], len(charts)]):
@@ -515,7 +593,8 @@ class _RowBuilder:
         points a + t b, t = 0..d. A derivative of order k < alpha restricts
         to the line as a binary form of degree d-k, so it vanishes along the
         line exactly when it vanishes at d+1 distinct points of it; a != b and
-        p > d make the points a + t b distinct."""
+        p > d make the points a + t b distinct. The points are normalized
+        here, so they may be given at any scale."""
         if alpha < 1:
             raise ValueError("alpha must be >= 1")
         p = self.p
@@ -524,7 +603,8 @@ class _RowBuilder:
         if (a == b).all():
             raise ValueError("line needs two distinct defining points")
         t = np.arange(self.sys.multidegree[0] + 1)[:, None]
-        return self.rows((a + t * b) % p, alpha)
+        X = (a + t * b) % p
+        return self.rows(X, _normalize(X, self.space.factors, p), alpha)
 
 
 def _condition_matrix(
@@ -537,16 +617,19 @@ def _condition_matrix(
 ) -> np.ndarray:
     """The condition rows of one trial past its frame points: the fat points
     in group order, each group written into one preallocated matrix, then
-    the given line schemes. A subspace call has no frame: its points are
-    sampled in P^n, and the first ones moved onto the P^s x_{s+1} = ... =
-    x_n = 0 by zeroing those coordinates."""
+    the given line schemes. The points are the trial's (_trial_points). A
+    subspace call has no frame: its points are a copy of the trial's
+    sampled ones in P^n (sample_points), the first moved onto the P^s
+    x_{s+1} = ... = x_n = 0 by zeroing those coordinates and normalized
+    again, so the kept stream is left as it was."""
     frame = 0
     if subspace is None:
-        points = _trial_points(sys.space, sys.total_points, cfg, trial)
+        points, charts = _trial_points(sys.space, sys.total_points, cfg, trial)
         frame = _frame_size(sys.space)
     else:
         points = sample_points(sys.space, sys.total_points, cfg, trial=trial)
         points[: subspace.through_first, subspace.s + 1 :] = 0
+        charts = _normalize(points, sys.space.factors, builder.p)
     spans, start = [], 0  # (first point, end point, multiplicity) past the frame
     for g in sys.points:
         if start + g.count > frame:
@@ -555,7 +638,7 @@ def _condition_matrix(
     sizes = [(hi - lo) * point_conditions(m, sys.space) for lo, hi, m in spans]
     A = np.empty((sum(sizes), builder.cols), dtype=np.int64)
     for (lo, hi, m), part in zip(spans, np.split(A, list(accumulate(sizes)))):
-        builder.rows(points[lo:hi], m, out=part)
+        builder.rows(points[lo:hi], charts[lo:hi], m, out=part)
     if lines:
         A = np.vstack([A, *(builder.line_rows(points[[i, j]], alpha) for i, j, alpha in lines)])
     return A
@@ -578,11 +661,11 @@ def _section_lower(sys: LinearSystem, cfg: OracleConfig, trial: int, value: int)
         return 0
     p = cfg.prime.p
     half = _RowBuilder(LinearSystem(sys.space, e, ()), p)
-    points = _trial_points(sys.space, h + min(binom(k + 1, 2), value) + 2, cfg, trial)
+    points, charts = _trial_points(sys.space, h + min(binom(k + 1, 2), value) + 2, cfg, trial)
     # one column per point, the trial's h first: row operations give rows of
     # values at the points of forms of degree e, and the Schur complement
     # below the h pivot rows holds those of a basis of V at the further ones
-    B = np.remainder(half.rows(points, 1).T, p, order="C")
+    B = np.remainder(half.rows(points, charts, 1).T, p, order="C")
     if len(_eliminate(B, h, p)) < h:
         return 0
     values = B[h:, h:]

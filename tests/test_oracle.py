@@ -19,11 +19,13 @@ from fatpoints.oracle import (
     SECOND_PRIME,
     CrossCheckedH0,
     OracleResult,
+    _PointStream,
     _RowBuilder,
     _basis,
     _condition_matrix,
     _halves,
     _join_inverses,
+    _normalize,
     _pivot_columns,
     _sub_mulmod,
     _unit_lower_inverse,
@@ -320,8 +322,15 @@ def test_engine_edge_shapes_at_every_prime(monkeypatch):
                 assert oracle._eliminate(B, stop, p) == [c for c in want if c < stop], (p, m, n, stop)
 
 
+def rows_at(builder, points, m):
+    """builder.rows at integer points given at any scale: reduced mod p and
+    normalized first."""
+    X = np.remainder(points, builder.p, dtype=np.int64)
+    return builder.rows(X, _normalize(X, builder.space.factors, builder.p), m)
+
+
 def _rows(sys, points, m, p=DEFAULT_PRIME):
-    return _RowBuilder(sys, p).rows(points, m)
+    return rows_at(_RowBuilder(sys, p), points, m)
 
 
 def test_monomial_exponents_counts():
@@ -385,7 +394,7 @@ def test_sample_points_subspace_constraint():
     pts = points_on_subspace(4, 2, 8, CFG, trial=1, through=6)
     assert pts[6:].all()
     got = _condition_matrix(builder, sys, CFG, 1, [], LinearSubspace(2, 6))
-    assert np.array_equal(got, np.vstack([builder.rows(pts[:6], 2), builder.rows(pts[6:], 1)]))
+    assert np.array_equal(got, np.vstack([rows_at(builder, pts[:6], 2), rows_at(builder, pts[6:], 1)]))
 
 
 def normalize_factor(coords, p):
@@ -439,6 +448,93 @@ def test_sample_points_match_the_sequential_stream():
                     pts = sample_points(space, h, cfg, trial)
                     assert pts.dtype == np.int64 and pts.tolist() == [list(x) for x in want[:h]], case
     assert raised > 50
+
+
+def test_point_stream_takes_match_one_draw():
+    # a stream taken in growing (and shrinking) steps gives the points of one
+    # draw, and of sample_points, at every h; a take that raises at a tiny
+    # prime leaves the stream unseeded and empty, and it draws the same again
+    spaces = [Space((1,)), Space((3,)), Space((1, 1)), Space((1, 1, 1))]
+    raised = 0
+    for p in (2, 3, 5, 7, 101, 2**31 - 1):
+        for space, trial in iproduct(spaces, range(2)):
+            cfg = OracleConfig(PrimeField(p), seed=5)
+            want, gave_up = sequential_points(space, 20, cfg, trial)
+            stream = _PointStream(space.factors, cfg.seed, trial, p)
+            for h in (1, 0, 4, 2, 9, 9, 20, len(want), len(want) + 1):
+                case = (p, space, trial, h)
+                if gave_up and h > len(want):
+                    with pytest.raises(OracleSamplingError):
+                        stream.take(h)
+                    assert stream.rng is None and len(stream.points) == len(stream.spare) == 0, case
+                    raised += 1
+                elif h <= 20:
+                    pts = stream.take(h)
+                    assert pts.tolist() == [list(x) for x in want[:h]], case
+                    assert np.array_equal(pts, sample_points(space, h, cfg, trial)), case
+    assert raised > 10
+
+
+def test_point_stream_arrays_are_read_only():
+    stream = _PointStream((1, 2), 5, 0, DEFAULT_PRIME)
+    for h in (0, 3, 7, 2):
+        assert not stream.take(h).flags.writeable
+    # sample_points hands out a copy: writing to it leaves the stream as it was
+    pts = sample_points(Space((1, 2)), 7, OracleConfig(seed=5))
+    kept = oracle._stream((1, 2), 5, 0, DEFAULT_PRIME).take(7)
+    assert pts.flags.writeable and np.array_equal(pts, kept)
+    pts[:] = 0
+    assert np.array_equal(kept, stream.take(7)) and kept.all()
+    with pytest.raises(ValueError, match=">= 0"):
+        stream.take(-1)
+
+
+def test_point_streams_are_keyed_by_space_seed_trial_and_prime():
+    # P^3 and P1xP1 have points of the same width, 4 coordinates
+    oracle._stream.cache_clear()
+    key = ((3,), 5, 0, DEFAULT_PRIME)
+    base = oracle._stream(*key)
+    assert oracle._stream(*key) is base
+    for other in [((1, 1), 5, 0, DEFAULT_PRIME), ((3,), 6, 0, DEFAULT_PRIME),
+                  ((3,), 5, 1, DEFAULT_PRIME), ((3,), 5, 0, SECOND_PRIME)]:
+        stream = oracle._stream(*other)
+        assert stream is not base and stream is oracle._stream(*other), other
+        assert not np.array_equal(stream.take(5), base.take(5)), other
+    info = oracle._stream.cache_info()
+    assert (info.currsize, info.maxsize) == (5, oracle.STREAMS)
+
+
+def test_trial_charts_match_normalize():
+    # _trial_points hands out its points normalized with their charts, frame
+    # points first: _normalize keeps them and finds the same charts, and the
+    # rows built from them are those of the points given at another scale
+    p = DEFAULT_PRIME
+    for factors, degree in [((2,), (4,)), ((3,), (3,)), ((1, 1), (2, 3)), ((1, 2), (2, 2)), ((1, 1, 1), (1, 2, 1))]:
+        space, frame = Space(factors), min(factors) + 1
+        builder = _RowBuilder(make_system(list(factors), list(degree), []), p)
+        for h in sorted({1, frame - 1, frame, frame + 5} - {0}):
+            points, charts = oracle._trial_points(space, h, CFG, 1)
+            assert np.array_equal(points[: min(h, frame)], coordinate_points(factors, min(h, frame)))
+            X = points.copy()
+            assert np.array_equal(_normalize(X, factors, p), charts) and np.array_equal(X, points)
+            for m in (1, 2, 3):
+                got = builder.rows(points, charts, m)
+                assert np.array_equal(got, rows_at(builder, 3 * points, m)), (factors, h, m)
+
+
+def test_subspace_call_leaves_the_stream_unchanged():
+    # a subspace call zeroes coordinates of a copy of the trial's points, so
+    # the pure call after it reads the stream as a fresh one draws it
+    sys, plane = make_system([3], [6], [(4, 3), (1, 4)]), LinearSubspace(2, 3)
+    oracle._stream.cache_clear()
+    pure = h0_prefix_oracle(sys, CFG)
+    before = [oracle._stream((3,), CFG.seed, t, DEFAULT_PRIME).take(7).copy() for t in range(2)]
+    builder = _RowBuilder(sys, DEFAULT_PRIME, _basis((3,), (6,))[:, 3:].any(axis=1))
+    for t in range(2):
+        _condition_matrix(builder, sys, CFG, t, [], plane)
+        assert np.array_equal(oracle._stream((3,), CFG.seed, t, DEFAULT_PRIME).take(7), before[t]), t
+    assert h0_oracle(sys, CFG, subspace=plane).h0 == 26 - 4
+    assert h0_prefix_oracle(sys, CFG) == pure
 
 
 def test_fat_point_row_counts():
@@ -534,7 +630,7 @@ def test_frame_conditions_delete_columns():
         empty = make_system(factors, degree, [])
         builder = _RowBuilder(empty, p)
         frame = coordinate_points(factors, len(mults))
-        blocks = [builder.rows(frame[i : i + 1], m) for i, m in enumerate(mults)]
+        blocks = [rows_at(builder, frame[i : i + 1], m) for i, m in enumerate(mults)]
         blocks += [builder.line_rows(frame[[i, j]], alpha) for i, j, alpha in lines]
         A = np.vstack(blocks)
         drop = np.zeros(builder.cols, dtype=bool)
@@ -613,8 +709,8 @@ def test_batched_rows_match_single_points():
             pts = sample_points(sys.space, rng.randrange(2, 7), CFG, trial=m)
             # a point given at another scale is the same point
             pts = np.vstack([pts, 3 * pts[:1]])
-            single = [builder.rows(pt[None], m) for pt in pts]
-            assert np.array_equal(builder.rows(pts, m), np.vstack(single)), (factors, m)
+            single = [rows_at(builder, pt[None], m) for pt in pts]
+            assert np.array_equal(rows_at(builder, pts, m), np.vstack(single)), (factors, m)
             assert single[0].shape[0] == binom(sum(factors) + m - 1, m - 1)
             assert all(block[0].tolist() == _value_row(sys, pt) for block, pt in zip(single, pts))
             assert np.array_equal(single[0], single[-1])
@@ -627,16 +723,16 @@ def test_batched_rows_match_single_points():
     free = sample_points(Space((3,)), 3, CFG, trial=1)
     pts = np.vstack([plane[0], free[0], line[0], free[1], plane[1], plane[2], line[1], free[2]])
     for m in (1, 2, 3):
-        single = [builder.rows(pt[None], m) for pt in pts]
-        assert np.array_equal(builder.rows(pts, m), np.vstack(single)), m
+        single = [rows_at(builder, pt[None], m) for pt in pts]
+        assert np.array_equal(rows_at(builder, pts, m), np.vstack(single)), m
         assert all(block[0].tolist() == _value_row(sys, pt) for block, pt in zip(single, pts))
     # on P1xP1 a point may take a different chart in either factor
     sys = make_system([1, 1], [2, 3], [])
     builder = _RowBuilder(sys, DEFAULT_PRIME)
     pts = np.array([[1, 0, 5, 1], [3, 7, 2, 9], [4, 1, 1, 0], [1, 0, 0, 1], [6, 1, 8, 1]])
     for m in (1, 2):
-        single = [builder.rows(pt[None], m) for pt in pts]
-        assert np.array_equal(builder.rows(pts, m), np.vstack(single)), m
+        single = [rows_at(builder, pt[None], m) for pt in pts]
+        assert np.array_equal(rows_at(builder, pts, m), np.vstack(single)), m
         assert all(block[0].tolist() == _value_row(sys, pt) for block, pt in zip(single, pts))
 
 
@@ -695,10 +791,10 @@ def test_rows_match_plain_taylor_coefficients():
         keep = np.array([rng.random() < 0.6 for _ in _basis(sys.space.factors, sys.multidegree)])
         for m in mults:
             want = np.array([row for pt in pts for row in slow_taylor_rows(sys, pt, m)])
-            assert np.array_equal(_RowBuilder(sys, p).rows(pts, m), want), (factors, m)
+            assert np.array_equal(rows_at(_RowBuilder(sys, p), pts, m), want), (factors, m)
             kept = _RowBuilder(sys, p, keep)
             assert kept.cols == keep.sum()
-            assert np.array_equal(kept.rows(pts, m), want[:, keep]), (factors, m)
+            assert np.array_equal(rows_at(kept, pts, m), want[:, keep]), (factors, m)
 
 
 def test_condition_matrix_stacks_group_and_line_rows(monkeypatch):
@@ -717,14 +813,14 @@ def test_condition_matrix_stacks_group_and_line_rows(monkeypatch):
         for lines in ([], [(0, 5, 2), (4, 7, 1)]):
             points = frame_then_sampled(sys.space, sys.total_points, CFG, 1)
             blocks = [np.zeros((0, builder.cols), dtype=np.int64)]
-            blocks.append(builder.rows(points[4:6], 2))  # the frame is points 0..3
-            blocks.append(builder.rows(points[6:], 1))
+            blocks.append(rows_at(builder, points[4:6], 2))  # the frame is points 0..3
+            blocks.append(rows_at(builder, points[6:], 1))
             blocks += [builder.line_rows(points[[i, j]], alpha) for i, j, alpha in lines]
             got = _condition_matrix(builder, sys, CFG, 1, lines, None)
             assert np.array_equal(got, np.vstack(blocks)), lines
         pts = points_on_subspace(3, 2, 9, CFG, trial=1, through=3)
         groups = [(pts[:2], 3), (pts[2:6], 2), (pts[6:], 1)]
-        want = np.vstack([builder.rows(pts, m) for pts, m in groups])
+        want = np.vstack([rows_at(builder, pts, m) for pts, m in groups])
         got = _condition_matrix(builder, sys, CFG, 1, [], LinearSubspace(2, 3))
         assert np.array_equal(got, want)
     # both builders read the very same cached read-only tables
@@ -908,7 +1004,7 @@ def test_lines_in_the_base_locus_add_no_rank():
         sys = make_system([n], [d], [(mi, 1), (mj, 1)])
         builder = _RowBuilder(sys, DEFAULT_PRIME)
         ab = sample_points(sys.space, 2, CFG)
-        points = np.vstack([builder.rows(ab[:1], mi), builder.rows(ab[1:], mj)])
+        points = np.vstack([rows_at(builder, ab[:1], mi), rows_at(builder, ab[1:], mj)])
         base = rank_mod_p(points, DEFAULT_PRIME)
         for alpha in range(1, mi + mj - d + 2):
             rank = rank_mod_p(np.vstack([points, builder.line_rows(ab, alpha)]), DEFAULT_PRIME)
@@ -1042,7 +1138,7 @@ def reference_oracle(sys, cfg, lines=()):
         points = frame_then_sampled(sys.space, sys.total_points, cfg, used - 1)
         blocks, start = [np.zeros((0, cols), dtype=np.int64)], 0
         for g in sys.points:
-            blocks.append(builder.rows(points[start : start + g.count], g.multiplicity))
+            blocks.append(rows_at(builder, points[start : start + g.count], g.multiplicity))
             start += g.count
         blocks += [builder.line_rows(points[[i, j]], alpha) for i, j, alpha in lines]
         A = np.vstack(blocks)
