@@ -20,6 +20,7 @@ import json
 import os
 import sys
 from dataclasses import asdict
+from functools import lru_cache
 
 from . import search, verify
 from .effect_varieties import (
@@ -256,6 +257,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if all(c.ok for c in checks) else EXIT_NEGATIVE
 
 
+@lru_cache(maxsize=None)  # one per process: parsing does not change it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fatpoints",
@@ -301,8 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         code = args.fn(args)
         sys.stdout.flush()  # a closed pipe raises here, not at exit

@@ -15,10 +15,11 @@ over independent trials is the generic value with overwhelming probability;
 cross_checked_h0 recomputes such a value at a second prime and seed.
 
 A trial's sampled points depend only on the space, the seed, the trial and
-the prime, and each trial reads the first points of one stream per such key
-(_PointStream). The process keeps up to STREAMS of them, so every series,
-trial and call on one key draws and normalizes each point once. A stream
-holds points only: no rank, matrix or answer is kept between calls.
+the prime, and each trial reads the first points of the longest draw kept
+for such a key (_kept_draw). The process keeps up to STREAMS of them, so a
+series, trial or call on one key draws only when it needs more points than
+any before it. A kept draw holds points only: no rank, matrix or answer is
+kept between calls.
 """
 from __future__ import annotations
 
@@ -50,7 +51,7 @@ MAX_PRIME = 2**31  # exclusive bound that keeps rank_mod_p's float64 products ex
 PANEL = 64  # columns per elimination panel, and inner dimension of every product
 CHUNK = 256  # rows per trailing update, which bounds its temporaries
 REDRAWS = 64  # draws allowed for each sampled point before sampling gives up
-STREAMS = 256  # point streams kept per process, the least recently used dropped first
+STREAMS = 256  # draws kept per process, one per key, the least recently used dropped first
 
 LineScheme = tuple[int, int, int]  # (point index, point index, alpha)
 
@@ -329,17 +330,6 @@ def rank_mod_p(A: np.ndarray, p: int) -> int:
     return len(_pivot_columns(A, p))
 
 
-def _inverses(xs: list[int], p: int) -> list[int]:
-    """Inverses mod p of nonzero residues from one pow: each is the inverse
-    of the product of all times the product of the others (Montgomery)."""
-    prefix = [1, *accumulate(xs, lambda a, b: a * b % p)]
-    inv, out = pow(prefix.pop(), -1, p), []
-    for x, before in zip(reversed(xs), reversed(prefix)):
-        out.append(inv * before % p)
-        inv = inv * x % p
-    return out[::-1]
-
-
 def _normalize(X: np.ndarray, factors: tuple[int, ...], p: int) -> np.ndarray:
     """Scale each factor of each row of X, residues mod p, in place so that
     its last nonzero coordinate is 1; return those coordinates' columns, one
@@ -352,16 +342,14 @@ def _normalize(X: np.ndarray, factors: tuple[int, ...], p: int) -> np.ndarray:
     lead = X[np.arange(len(X))[:, None], charts].ravel().tolist()
     if 0 in lead:  # argmax found no nonzero coordinate
         raise ValueError("every factor of a point needs a nonzero coordinate")
-    inv = np.array(_inverses(lead, p), dtype=np.int64).reshape(charts.shape)
+    inv = np.array([pow(x, -1, p) for x in lead], dtype=np.int64).reshape(charts.shape)
     X *= np.repeat(inv, [n + 1 for n in factors], axis=1)
     X %= p
     return charts
 
 
-class _PointStream:
-    """The sampled points of one trial, one stream per (factors, seed, trial,
-    prime): take(h) returns the first h of them, read-only, and draws only
-    those it does not hold yet.
+def _draw(factors: tuple[int, ...], seed: int, trial: int, p: int, h: int) -> np.ndarray:
+    """The first h sampled points of a trial, read-only.
 
     Coordinates are drawn from 1..p-1 so every chart works, and each factor
     is scaled so its last one is 1; a candidate equal to an earlier point is
@@ -369,72 +357,40 @@ class _PointStream:
     randrange(1, p) called one after another on one random.Random: each
     takes 32-bit words until one's top k bits, k the bit length of p - 1,
     are below p - 1, so the words are drawn in bulk and filtered as an
-    array. getrandbits hands out the same words however the draws are cut
-    into batches, and the stream keeps its random state and the
-    coordinates drawn past its last point, so the first h points are the
-    same whether they were taken at once or h grew over many takes. The
-    redraw bound counts per point, so a take of more points either extends
-    a shorter one or raises, and a take that raises leaves the stream as it
-    was before its first draw.
+    array.
     """
-
-    def __init__(self, factors: tuple[int, ...], seed: int, trial: int, p: int):
-        self.factors, self.p = factors, p
-        self.seed = f"{seed}:{trial}:{p}:"
-        self.width = sum(n + 1 for n in factors)
-        self._restart()
-
-    def _restart(self) -> None:
-        self.rng: random.Random | None = None  # seeded at the first draw
-        self.spare = np.empty(0, dtype=np.int64)  # coordinates drawn past the last point
-        self.seen: dict[bytes, None] = {}  # the normalized points, in order
-        self.points = np.empty((0, self.width), dtype=np.int64)
-        self.points.flags.writeable = False
-
-    def take(self, h: int) -> np.ndarray:
-        if h < 0:
-            raise ValueError("point count must be >= 0")
-        if h > len(self.points):
-            try:
-                self._extend(h)
-            except BaseException:
-                self._restart()
-                raise
-        return self.points[:h]
-
-    def _extend(self, h: int) -> None:
-        p, width = self.p, self.width
-        k = (p - 1).bit_length()
-        # enough words on average, then doubled
-        words = width * (h - len(self.seen)) * 2**k // (p - 1) + 2 * width
-        self.rng = self.rng or random.Random(self.seed)
-        spare, redraws = self.spare, 0
-        while len(self.seen) < h:
-            bits = self.rng.getrandbits(32 * words).to_bytes(4 * words, "little")
-            bits, words = np.frombuffer(bits, "<u4") >> (32 - k), 2 * words
-            spare = np.concatenate([spare, bits[bits < p - 1] + 1])
-            cand = spare[: len(spare) // width * width].reshape(-1, width)
-            _normalize(cand, self.factors, p)
-            used = len(cand)
-            for i, key in enumerate(map(bytes, cand)):
-                if key not in self.seen:
-                    self.seen[key], redraws = None, 0
-                    if len(self.seen) == h:
-                        used = i + 1
-                        break
-                elif (redraws := redraws + 1) == REDRAWS:
-                    raise OracleSamplingError("could not sample distinct points in general position")
-            # the candidates left are kept normalized: normalizing them
-            # again when they are read gives them back unchanged
-            spare = spare[used * width :]
-        self.spare = spare
-        self.points = np.frombuffer(b"".join(self.seen), dtype=np.int64).reshape(h, width)
+    k = (p - 1).bit_length()
+    width = sum(n + 1 for n in factors)
+    words = width * h * 2**k // (p - 1) + 2 * width  # enough on average, then doubled
+    rng = random.Random(f"{seed}:{trial}:{p}:")
+    spare = np.empty(0, dtype=np.int64)  # coordinates drawn past the last candidate
+    points: dict[bytes, None] = {}  # the normalized points, in order
+    redraws = 0
+    while len(points) < h:
+        bits = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
+        bits, words = np.frombuffer(bits, "<u4") >> (32 - k), 2 * words
+        spare = np.concatenate([spare, bits[bits < p - 1] + 1])
+        cand = spare[: len(spare) // width * width].reshape(-1, width)
+        spare = spare[len(cand) * width :]
+        _normalize(cand, factors, p)
+        for key in map(bytes, cand):
+            if key not in points:
+                points[key], redraws = None, 0
+                if len(points) == h:
+                    break
+            elif (redraws := redraws + 1) == REDRAWS:
+                raise OracleSamplingError("could not sample distinct points in general position")
+    return np.frombuffer(b"".join(points), dtype=np.int64).reshape(h, width)
 
 
-# one stream per key for the whole process, so that every series, trial and
-# call on the same space, seed, trial and prime reads the points drawn once;
-# a stream holds points only, never an answer
-_stream = lru_cache(maxsize=STREAMS)(_PointStream)
+@lru_cache(maxsize=STREAMS)
+def _kept_draw(factors: tuple[int, ...], seed: int, trial: int, p: int) -> list[np.ndarray]:
+    """The longest draw of a trial so far, the one item of a list that
+    sample_points replaces by a longer draw; it starts empty. It holds
+    points only, never an answer."""
+    empty = np.empty((0, sum(n + 1 for n in factors)), dtype=np.int64)
+    empty.flags.writeable = False
+    return [empty]
 
 
 def sample_points(
@@ -445,10 +401,17 @@ def sample_points(
 ) -> np.ndarray:
     """h deterministic pseudo-random points in general position, one int64
     row each, factor blocks concatenated: a copy of the first h points of
-    the trial's _PointStream, which the process keeps, so they are drawn
-    and normalized once for every call. Every coordinate is nonzero and the
-    last one of each factor is 1."""
-    return _stream(space.factors, cfg.seed, trial, cfg.prime.p).take(h).copy()
+    the trial's longest draw (_draw), which the process keeps, so a call for
+    no more points than an earlier one draws nothing. Every coordinate is
+    nonzero and the last one of each factor is 1. The redraw bound counts
+    per point, so a longer draw begins with the points of a shorter one, or
+    raises and leaves the kept draw as it was."""
+    if h < 0:
+        raise ValueError("point count must be >= 0")
+    kept = _kept_draw(space.factors, cfg.seed, trial, cfg.prime.p)
+    if len(kept[0]) < h:
+        kept[0] = _draw(space.factors, cfg.seed, trial, cfg.prime.p, h)
+    return kept[0][:h].copy()
 
 
 def _frame_size(space: Space) -> int:
@@ -478,7 +441,7 @@ def _frame(space: Space) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _trial_points(space: Space, h: int, cfg: OracleConfig, trial: int) -> tuple[np.ndarray, np.ndarray]:
     """The h points of a trial and their charts, as _normalize gives them:
     the first min(h, _frame_size) at the coordinate points (_frame), the
-    rest the first points of the trial's stream (sample_points), so they
+    rest the first points of the trial's kept draw (sample_points), so they
     are prefix-consistent too."""
     frame, frame_charts, chart = _frame(space)
     k = min(h, len(frame))
@@ -621,7 +584,7 @@ def _condition_matrix(
     subspace call has no frame: its points are a copy of the trial's
     sampled ones in P^n (sample_points), the first moved onto the P^s
     x_{s+1} = ... = x_n = 0 by zeroing those coordinates and normalized
-    again, so the kept stream is left as it was."""
+    again, so the kept draw is left as it was."""
     frame = 0
     if subspace is None:
         points, charts = _trial_points(sys.space, sys.total_points, cfg, trial)

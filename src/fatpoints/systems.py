@@ -269,6 +269,13 @@ def _lower_h0(factors: tuple[int, ...], degree: tuple[int, ...], mults: tuple[in
     return best
 
 
+def _json_int(value: object, field: str) -> int:
+    """value, if it is a JSON integer: a bool, float or string is none."""
+    if type(value) is not int:
+        raise ValueError(f"system spec {field} must be an integer, got {value!r}")
+    return value
+
+
 def system_from_json(obj: dict | str) -> LinearSystem:
     """A system from its JSON spec, a dict or its text:
     {"space":[3], "degree":[9], "points":[{"mult":6,"count":1},{"mult":4,"count":8}]}"""
@@ -277,13 +284,17 @@ def system_from_json(obj: dict | str) -> LinearSystem:
     if not isinstance(obj, dict):
         raise ValueError("system spec must be a JSON object")
     try:
-        space = obj["space"]
-        degree = obj["degree"]
+        space, degree = obj["space"], obj["degree"]
     except KeyError as exc:
         raise ValueError(f"system spec is missing the {exc} field") from None
+    for field, value in (("space", space), ("degree", degree)):
+        if not isinstance(value, list):
+            raise ValueError(f"system spec {field} must be a list, got {value!r}")
     points = obj.get("points", [])
     try:
-        groups = [(int(p["mult"]), int(p.get("count", 1))) for p in points]
+        groups = [(_json_int(p["mult"], "mult"), _json_int(p.get("count", 1), "count")) for p in points]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed points entry: {exc}") from None
-    return make_system([int(n) for n in space], [int(d) for d in degree], groups)
+    return make_system(
+        [_json_int(n, "space") for n in space], [_json_int(d, "degree") for d in degree], groups
+    )

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from fatpoints import effect_varieties
-from fatpoints.cli import EXIT_BROKEN_PIPE, main
+from fatpoints.cli import EXIT_BROKEN_PIPE, build_parser, main
 from fatpoints.oracle import DEFAULT_PRIME, SECOND_PRIME
 
 LU_SPEC = {"space": [3], "degree": [9], "points": [{"mult": 6, "count": 1}, {"mult": 4, "count": 8}]}
@@ -403,3 +403,28 @@ def test_stdin_spec(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(LU_SPEC)))
     code, out, _ = run(capsys, "dim", "--spec", "-")
     assert code == 0 and json.loads(out)["virtual_dim"] == 3
+
+
+def test_malformed_json_specs_are_input_errors(capsys, monkeypatch):
+    # a string space, a scalar degree, a float or bool multiplicity and a
+    # float factor dimension exit 2, never 0 with another system or 1
+    import io
+
+    for spec in [
+        '{"space": "33", "degree": [2]}',
+        '{"space": [3], "degree": 9}',
+        '{"space": [3], "degree": [4], "points": [{"mult": 2.7}]}',
+        '{"space": [3], "degree": [4], "points": [{"mult": true}]}',
+        '{"space": [3.9], "degree": [4]}',
+    ]:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(spec))
+        code, out, err = run(capsys, "dim", "--spec", "-")
+        assert code == 2 and out == "" and "input error" in err, spec
+
+
+def test_parser_is_built_once(capsys):
+    # main reuses one parser, so a second call parses as the first did
+    assert build_parser() is build_parser()
+    argv = ["verify", "ah", "--seed", "5", "--format", "json"]
+    first, second = run(capsys, *argv), run(capsys, *argv)
+    assert first == second and first[0] == 0 and json.loads(first[1])

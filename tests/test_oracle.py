@@ -19,7 +19,6 @@ from fatpoints.oracle import (
     SECOND_PRIME,
     CrossCheckedH0,
     OracleResult,
-    _PointStream,
     _RowBuilder,
     _basis,
     _condition_matrix,
@@ -451,56 +450,69 @@ def test_sample_points_match_the_sequential_stream():
 
 
 def test_point_stream_takes_match_one_draw():
-    # a stream taken in growing (and shrinking) steps gives the points of one
-    # draw, and of sample_points, at every h; a take that raises at a tiny
-    # prime leaves the stream unseeded and empty, and it draws the same again
+    # sample_points called in growing, shrinking and repeated steps on a
+    # cleared cache gives the points of one draw at every h; a call for no
+    # more points than the kept draw holds draws nothing, and a draw that
+    # raises at a tiny prime leaves the kept draw as it was, so a shorter
+    # call after it reads the same points
     spaces = [Space((1,)), Space((3,)), Space((1, 1)), Space((1, 1, 1))]
     raised = 0
     for p in (2, 3, 5, 7, 101, 2**31 - 1):
         for space, trial in iproduct(spaces, range(2)):
             cfg = OracleConfig(PrimeField(p), seed=5)
             want, gave_up = sequential_points(space, 20, cfg, trial)
-            stream = _PointStream(space.factors, cfg.seed, trial, p)
-            for h in (1, 0, 4, 2, 9, 9, 20, len(want), len(want) + 1):
+            key = (space.factors, cfg.seed, trial, p)
+            oracle._kept_draw.cache_clear()
+            for h in (1, 0, 4, 2, 9, 9, 20, len(want), len(want) + 1, 2):
                 case = (p, space, trial, h)
+                kept = oracle._kept_draw(*key)[0]
                 if gave_up and h > len(want):
                     with pytest.raises(OracleSamplingError):
-                        stream.take(h)
-                    assert stream.rng is None and len(stream.points) == len(stream.spare) == 0, case
+                        sample_points(space, h, cfg, trial)
                     raised += 1
                 elif h <= 20:
-                    pts = stream.take(h)
+                    pts = sample_points(space, h, cfg, trial)
                     assert pts.tolist() == [list(x) for x in want[:h]], case
-                    assert np.array_equal(pts, sample_points(space, h, cfg, trial)), case
+                    assert np.array_equal(pts, oracle._draw(*key, h)), case
+                if h <= len(kept) or gave_up and h > len(want):
+                    assert oracle._kept_draw(*key)[0] is kept, case
     assert raised > 10
 
 
 def test_point_stream_arrays_are_read_only():
-    stream = _PointStream((1, 2), 5, 0, DEFAULT_PRIME)
+    space, cfg, key = Space((1, 2)), OracleConfig(seed=5), ((1, 2), 5, 0, DEFAULT_PRIME)
+    oracle._kept_draw.cache_clear()
+    assert not oracle._kept_draw(*key)[0].flags.writeable
     for h in (0, 3, 7, 2):
-        assert not stream.take(h).flags.writeable
-    # sample_points hands out a copy: writing to it leaves the stream as it was
-    pts = sample_points(Space((1, 2)), 7, OracleConfig(seed=5))
-    kept = oracle._stream((1, 2), 5, 0, DEFAULT_PRIME).take(7)
+        sample_points(space, h, cfg)
+        assert not oracle._kept_draw(*key)[0].flags.writeable
+        assert not oracle._draw(*key, h).flags.writeable
+    # sample_points hands out a copy: writing to it leaves the kept draw as it was
+    pts = sample_points(space, 7, cfg)
+    kept = oracle._kept_draw(*key)[0]
     assert pts.flags.writeable and np.array_equal(pts, kept)
     pts[:] = 0
-    assert np.array_equal(kept, stream.take(7)) and kept.all()
+    assert np.array_equal(kept, oracle._draw(*key, 7)) and kept.all()
     with pytest.raises(ValueError, match=">= 0"):
-        stream.take(-1)
+        sample_points(space, -1, cfg)
 
 
 def test_point_streams_are_keyed_by_space_seed_trial_and_prime():
     # P^3 and P1xP1 have points of the same width, 4 coordinates
-    oracle._stream.cache_clear()
+    def points(factors, seed, trial, p):
+        return sample_points(Space(factors), 5, OracleConfig(PrimeField(p), seed=seed), trial)
+
+    oracle._kept_draw.cache_clear()
     key = ((3,), 5, 0, DEFAULT_PRIME)
-    base = oracle._stream(*key)
-    assert oracle._stream(*key) is base
+    base = oracle._kept_draw(*key)
+    assert oracle._kept_draw(*key) is base
     for other in [((1, 1), 5, 0, DEFAULT_PRIME), ((3,), 6, 0, DEFAULT_PRIME),
                   ((3,), 5, 1, DEFAULT_PRIME), ((3,), 5, 0, SECOND_PRIME)]:
-        stream = oracle._stream(*other)
-        assert stream is not base and stream is oracle._stream(*other), other
-        assert not np.array_equal(stream.take(5), base.take(5)), other
-    info = oracle._stream.cache_info()
+        kept = oracle._kept_draw(*other)
+        assert kept is not base and kept is oracle._kept_draw(*other), other
+        assert not np.array_equal(points(*other), points(*key)), other
+        assert np.array_equal(kept[0], points(*other)) and np.array_equal(base[0], points(*key)), other
+    info = oracle._kept_draw.cache_info()
     assert (info.currsize, info.maxsize) == (5, oracle.STREAMS)
 
 
@@ -524,15 +536,16 @@ def test_trial_charts_match_normalize():
 
 def test_subspace_call_leaves_the_stream_unchanged():
     # a subspace call zeroes coordinates of a copy of the trial's points, so
-    # the pure call after it reads the stream as a fresh one draws it
+    # the pure call after it reads the kept draw as a fresh draw gives it
     sys, plane = make_system([3], [6], [(4, 3), (1, 4)]), LinearSubspace(2, 3)
-    oracle._stream.cache_clear()
+    oracle._kept_draw.cache_clear()
     pure = h0_prefix_oracle(sys, CFG)
-    before = [oracle._stream((3,), CFG.seed, t, DEFAULT_PRIME).take(7).copy() for t in range(2)]
+    before = [sample_points(Space((3,)), 7, CFG, t) for t in range(2)]
     builder = _RowBuilder(sys, DEFAULT_PRIME, _basis((3,), (6,))[:, 3:].any(axis=1))
     for t in range(2):
         _condition_matrix(builder, sys, CFG, t, [], plane)
-        assert np.array_equal(oracle._stream((3,), CFG.seed, t, DEFAULT_PRIME).take(7), before[t]), t
+        kept = oracle._kept_draw((3,), CFG.seed, t, DEFAULT_PRIME)[0]
+        assert np.array_equal(kept, before[t]) and np.array_equal(kept, oracle._draw((3,), CFG.seed, t, DEFAULT_PRIME, 7)), t
     assert h0_oracle(sys, CFG, subspace=plane).h0 == 26 - 4
     assert h0_prefix_oracle(sys, CFG) == pure
 

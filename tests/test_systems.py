@@ -111,6 +111,15 @@ def test_json_round_trip_and_shape():
     assert system_from_json(json.dumps(obj)) == sys
 
 
+MALFORMED_SPECS = [
+    {"space": "33", "degree": [2]},
+    {"space": [3], "degree": 9},
+    {"space": [3], "degree": [4], "points": [{"mult": 2.7}]},
+    {"space": [3], "degree": [4], "points": [{"mult": True}]},
+    {"space": [3.9], "degree": [4]},
+]
+
+
 def test_json_errors():
     with pytest.raises(ValueError):
         system_from_json({"space": [3]})
@@ -118,6 +127,13 @@ def test_json_errors():
         system_from_json({"space": [3], "degree": [2], "points": [{"count": 2}]})
     with pytest.raises(ValueError):
         system_from_json("[1,2]")
+    # space and degree are lists, and every number a JSON integer: a string,
+    # bool or float is not read as one
+    for bad in MALFORMED_SPECS:
+        with pytest.raises(ValueError, match="system spec"):
+            system_from_json(bad)
+    with pytest.raises(ValueError, match="count must be an integer"):
+        system_from_json({"space": [3], "degree": [4], "points": [{"mult": 2, "count": 3.0}]})
 
 
 def test_first_points():
