@@ -21,6 +21,7 @@ import os
 import sys
 from dataclasses import asdict
 from functools import lru_cache
+from pathlib import Path
 
 from . import search, verify
 from .effect_varieties import (
@@ -80,7 +81,7 @@ def _load_system(args: argparse.Namespace) -> LinearSystem:
     if getattr(args, "system", None):
         return _parse_shorthand(args.system)
     if getattr(args, "spec", None):
-        raw = sys.stdin.read() if args.spec == "-" else open(args.spec).read()
+        raw = sys.stdin.read() if args.spec == "-" else Path(args.spec).read_text(encoding="utf-8")
         return system_from_json(raw)
     raise ValueError("provide a system via --spec FILE or --system SHORTHAND")
 

@@ -333,7 +333,8 @@ def rank_mod_p(A: np.ndarray, p: int) -> int:
 def _normalize(X: np.ndarray, factors: tuple[int, ...], p: int) -> np.ndarray:
     """Scale each factor of each row of X, residues mod p, in place so that
     its last nonzero coordinate is 1; return those coordinates' columns, one
-    row per point and one column per factor."""
+    row per point and one column per factor. Line points and a subspace
+    call's zeroed copy come here; sampled points are drawn scaled (_draw)."""
     charts = np.empty((len(X), len(factors)), dtype=np.int64)
     end = 0
     for f, n in enumerate(factors):
@@ -349,38 +350,27 @@ def _normalize(X: np.ndarray, factors: tuple[int, ...], p: int) -> np.ndarray:
 
 
 def _draw(factors: tuple[int, ...], seed: int, trial: int, p: int, h: int) -> np.ndarray:
-    """The first h sampled points of a trial, read-only.
-
-    Coordinates are drawn from 1..p-1 so every chart works, and each factor
-    is scaled so its last one is 1; a candidate equal to an earlier point is
-    redrawn, at most REDRAWS times in a row. The coordinates are those of
-    randrange(1, p) called one after another on one random.Random: each
-    takes 32-bit words until one's top k bits, k the bit length of p - 1,
-    are below p - 1, so the words are drawn in bulk and filtered as an
-    array.
-    """
-    k = (p - 1).bit_length()
-    width = sum(n + 1 for n in factors)
-    words = width * h * 2**k // (p - 1) + 2 * width  # enough on average, then doubled
+    """The first h sampled points of a trial, read-only. Each coordinate is
+    one randrange(1, p) of one random.Random, so every chart works, and each
+    factor is scaled so its last coordinate is 1; a candidate equal to an
+    earlier point is drawn again, at most REDRAWS times in a row."""
     rng = random.Random(f"{seed}:{trial}:{p}:")
-    spare = np.empty(0, dtype=np.int64)  # coordinates drawn past the last candidate
-    points: dict[bytes, None] = {}  # the normalized points, in order
-    redraws = 0
-    while len(points) < h:
-        bits = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
-        bits, words = np.frombuffer(bits, "<u4") >> (32 - k), 2 * words
-        spare = np.concatenate([spare, bits[bits < p - 1] + 1])
-        cand = spare[: len(spare) // width * width].reshape(-1, width)
-        spare = spare[len(cand) * width :]
-        _normalize(cand, factors, p)
-        for key in map(bytes, cand):
-            if key not in points:
-                points[key], redraws = None, 0
-                if len(points) == h:
-                    break
-            elif (redraws := redraws + 1) == REDRAWS:
-                raise OracleSamplingError("could not sample distinct points in general position")
-    return np.frombuffer(b"".join(points), dtype=np.int64).reshape(h, width)
+    points: dict[tuple[int, ...], None] = {}  # in order
+    for _ in range(h):
+        for _ in range(REDRAWS):
+            point: tuple[int, ...] = ()
+            for n in factors:
+                x = [rng.randrange(1, p) for _ in range(n + 1)]
+                inv = pow(x[-1], -1, p)
+                point += tuple(c * inv % p for c in x)
+            if point not in points:
+                break
+        else:
+            raise OracleSamplingError("could not sample distinct points in general position")
+        points[point] = None
+    out = np.array(list(points), dtype=np.int64).reshape(h, sum(n + 1 for n in factors))
+    out.flags.writeable = False
+    return out
 
 
 @lru_cache(maxsize=STREAMS)
@@ -535,7 +525,7 @@ class _RowBuilder:
             values *= powers[:, v, self.E[:, v]]
             values %= p
 
-        nbeta = binom(self.width - self.space.nfactors + m - 1, m - 1)
+        nbeta = point_conditions(m, self.space)
         if out is None:
             out = np.empty((len(X) * nbeta, self.cols), dtype=np.int64)
         block = out.reshape(len(X), nbeta, self.cols)

@@ -425,9 +425,10 @@ def sequential_points(space, h, cfg, trial=0):
 
 
 def test_sample_points_match_the_sequential_stream():
-    # the bulk draw reads the same words as randrange one coordinate at a
-    # time: tiny primes reject words and repeat points (p = 2 has a single
-    # point per factor, p = 3 two on P^1), so they pin the redraw bound too
+    # tiny primes repeat points and give up (p = 2 has a single point per
+    # factor, p = 3 two on P^1); at p = 3 the 32 points of (P^1)^5 pin the
+    # redraw bound from both sides: at seed 198 the last one comes after 63
+    # repeats, and at seed 122 none comes in 64, so a bound of 63 or 65 fails
     spaces = [
         Space((1,)), Space((2,)), Space((3,)), Space((4,)), Space((1, 1)), Space((1, 1, 1)), Space((2, 3)),
     ]
@@ -446,6 +447,16 @@ def test_sample_points_match_the_sequential_stream():
                 else:
                     pts = sample_points(space, h, cfg, trial)
                     assert pts.dtype == np.int64 and pts.tolist() == [list(x) for x in want[:h]], case
+    space = Space((1,) * 5)
+    for seed, gives_up in ((198, False), (122, True)):
+        cfg = OracleConfig(PrimeField(3), seed=seed)
+        want, gave_up = sequential_points(space, 32, cfg)
+        assert gave_up == gives_up and len(want) == 32 - gives_up, seed
+        if gives_up:
+            with pytest.raises(OracleSamplingError):
+                sample_points(space, 32, cfg)
+        else:
+            assert sample_points(space, 32, cfg).tolist() == [list(x) for x in want], seed
     assert raised > 50
 
 
