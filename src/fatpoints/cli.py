@@ -78,9 +78,9 @@ def _parse_shorthand(text: str) -> LinearSystem:
 
 
 def _load_system(args: argparse.Namespace) -> LinearSystem:
-    if getattr(args, "system", None):
+    if args.system is not None:
         return _parse_shorthand(args.system)
-    if getattr(args, "spec", None):
+    if args.spec is not None:
         raw = sys.stdin.read() if args.spec == "-" else Path(args.spec).read_text(encoding="utf-8")
         return system_from_json(raw)
     raise ValueError("provide a system via --spec FILE or --system SHORTHAND")
@@ -98,8 +98,9 @@ def _echo_cfg(cfg: OracleConfig) -> None:
 
 
 def _add_system_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--spec", help="JSON system spec file, or - for stdin")
-    p.add_argument("--system", help="shorthand spec, e.g. P3:d=9:6,4x8")
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--spec", help="JSON system spec file, or - for stdin")
+    group.add_argument("--system", help="shorthand spec, e.g. P3:d=9:6,4x8")
 
 
 def _add_oracle_args(p: argparse.ArgumentParser) -> None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial, prod
+from math import comb
 from typing import Sequence
 
 
@@ -40,13 +40,11 @@ def rising(r: int, z: int) -> int:
     return out
 
 
-def neighbourhood_count(
-    n: int, s: int, d: int, k: int, e: int = 1, c: int = 1, points: Sequence[int] = (), euler: bool = False
-) -> int:
+def neighbourhood_count(n: int, s: int, d: int, k: int, e: int = 1, c: int = 1, points: Sequence[int] = ()) -> int:
     """sum_{j<k} C(n-s-1+j, j) f(d e - c j - sum_{m in points} (m - j)+): the
     conditions that vanishing to order k along Y = P^s, embedded by O(e) with
     N_Y = O(c)^(n-s), costs the degree-d forms of P^n with multiplicity m at
-    the points on Y. f(a) = h0(O_{P^s}(a)), 0 for a < 0, or with euler C(a+s, s).
+    the points on Y. f(a) = h0(O_{P^s}(a)) = C(a+s, s), 0 for a < 0.
 
     I^j/I^(j+1) = Sym^j N*_Y for the ideal I of Y, so h0(O_kY(d)) is at most
     the sum with no points: for the rational normal curve of P^n (s = 1, e = n,
@@ -57,15 +55,16 @@ def neighbourhood_count(
     multiplicity m. At d = m - 1 with no points the sum is the length an m-fold
     point shares with the k-fold Y, the whole point C(m+n-1, n) once k >= m.
     A rational curve C of degree e in P^3 has deg N_C = 4e - 2, so c = 2e - 1
-    with euler gives chi(O_2C(d)) = 3de - 4e + 5, balanced or not.
+    gives chi(O_kC(d)), balanced or not, wherever every term has a >= 0: at
+    k = 2 and d >= 2 that is 3de - 4e + 5.
     """
     if not 0 <= s < n:
         raise ValueError(f"neighbourhood_count: need 0 <= s < n, got s={s}, n={n}")
     out = 0
     for j in range(k):
         a = d * e - c * j - sum(max(m - j, 0) for m in points)
-        if a >= 0 or euler:
-            out += binom(n - s - 1 + j, j) * (prod(range(a + 1, a + s + 1)) // factorial(s))
+        if a >= 0:
+            out += binom(n - s - 1 + j, j) * binom(a + s, s)
     return out
 
 

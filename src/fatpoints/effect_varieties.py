@@ -14,11 +14,13 @@ systems.check_subspace decides whether it fits a system for every reader.
 
 One scan, _scan_alpha, reads alpha from 1 to the most times Y fits in L:
 floor(d/e), and ceil(m/c) over the points on Y, for a divisor; min(d, m on
-Y) for a linear P^s, a line and a hyperplane among them, the divisor bound
-with e = c = 1. On that range a hyperplane's removal count is nu of its
-divisor residual, so both descriptions of a hyperplane, and of a line, give
-one report. The rational normal curve, whose normal bundle O(n+2)^(n-1) is
-balanced, scans alpha on the same range; the P^3 curves are read at alpha = 2.
+Y) for every other class, the divisor bound with e = c = 1, since no nonzero
+form of degree d vanishes to order above d anywhere. On that range a
+hyperplane's removal count is nu of its divisor residual, so both
+descriptions of a hyperplane, and of a line, give one report. The rational
+normal curve's normal bundle O(n+2)^(n-1) is balanced; a P^3 curve's need
+not be, so it takes double points only, where alpha <= 2 and the count is
+chi(O_aC(d)) however N_C splits.
 
 The cohomological (h^1) check follows the three-condition definition, with
 h^2 of the residual asserted zero only where that is actually known: divisors
@@ -185,16 +187,14 @@ def residual_divisor(sys: LinearSystem, Y: Hypersurface, alpha: int) -> LinearSy
     return LinearSystem(sys.space, new_deg, tuple(groups))
 
 
-def _residual_nu(
-    sys: LinearSystem, alpha: int, on: Sequence[int], s: int = 1, e: int = 1, c: int = 1, euler: bool = False
-) -> int:
+def _residual_nu(sys: LinearSystem, alpha: int, on: Sequence[int], s: int = 1, e: int = 1, c: int = 1) -> int:
     """The removal count nu(L - alpha Y) for Y = P^s, or a rational curve
     (s = 1), embedded by O(e) with N_Y = O(c)^(n-s) through points of
     multiplicities ``on``: each m-fold point on Y already imposes the jets of
     normal order j < min(alpha, m) and tangent order < m - j."""
     n, d = sys.space.n, sys.multidegree[0]
     shared = sum(neighbourhood_count(n, s, m - 1, alpha) for m in on)
-    return virtual_dim(sys) - neighbourhood_count(n, s, d, alpha, e, c, euler=euler) + shared
+    return virtual_dim(sys) - neighbourhood_count(n, s, d, alpha, e, c) + shared
 
 
 def p3_rational_curve_chi(d: int, e: int) -> int:
@@ -202,15 +202,16 @@ def p3_rational_curve_chi(d: int, e: int) -> int:
     rational curve in P^3 from degree-d forms: C(d+3,3) - 3de + 4e - 5."""
     if d < 0 or e < 1:
         raise ValueError("need d >= 0 and e >= 1")
-    return binom(d + 3, 3) - neighbourhood_count(3, 1, d, 2, e=e, c=2 * e - 1, euler=True)
+    return binom(d + 3, 3) - 3 * d * e + 4 * e - 5
 
 
-def _curve_data(sys: LinearSystem, Y: EffectVariety) -> tuple[int, list[int]]:
-    """Curve degree and the multiplicities of the base points on it, for a
-    curve class in the space where it lives: the rational normal curve of a
-    P^n through up to n+3 points, a P^3 curve through up to its
-    general-position cap (else 2e) and the line joining two base points, both
-    lines and rational normal curves in a P^n with n >= 2."""
+def _curve_data(sys: LinearSystem, Y: EffectVariety) -> tuple[int, int, list[int]]:
+    """Curve degree e, normal-bundle degree c and the multiplicities of the
+    base points on it, for a curve class in the space where it lives: the
+    rational normal curve of a P^n, c = n + 2, through up to n+3 points; a P^3
+    curve, c = 2e - 1, through up to its general-position cap (else 2e); and
+    the line joining two base points, c = 1. Lines and rational normal curves
+    live in a P^n with n >= 2."""
     mults = list(sys.point_multiplicities())
     if isinstance(Y, RationalNormalCurve):
         if sys.space.nfactors != 1:
@@ -218,11 +219,11 @@ def _curve_data(sys: LinearSystem, Y: EffectVariety) -> tuple[int, list[int]]:
         n = sys.space.n
         if n == 1:
             raise ValueError("rational normal curves need n >= 2")
-        return n, mults[: n + 3]
+        return n, n + 2, mults[: n + 3]
     if isinstance(Y, RationalCurveP3):
         if sys.space.factors != (3,):
             raise NotImplementedError("this curve class lives in P^3")
-        return Y.e, mults[: GENERAL_POSITION_CAP.get(Y.e, 2 * Y.e)]
+        return Y.e, 2 * Y.e - 1, mults[: GENERAL_POSITION_CAP.get(Y.e, 2 * Y.e)]
     if isinstance(Y, Line):
         if sys.space.nfactors != 1:
             raise NotImplementedError("line candidates live in a single P^n")
@@ -231,7 +232,7 @@ def _curve_data(sys: LinearSystem, Y: EffectVariety) -> tuple[int, list[int]]:
         i, j = Y.through_pair
         if max(i, j) >= len(mults):
             raise ValueError(f"line pair {Y.through_pair} references missing points")
-        return 1, [mults[i], mults[j]]
+        return 1, 1, [mults[i], mults[j]]
     raise NotImplementedError(f"unsupported variety class {type(Y).__name__}")
 
 
@@ -250,105 +251,67 @@ def curve_restriction_cohomology(
 # ---------------------------------------------------------------------------
 # alpha-special-effect classification
 
-def _scan_report(
-    sys: LinearSystem,
-    nu_of_alpha: dict[int, int],
-    checks: dict[str, bool],
-    values: dict[str, object],
-    residual_empty: bool = False,
-) -> SevReport:
-    """Shared verdict logic: largest alpha whose removal beats nu(L), the
-    decreasing tail above it, and effectiveness of the residual, which
-    ``residual_empty`` denies whatever its virtual dimension."""
-    nu_sys = virtual_dim(sys)
-    winners = [a for a, nu in nu_of_alpha.items() if nu > nu_sys]
-    alpha_max = max(winners) if winners else 0
-    values["nu_by_alpha"] = dict(sorted(nu_of_alpha.items()))
-    if not winners:
-        checks["special_inequality"] = False
-        return SevReport(False, False, 0, nu_sys, None, checks, values)
-    nu_res = nu_of_alpha[alpha_max]
-    checks["special_inequality"] = True
-    checks["beta_tail_decreases"] = all(
-        nu < nu_res for a, nu in nu_of_alpha.items() if a > alpha_max
-    )
-    checks["residual_nonneg"] = nu_res >= 0 and not residual_empty
-    holds = all(v for k, v in checks.items() if k != "residual_nonneg")
-    is_sev = holds and checks["residual_nonneg"]
-    return SevReport(holds, is_sev, alpha_max, nu_sys, nu_res, checks, values)
-
-
 def _scan_alpha(
     sys: LinearSystem, bound: int, nu: Callable[[int], int], checks: dict[str, bool]
 ) -> SevReport:
     """The one alpha scan: nu(alpha) for alpha = 1..bound, the most times Y
-    fits in sys, judged by _scan_report with the caller's own checks. Below
-    1, L - Y is empty and no alpha is admissible."""
+    fits in sys. The verdict takes the largest alpha whose removal beats
+    nu(L), the decreasing tail above it, the caller's own checks and the
+    effectiveness of the residual. Below 1, L - Y is empty and no alpha is
+    admissible."""
+    nu_sys = virtual_dim(sys)
     values: dict[str, object] = {"alpha_bound": bound}
     checks["alpha_admissible"] = bound >= 1
     if bound < 1:
-        return SevReport(False, False, 0, virtual_dim(sys), None, checks, values)
-    return _scan_report(sys, {a: nu(a) for a in range(1, bound + 1)}, checks, values)
+        return SevReport(False, False, 0, nu_sys, None, checks, values)
+    nu_of_alpha = {a: nu(a) for a in range(1, bound + 1)}
+    values["nu_by_alpha"] = nu_of_alpha
+    winners = [a for a, v in nu_of_alpha.items() if v > nu_sys]
+    checks["special_inequality"] = bool(winners)
+    if not winners:
+        return SevReport(False, False, 0, nu_sys, None, checks, values)
+    alpha_max = max(winners)
+    nu_res = nu_of_alpha[alpha_max]
+    checks["beta_tail_decreases"] = all(v < nu_res for a, v in nu_of_alpha.items() if a > alpha_max)
+    checks["residual_nonneg"] = nu_res >= 0
+    holds = all(v for k, v in checks.items() if k != "residual_nonneg")
+    return SevReport(holds, holds and nu_res >= 0, alpha_max, nu_sys, nu_res, checks, values)
 
 
 def _linear_bound(sys: LinearSystem, on: Sequence[int]) -> int:
-    """The most times a linear P^s through points of multiplicities ``on``
-    fits in sys: min(d, on), the divisor bound read with e = c = 1."""
+    """The most times a linear P^s or a curve through points of
+    multiplicities ``on`` fits in sys: min(d, on), the divisor bound read
+    with e = c = 1. A form of degree d vanishes to order at most d anywhere,
+    so no curve fits more than d times."""
     return min([sys.multidegree[0], *on])
-
-
-def _classify_linear(sys: LinearSystem, s: int, on: Sequence[int], checks: dict[str, bool]) -> SevReport:
-    """A linear P^s through points of multiplicities ``on``, a line or a
-    hyperplane included: alpha runs up to _linear_bound, and each alpha
-    reads the removal count."""
-    return _scan_alpha(sys, _linear_bound(sys, on), lambda a: _residual_nu(sys, a, on, s=s), checks)
-
-
-def _classify_rnc(sys: LinearSystem, Y: RationalNormalCurve) -> SevReport:
-    """The rational normal curve, N = O(n+2)^(n-1) balanced, so its removal
-    count holds at every alpha: scanned up to _linear_bound like a line."""
-    n, on = _curve_data(sys, Y)
-    return _scan_alpha(sys, _linear_bound(sys, on), lambda a: _residual_nu(sys, a, on, e=n, c=n + 2), {})
-
-
-def _classify_p3_curve(sys: LinearSystem, Y: RationalCurveP3) -> SevReport:
-    """A rational curve of P^3 through double points, read at alpha = 2 by
-    its euler characteristic."""
-    e, on = _curve_data(sys, Y)
-    if any(m != 2 for m in sys.point_multiplicities()):
-        raise NotImplementedError("rational curve classification is only known for double-point systems")
-    d, h = sys.multidegree[0], sys.total_points
-    checks = {"curve_through_points": 2 * e >= h}
-    if e in GENERAL_POSITION_CAP:
-        checks["points_general_position"] = len(on) == h
-    values: dict[str, object] = {"chi": p3_rational_curve_chi(d, e)}
-    if e == 1:
-        values["nu_as_multiple_line"] = binom(d + 3, 3) - 1 - neighbourhood_count(3, 1, d, 2)
-    nu_res = _residual_nu(sys, 2, on, e=e, c=2 * e - 1, euler=True)
-    # no nonzero form of degree d <= 1 is singular along a curve: there L - 2C
-    # is empty whatever chi says
-    return _scan_report(sys, {2: nu_res}, checks, values, residual_empty=d < 2)
 
 
 def classify_alpha_sev(sys: LinearSystem, Y: EffectVariety) -> SevReport:
     """Scan the admissible removal multiplicities for Y and report whether it
     has the special-effect property for sys (and is a special-effect variety,
-    i.e. the best residual is also effective). Divisors, linear P^s and the
-    rational normal curve scan alpha up to their bound with _scan_alpha; the
-    P^3 curves read alpha = 2."""
+    i.e. the best residual is also effective). A divisor reads nu of its
+    residual systems; every other class reads the removal count, alpha up to
+    _linear_bound."""
     if isinstance(Y, Hypersurface):
         return _scan_alpha(sys, _alpha_bound(sys, Y), lambda a: virtual_dim(residual_divisor(sys, Y, a)), {})
+    checks: dict[str, bool] = {}
     if isinstance(Y, LinearSubspace):
         check_subspace(sys, Y)
-        on = sys.point_multiplicities()[: Y.through_first]
-        return _classify_linear(sys, Y.s, on, {"points_span": Y.through_first >= Y.s + 1})
-    if isinstance(Y, RationalNormalCurve):
-        return _classify_rnc(sys, Y)
+        s, e, c, on = Y.s, 1, 1, sys.point_multiplicities()[: Y.through_first]
+        checks["points_span"] = Y.through_first >= Y.s + 1
+    else:
+        s = 1
+        e, c, on = _curve_data(sys, Y)
     if isinstance(Y, RationalCurveP3):
-        return _classify_p3_curve(sys, Y)
-    if isinstance(Y, Line):
-        return _classify_linear(sys, 1, _curve_data(sys, Y)[1], {})
-    raise NotImplementedError(f"unsupported variety class {type(Y).__name__}")
+        # the count reads N_C as O(2e-1)^2, but a conic's is O(4) + O(2).
+        # Double points keep alpha <= 2, where every term has degree >= 0 and
+        # the count is chi(O_aC(d)) however N_C splits
+        if any(m != 2 for m in sys.point_multiplicities()):
+            raise NotImplementedError("rational curve classification is only known for double-point systems")
+        checks["curve_through_points"] = 2 * e >= sys.total_points
+        if e in GENERAL_POSITION_CAP:
+            checks["points_general_position"] = len(on) == sys.total_points
+    return _scan_alpha(sys, _linear_bound(sys, on), lambda a: _residual_nu(sys, a, on, s=s, e=e, c=c), checks)
 
 
 # ---------------------------------------------------------------------------
@@ -408,16 +371,13 @@ def classify_configuration(
         for step in steps:
             Y = step.variety
             assert isinstance(Y, Line)
-            pair = (min(Y.through_pair), max(Y.through_pair))
-            if any(pair == prev for prev, _ in seen):
-                raise NotImplementedError("repeated lines in a configuration are not supported")
             # a point shared by two lines must be fat enough to absorb the
             # overlap of the two multiple-line germs
             for prev, prev_alpha in seen:
-                for pt in set(prev) & set(pair):
+                for pt in set(prev) & set(Y.through_pair):
                     absorbed = absorbed and mults[pt] >= step.alpha + prev_alpha - 1
-            seen.append((pair, step.alpha))
-            on = _curve_data(sys, Y)[1]
+            seen.append((Y.through_pair, step.alpha))
+            on = _curve_data(sys, Y)[2]
             admissible = admissible and step.alpha <= _linear_bound(sys, on)
             nus.append(nus[-1] + _residual_nu(sys, step.alpha, on) - nu_sys)
         checks["line_overlaps_absorbed"] = absorbed
@@ -501,7 +461,7 @@ def h1_sev_check(
             h0_res = h0_oracle(sys, oracle_cfg, subspace=Y).h0
         values.update(h0_residual=h0_res, h2_residual=None)
     else:
-        e, mults_on = _curve_data(sys, Y)
+        e, _, mults_on = _curve_data(sys, Y)
         h0_restr, h1_restr = curve_restriction_cohomology(sys, e, mults_on)
         values.update(
             restriction_degree=sys.multidegree[0] * e - sum(mults_on),

@@ -142,7 +142,7 @@ def scan_rational_curves_p3(d_max: int = 4, e_max: int = 4) -> list[ScanRecord]:
     records = []
     for d in range(2, d_max + 1):
         for e in range(1, e_max + 1):
-            cond = neighbourhood_count(3, 1, d, 2, e=e, c=2 * e - 1, euler=True)  # chi(O_2C(d))
+            cond = neighbourhood_count(3, 1, d, 2, e=e, c=2 * e - 1)  # chi(O_2C(d)) at d >= 2
             if binom(d + 3, 3) - 1 - cond < 0:
                 continue
             for h in range(1, 2 * e + 1):

@@ -159,13 +159,20 @@ def virtual_dim(sys: LinearSystem) -> int:
 
 def check_lines(sys: LinearSystem, lines: Sequence[tuple[int, int, int]]) -> None:
     """Reject a line (i, j, alpha) that does not join two distinct base points
-    of sys, given by flattened point indices, or has alpha < 1."""
+    of sys, given by flattened point indices, has alpha < 1, or joins the
+    same two points as an earlier line, in either order and at any alpha:
+    lower_h0 would charge its excess twice."""
     h = sys.total_points
+    seen: set[frozenset[int]] = set()
     for i, j, alpha in lines:
         if i == j or not (0 <= i < h and 0 <= j < h):
             raise ValueError(f"line scheme ({i},{j}) must join two distinct base points")
         if alpha < 1:
             raise ValueError("line multiplicity must be >= 1")
+        pair = frozenset((i, j))
+        if pair in seen:
+            raise ValueError(f"line scheme ({i},{j}) is given twice")
+        seen.add(pair)
 
 
 @dataclass(frozen=True)

@@ -164,6 +164,17 @@ def test_verify_json_format(capsys):
     assert json.loads(out)[0] == {"name": "rising-factorial-identity", "ok": True, "detail": ""}
 
 
+def test_spec_and_system_are_exclusive(capsys):
+    # one system per call: given both, argparse refuses them (exit 2)
+    # instead of reading one and ignoring the other
+    with pytest.raises(SystemExit) as exc:
+        main(["dim", "--system", "P3:d=6:4x3", "--spec", "/nonexistent"])
+    assert exc.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
+    code, out, _ = run(capsys, "dim", "--system", "P3:d=6:4x3")
+    assert code == 0 and json.loads(out)["virtual_dim"] == 23
+
+
 def test_exit_code_input_error(capsys):
     code, _, err = run(capsys, "dim", "--spec", "/nonexistent/file.json")
     assert code == 2 and "input error" in err
@@ -328,22 +339,16 @@ def test_empty_residual_is_a_verdict(capsys):
         "h0_system": 2, "h0_residual": 0, "h0_restriction": 2
     }
     assert all(rep["values"][k] is None for k in ("chi_restriction", "h1_restriction", "h2_residual"))
-    code, out, err = run(
-        capsys, "classify", "--system", "P3:d=0:2x2", "--variety", "curve", "--curve-degree", "1"
-    )
-    rep = json.loads(out)
-    assert code == 1 and not rep["is_sev"], err
-    assert rep["values"]["chi"] == 0 and rep["nu_residual"] == -1
-    assert not rep["checks"]["residual_nonneg"]
-    # a conic: chi(O_2C) = -3 leaves nu_residual 3 above nu(L) = -12, but no
-    # nonzero constant vanishes on C, so L - 2C is still empty
-    code, out, err = run(
-        capsys, "classify", "--system", "P3:d=0:2x3", "--variety", "curve", "--curve-degree", "2"
-    )
-    rep = json.loads(out)
-    assert code == 1 and not rep["is_sev"] and rep["holds_property"], err
-    assert (rep["values"]["chi"], rep["nu_residual"], rep["nu_system"]) == (4, 3, -12)
-    assert not rep["checks"]["residual_nonneg"]
+    # a line and a conic of P^3 in the constants: no nonzero constant vanishes
+    # on a curve, so alpha is bounded by d = 0 and no removal is admissible
+    for e, h in ((1, 2), (2, 3)):
+        code, out, err = run(
+            capsys, "classify", "--system", f"P3:d=0:2x{h}", "--variety", "curve", "--curve-degree", str(e)
+        )
+        rep = json.loads(out)
+        assert code == 1 and not rep["is_sev"] and not rep["holds_property"], err
+        assert not rep["checks"]["alpha_admissible"] and rep["values"]["alpha_bound"] == 0
+        assert rep["nu_residual"] is None and "nu_by_alpha" not in rep["values"]
     # a divisor of the wrong length is still malformed input, empty or not
     for e in ("3", "1"):
         code, out, err = run(capsys, "h1check", "--system", "P1xP1:d=1,1:1x2", "--variety", "hypersurface", "--e", e)

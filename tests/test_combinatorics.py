@@ -179,21 +179,18 @@ def test_neighbourhood_count_is_the_monomial_count():
 
 
 def test_neighbourhood_count_closed_forms():
-    # the double rational normal curve, N_C = O(n+2)^(n-1): (d-1)n^2 + 2 as
-    # an Euler characteristic for d >= 1, and as h0 for d >= 2; at d = 1 the
-    # normal term has no sections, which leaves the n + 1 of O_C(n)
+    # the double rational normal curve, N_C = O(n+2)^(n-1): (d-1)n^2 + 2 for
+    # d >= 2; at d = 1 the normal term has no sections, which leaves the
+    # n + 1 of O_C(n)
     for n in range(2, 8):
         for d in range(1, 12):
-            rnc = neighbourhood_count(n, 1, d, 2, e=n, c=n + 2, euler=True)
-            assert rnc == (d - 1) * n * n + 2, (n, d)
             h0 = neighbourhood_count(n, 1, d, 2, e=n, c=n + 2)
-            assert h0 == (rnc if d >= 2 else n + 1), (n, d)
-    # a rational curve of degree e in P^3: chi = 3de - 4e + 5; the h0 count
-    # differs at d = 1, e >= 3, where de - 2e + 1 < -1
+            assert h0 == ((d - 1) * n * n + 2 if d >= 2 else n + 1), (n, d)
+    # a rational curve of degree e in P^3: chi(O_2C(d)) = 3de - 4e + 5; the
+    # count is chi except at d = 1, e >= 3, where de - 2e + 1 < -1
     for e in range(1, 9):
         for d in range(1, 12):
-            chi = neighbourhood_count(3, 1, d, 2, e=e, c=2 * e - 1, euler=True)
-            assert chi == 3 * d * e - 4 * e + 5, (d, e)
+            chi = 3 * d * e - 4 * e + 5
             assert p3_rational_curve_chi(d, e) == pascal_binom(d + 3, 3) - chi
             h0 = neighbourhood_count(3, 1, d, 2, e=e, c=2 * e - 1)
             assert (h0 == chi) == (d > 1 or e < 3), (d, e)

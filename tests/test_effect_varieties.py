@@ -2,6 +2,7 @@ import pytest
 
 from fatpoints.combinatorics import binom
 from fatpoints.effect_varieties import (
+    GENERAL_POSITION_CAP,
     ConfigStep,
     Hypersurface,
     Line,
@@ -242,6 +243,36 @@ def test_classify_p3_curves():
     assert not rep.holds_property and not rep.checks["points_general_position"]
 
 
+def test_p3_curve_scan_is_the_double_curve_reading():
+    # at double points a P^3 curve scans alpha <= min(d, 2). From d = 2 on,
+    # its verdict is the alpha = 2 reading: nu(L) less chi(O_2C(d)) = 3de -
+    # 4e + 5, plus 4 for each of the first cap points on C. At d <= 1 no
+    # nonzero form is singular along C, so alpha stops at d
+    for d in range(9):
+        for h in range(10):
+            sys = make_system([3], [d], [(2, h)] if h else [])
+            for e in range(1, 6):
+                rep = classify_alpha_sev(sys, RationalCurveP3(e))
+                if d <= 1:
+                    assert rep.values["alpha_bound"] == d and not rep.is_sev, (d, h, e)
+                    continue
+                cap = GENERAL_POSITION_CAP.get(e, 2 * e)
+                nu2 = virtual_dim(sys) - (3 * d * e - 4 * e + 5) + 4 * min(h, cap)
+                special = nu2 > virtual_dim(sys)
+                holds = special and 2 * e >= h and (e not in GENERAL_POSITION_CAP or h <= cap)
+                got = (rep.alpha_max, rep.nu_residual, rep.holds_property, rep.is_sev)
+                assert got == (2 if special else 0, nu2 if special else None, holds, holds and nu2 >= 0), (d, h, e)
+
+
+def test_p3_curves_take_double_points_only():
+    # a conic's normal bundle is O(4) + O(2), not the O(3)^2 the count reads.
+    # At triple points alpha reaches 3, and the count would give nu(L - 3C) =
+    # 1 for the cubics through three triple points, whose certified h0 is 1:
+    # that system is unsupported, not a verdict
+    with pytest.raises(NotImplementedError, match="double-point"):
+        classify_alpha_sev(make_system([3], [3], [(3, 3)]), RationalCurveP3(2))
+
+
 def test_classify_line_matches_subspace_rule():
     sys = make_system([3], [2], [(2, 2)])
     rep = classify_alpha_sev(sys, Line((0, 1)))
@@ -334,8 +365,9 @@ def test_configuration_rejects_mixed_and_empty():
 
 
 def test_configuration_rejects_repeated_line():
+    # a line given twice is malformed input, the one check of systems.check_lines
     steps = [ConfigStep(Line((0, 1)), 2), ConfigStep(Line((1, 0)), 2)]
-    with pytest.raises(NotImplementedError):
+    with pytest.raises(ValueError, match="given twice"):
         classify_configuration(QUARTIC43, steps, CFG)
 
 

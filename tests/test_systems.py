@@ -3,6 +3,7 @@ import json
 import pytest
 
 from fatpoints.combinatorics import binom, neighbourhood_count
+from fatpoints.effect_varieties import ConfigStep, Line, classify_configuration
 from fatpoints.oracle import h0_oracle
 from fatpoints.systems import (
     FatPointGroup,
@@ -234,3 +235,21 @@ def test_bad_lines_raise_in_lower_h0_and_the_oracle():
             lower_h0(sys, (bad,))
         with pytest.raises(ValueError, match="line"):
             h0_oracle(sys, extra_schemes=(bad,))
+
+
+def test_a_line_given_twice_is_rejected():
+    # lower_h0 charges each line's excess once per scheme, so the same line
+    # given twice would lower the bound and leave a certified answer open:
+    # every spelling of the repeat is malformed input, for the bound, the
+    # oracle and a configuration alike
+    sys = make_system([3], [6], [(3, 5)])
+    once = h0_oracle(sys, extra_schemes=((0, 4, 2),))
+    assert once.certified and (once.h0, once.lower, once.trials_used) == (29, 29, 1)
+    for twice in (((0, 4, 2), (4, 0, 2)), ((0, 4, 2), (0, 4, 2)), ((0, 4, 2), (0, 4, 3))):
+        with pytest.raises(ValueError, match="given twice"):
+            lower_h0(sys, twice)
+        with pytest.raises(ValueError, match="given twice"):
+            h0_oracle(sys, extra_schemes=twice)
+        steps = [ConfigStep(Line((i, j)), alpha) for i, j, alpha in twice]
+        with pytest.raises(ValueError, match="given twice"):
+            classify_configuration(sys, steps)
