@@ -22,6 +22,12 @@ normal curve's normal bundle O(n+2)^(n-1) is balanced; a P^3 curve's need
 not be, so it takes double points only, where alpha <= 2 and the count is
 chi(O_aC(d)) however N_C splits.
 
+The base points are general, so a divisor or a P^s must exist through them
+(checks exists_through_points): a divisor when lower_h0 of its own system
+L(e; c at its groups) is at least 1, a P^s, a line included, through at
+most s+1 of them. Without it, Y^alpha (L - alpha Y) need not lie in L, and
+an affirmative verdict would not imply h0(L) >= nu(L - alpha Y) + 1.
+
 The cohomological (h^1) check follows the three-condition definition, with
 h^2 of the residual asserted zero only where that is actually known: divisors
 with effective residual, and smooth rational curves through double points.
@@ -39,6 +45,7 @@ from .systems import (
     LinearSystem,
     Space,
     check_subspace,
+    lower_h0,
     virtual_dim,
 )
 
@@ -132,13 +139,17 @@ class H1Report:
     cond_c: bool  # h1 of the restriction exceeds h2 of the residual
     h2_handled: bool
     values: dict[str, object] = field(default_factory=dict)
+    # Y passes through the general base points it claims; if not, there is no
+    # restriction sequence, and the conditions above are not evaluated
+    exists: bool = True
 
     @property
     def is_h1_sev(self) -> bool:
-        return self.cond_a and self.cond_b and self.cond_c
+        return self.exists and self.cond_a and self.cond_b and self.cond_c
 
     def to_json(self) -> dict:
         return {
+            "exists_through_points": self.exists,
             "cond_a": self.cond_a,
             "cond_b": self.cond_b,
             "cond_c": self.cond_c,
@@ -167,6 +178,15 @@ def _alpha_bound(sys: LinearSystem, Y: Hypersurface, mults: Sequence[int] | None
         [d // e for d, e in zip(sys.multidegree, Y.multidegree) if e > 0]
         + [-(-mults[g] // c) for g, c in Y.point_mults if mults[g] > 0]
     )
+
+
+def _divisor_exists(sys: LinearSystem, Y: Hypersurface) -> bool:
+    """Whether the divisor Y passes through general base points of sys with
+    its multiplicities: lower_h0 of its own system L(e; c at its groups) is
+    at least 1. Exact for c = 1, where simple general points impose
+    independent conditions; sufficient for c >= 2."""
+    groups = tuple(FatPointGroup(c, sys.points[g].count) for g, c in Y.point_mults)
+    return lower_h0(LinearSystem(sys.space, Y.multidegree, groups)) >= 1
 
 
 def residual_divisor(sys: LinearSystem, Y: Hypersurface, alpha: int) -> LinearSystem:
@@ -292,9 +312,11 @@ def classify_alpha_sev(sys: LinearSystem, Y: EffectVariety) -> SevReport:
     i.e. the best residual is also effective). A divisor reads nu of its
     residual systems; every other class reads the removal count, alpha up to
     _linear_bound."""
-    if isinstance(Y, Hypersurface):
-        return _scan_alpha(sys, _alpha_bound(sys, Y), lambda a: virtual_dim(residual_divisor(sys, Y, a)), {})
     checks: dict[str, bool] = {}
+    if isinstance(Y, Hypersurface):
+        bound = _alpha_bound(sys, Y)
+        checks["exists_through_points"] = _divisor_exists(sys, Y)
+        return _scan_alpha(sys, bound, lambda a: virtual_dim(residual_divisor(sys, Y, a)), checks)
     if isinstance(Y, LinearSubspace):
         check_subspace(sys, Y)
         s, e, c, on = Y.s, 1, 1, sys.point_multiplicities()[: Y.through_first]
@@ -302,6 +324,9 @@ def classify_alpha_sev(sys: LinearSystem, Y: EffectVariety) -> SevReport:
     else:
         s = 1
         e, c, on = _curve_data(sys, Y)
+    if isinstance(Y, (LinearSubspace, Line)):
+        # no P^s passes through more than s+1 general points
+        checks["exists_through_points"] = len(on) <= s + 1
     if isinstance(Y, RationalCurveP3):
         # the count reads N_C as O(2e-1)^2, but a conic's is O(4) + O(2).
         # Double points keep alpha <= 2, where every term has degree >= 0 and
@@ -348,10 +373,12 @@ def classify_configuration(
         # even after a step exhausts some multiplicities
         mults = [g.multiplicity for g in sys.points]
         residual = sys
+        exists = True
         for step in steps:
             Y = step.variety
             assert isinstance(Y, Hypersurface)
             admissible = admissible and step.alpha <= _alpha_bound(residual, Y, mults)
+            exists = exists and _divisor_exists(sys, Y)
             deg = tuple(d - step.alpha * e for d, e in zip(residual.multidegree, Y.multidegree))
             if any(d < 0 for d in deg):
                 raise ValueError("degree underflow in configuration step")
@@ -363,6 +390,7 @@ def classify_configuration(
                 tuple(FatPointGroup(m, g.count) for m, g in zip(mults, sys.points) if m >= 1),
             )
             nus.append(virtual_dim(residual))
+        checks["exists_through_points"] = exists
         lines: list[tuple[int, int, int]] = []
     elif kinds <= {Line}:
         seen: list[tuple[tuple[int, int], int]] = []
@@ -426,10 +454,15 @@ def h1_sev_check(
     no sections, (b) the residual is nonempty, (c) h^1 of the restriction
     exceeds h^2 of the residual. h^2 is only asserted where known (effective
     divisor residuals; smooth rational curves through double points);
-    otherwise the report flags it unhandled and leaves (c) unestablished."""
+    otherwise the report flags it unhandled and leaves (c) unestablished.
+    A divisor or a P^s that cannot pass through its general points
+    (_divisor_exists; more than s+1 points) gets a negative report with no
+    oracle call."""
     values: dict[str, object] = {}
     if isinstance(Y, Hypersurface):
         empty = _alpha_bound(sys, Y) < 1
+        if not _divisor_exists(sys, Y):
+            return H1Report(False, False, False, False, exists=False)
         h0_full = h0_oracle(sys, oracle_cfg).h0
         if empty:  # no residual system: no sections, and no chi to take
             h0_res, chi_restr = 0, None
@@ -450,6 +483,8 @@ def h1_sev_check(
         )
     elif isinstance(Y, LinearSubspace):
         check_subspace(sys, Y)
+        if Y.through_first > Y.s + 1:
+            return H1Report(False, False, False, False, exists=False)
         restricted = LinearSystem(Space((Y.s,)), sys.multidegree, sys.first_points(Y.through_first).points)
         rr = h0_oracle(restricted, oracle_cfg)
         h0_restr, h1_restr, handled = rr.h0, rr.h1, False

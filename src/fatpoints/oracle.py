@@ -14,12 +14,19 @@ certified, and `verify` asserts only certified values. Otherwise the minimum
 over independent trials is the generic value with overwhelming probability;
 cross_checked_h0 recomputes such a value at a second prime and seed.
 
-A trial's sampled points depend only on the space, the seed, the trial and
-the prime, and each trial reads the first points of the longest draw kept
-for such a key (_kept_draw). The process keeps up to STREAMS of them, so a
-series, trial or call on one key draws only when it needs more points than
-any before it. A kept draw holds points only: no rank, matrix or answer is
-kept between calls.
+A process keeps, between calls:
+- the kept draws: a trial's sampled points depend only on the space, the
+  seed, the trial and the prime, and each trial reads the first points of
+  the longest draw kept for such a key (_kept_draw), up to STREAMS of them,
+  so a series, trial or call on one key draws only when it needs more
+  points than any before it;
+- the monomial basis of each space and multidegree (_basis);
+- the Taylor tables of each chart and multiplicity (_taylor);
+- the column plans of each system shape: the columns that the frame points
+  and the lines joining them leave, or those off a P^s (_frame_plan,
+  _subspace_plan).
+Their arrays are read-only and depend on no answer: no rank, matrix or
+trial value is kept between calls.
 """
 from __future__ import annotations
 
@@ -273,15 +280,19 @@ def _factor(
         k = len(pivots)
         if k == m - r:
             break
-        nz = Q[c, k:].nonzero()[0]
-        if nz.size == 0:
-            continue
-        if nz[0]:
-            i = k + int(nz[0])
+        col = Q[c]
+        pivot = int(col[k])
+        if not pivot:  # search below only when the diagonal entry is 0
+            nz = col[k + 1 :].nonzero()[0]
+            if nz.size == 0:
+                continue
+            i = k + 1 + int(nz[0])
             A[r + k], A[r + i] = A[r + i].copy(), A[r + k].copy()
             Q[:, k], Q[:, i] = Q[:, i].copy(), Q[:, k].copy()
-        f = Q[c, k + 1 :] * pow(int(Q[c, k]), -1, p) % p
-        Q[c, k + 1 :] = f
+            pivot = int(col[k])
+        f = col[k + 1 :]
+        f *= pow(pivot, -1, p)  # residues below 2^31, so products below 2^62
+        f %= p
         rest = Q[c + 1 :, k + 1 :]
         rest -= Q[c + 1 :, k, None] * f
         rest %= p
@@ -489,6 +500,52 @@ def _taylor(
     return coef, idx
 
 
+@lru_cache(maxsize=None)
+def _frame_plan(
+    factors: tuple[int, ...],
+    multidegree: tuple[int, ...],
+    mults: tuple[int, ...],
+    lines: tuple[LineScheme, ...],
+) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The basis columns left by frame points of multiplicities mults at
+    e_0, e_1, ... and by lines joining two of them, as a read-only mask, and
+    how many the first k frame points leave, k = 0..len(mults), the last
+    count after the lines too: a line call has one cut, of all its points.
+
+    order[i] is each monomial's order at e_i, its degree in the other
+    variables. A point of multiplicity m at e_i imposes exactly the
+    vanishing of the monomials of order below m there: its Taylor rows are
+    their unit rows, each times a product of factorials of exponents
+    <= d < p. Along the line e_i e_j the order is that at e_i plus that at
+    e_j minus the degree, and the rows of a line of multiplicity alpha span
+    the unit rows of those of order below alpha."""
+    E = _basis(factors, multidegree)
+    total = sum(multidegree)
+    starts = accumulate((n + 1 for n in factors[:-1]), initial=0)
+    order = total - sum(E[:, s : s + len(mults)].T for s in starts)
+    keep = np.ones(len(E), dtype=bool)
+    left = [len(E)]
+    for i, m in enumerate(mults):
+        keep &= order[i] >= m
+        left.append(int(np.count_nonzero(keep)))
+    for i, j, alpha in lines:
+        keep &= order[i] + order[j] - total >= alpha
+    left[-1] = int(np.count_nonzero(keep))
+    keep.flags.writeable = False
+    return keep, tuple(left)
+
+
+@lru_cache(maxsize=None)
+def _subspace_plan(
+    factors: tuple[int, ...], multidegree: tuple[int, ...], s: int
+) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The basis columns of the monomials outside x_0..x_s, the forms that
+    vanish on P^s, as a read-only mask, and their count."""
+    keep = _basis(factors, multidegree)[:, s + 1 :].any(axis=1)
+    keep.flags.writeable = False
+    return keep, (int(np.count_nonzero(keep)),)
+
+
 class _RowBuilder:
     """Condition rows of one system mod p, built a batch of points at a time
     on the basis columns that keep marks (all of them by default)."""
@@ -660,7 +717,7 @@ def _oracle_series(
 
     Every trial of a pure or a line call puts its first points at the
     coordinate points, the frame (_trial_points). There each condition is a
-    monomial (see the orders below), so it deletes a column. A cut's rank is
+    monomial (_frame_plan), so it deletes a column. A cut's rank is
     the number of columns that its frame points and the lines joining them
     delete, plus the rank of its other rows, which are built on the columns
     left only: the one column restriction that a subspace call also uses.
@@ -714,39 +771,19 @@ def _oracle_series(
         check_subspace(sys, subspace)
     pure = not extra_schemes and subspace is None
 
-    E = _basis(sys.space.factors, sys.multidegree)
-    mults = sys.point_multiplicities()
+    factors, mults = sys.space.factors, sys.point_multiplicities()
     if subspace is None:
         frame = min(sys.total_points, _frame_size(sys.space))
-        # order[i]: each monomial's order at e_i, its degree in the other
-        # variables. A point of multiplicity m at e_i imposes exactly the
-        # vanishing of the monomials of order below m there: its Taylor rows
-        # are their unit rows, each times a product of factorials of
-        # exponents <= d < p. Along the line e_i e_j the order is that at e_i
-        # plus that at e_j minus the degree, and the rows of a line of
-        # multiplicity alpha span the unit rows of those of order below alpha
-        total = sum(sys.multidegree)
-        starts = accumulate((n + 1 for n in sys.space.factors[:-1]), initial=0)
-        order = total - sum(E[:, s : s + frame].T for s in starts)
-        keep = np.ones(len(E), dtype=bool)
-        left = [len(E)]  # the columns the first k frame points keep, k = 0..frame
-        for i, m in enumerate(mults[:frame]):
-            keep &= order[i] >= m
-            left.append(int(np.count_nonzero(keep)))
-        lines = []  # the lines built as rows, through a sampled point
-        for i, j, alpha in extra_schemes:
-            if max(i, j) < frame:
-                keep &= order[i] + order[j] - total >= alpha
-            else:
-                lines.append((i, j, alpha))
-        left[-1] = int(np.count_nonzero(keep))  # a line call has one cut, of all its points
-        cols, free = len(E), 0
+        on_frame = tuple((i, j, a) for i, j, a in extra_schemes if max(i, j) < frame)
+        # the lines built as rows, through a sampled point
+        lines = [(i, j, a) for i, j, a in extra_schemes if max(i, j) >= frame]
+        keep, left = _frame_plan(factors, sys.multidegree, tuple(mults[:frame]), on_frame)
+        free = 0
     else:
         frame, lines = 0, list(extra_schemes)
-        keep = E[:, subspace.s + 1 :].any(axis=1)
-        cols = int(np.count_nonzero(keep))
-        left = [cols]
+        keep, left = _subspace_plan(factors, sys.multidegree, subspace.s)
         free = sum(binom(m - 1 + subspace.s, subspace.s) for m in mults[: subspace.through_first])
+    cols = left[0]  # every monomial, or every one off the P^s
     builder = _RowBuilder(sys, p, keep)
     prefix = [0]  # the naive conditions of the first h points, one binom per group
     for g in sys.points:
@@ -802,21 +839,15 @@ def _oracle_series(
                 still.append(i)
         pending = still
 
+    if not pure:
+        return [
+            OracleResult(b, None, cols - b, r, cols, None, u, p, cfg.seed, low, b == low)
+            for b, r, u, low in zip(best, rows, used, lower)
+        ]
     return [
-        OracleResult(
-            h0=best[i],
-            h1=conditions[i] - (cols - best[i]) if pure else None,
-            rank=cols - best[i],
-            rows=rows[i],
-            cols=cols,
-            special=(best[i] - 1) > max(monomials - 1 - conditions[i], -1) if pure else None,
-            trials_used=used[i],
-            prime=p,
-            seed=cfg.seed,
-            lower=lower[i],
-            certified=best[i] == lower[i],
-        )
-        for i in range(len(counts))
+        OracleResult(b, c - cols + b, cols - b, r, cols, b - 1 > max(monomials - 1 - c, -1), u, p, cfg.seed,
+                     low, b == low)
+        for b, c, r, u, low in zip(best, conditions, rows, used, lower)
     ]
 
 

@@ -355,6 +355,29 @@ def test_empty_residual_is_a_verdict(capsys):
         assert code == 2 and out == "" and "multidegree length" in err, e
 
 
+def test_varieties_that_miss_general_points_are_refused(capsys):
+    # no line passes through 3 general points of P^2 or of P^3, and no plane
+    # through 6 of P^3: each report fails exists_through_points and exits 1,
+    # and h1check reads no restriction sequence for a plane that is not there
+    for args in (
+        ("classify", "--system", "P2:d=1:1x3", "--variety", "hypersurface", "--e", "1"),
+        ("classify", "--system", "P3:d=1:1x3", "--variety", "linear", "--s", "1", "--through", "3"),
+    ):
+        code, out, err = run(capsys, *args)
+        rep = json.loads(out)
+        assert code == 1 and not rep["is_sev"] and not rep["holds_property"], (args, err)
+        assert rep["checks"]["exists_through_points"] is False, args
+    code, out, err = run(capsys, "h1check", "--system", "P3:d=12:7x6", "--variety", "hypersurface", "--e", "1")
+    rep = json.loads(out)
+    assert code == 1 and not rep["is_h1_sev"] and rep["exists_through_points"] is False, err
+    assert "h0_restriction" not in rep["values"]
+    # through as many points as they can: the check passes
+    code, out, _ = run(capsys, "classify", "--system", "P2:d=2:1x2", "--variety", "hypersurface", "--e", "1")
+    assert json.loads(out)["checks"]["exists_through_points"] is True
+    code, out, _ = run(capsys, "h1check", "--system", "P3:d=6:4x3", "--variety", "hypersurface", "--e", "1")
+    assert json.loads(out)["exists_through_points"] is True
+
+
 def test_line_needs_n_at_least_2(capsys):
     # a line of P^1, like its rational normal curve, is the whole space: an
     # input error at every degree, not a binom failure

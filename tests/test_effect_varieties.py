@@ -16,7 +16,7 @@ from fatpoints.effect_varieties import (
     p3_rational_curve_chi,
     residual_divisor,
 )
-from fatpoints.oracle import OracleConfig, h0_oracle
+from fatpoints.oracle import OracleConfig, h0_oracle, h0_prefix_oracle
 from fatpoints.systems import FatPointGroup, LinearSystem, make_system, virtual_dim
 
 CFG = OracleConfig(trials=2, seed=20259)
@@ -494,3 +494,46 @@ def test_sev_report_json_fields():
         "checks",
         "values",
     }
+
+
+def test_affirmative_verdicts_are_sound():
+    # if Y exists through the points, Y^alpha (L - alpha Y) lies in L, so
+    # is_sev implies h0(L) >= nu(L - alpha Y) + 1. The grid holds divisors
+    # too large to pass through the points and P^s through s+2 of them,
+    # which break it unless exists_through_points refuses them
+    checked = 0
+    for n in (2, 3, 4):
+        for d in range(9):
+            for m in range(1, 7):
+                h0 = None
+                for h in range(1, n + 5):
+                    sys = make_system([n], [d], [(m, h)])
+                    cands = [Hypersurface.through_all(sys, [e], c) for e in range(1, d + 1) for c in (1, 2)]
+                    cands += [LinearSubspace(s, k) for s in range(1, n) for k in range(1, min(h, s + 2) + 1)]
+                    cands += [Line((0, 1))] * (h >= 2) + [RationalNormalCurve()]
+                    cands += [RationalCurveP3(e) for e in (1, 2, 3) if n == 3 and m == 2]
+                    for Y in cands:
+                        rep = classify_alpha_sev(sys, Y)
+                        if not rep.is_sev:
+                            continue
+                        if h0 is None:  # one prefix series per (n, d, m)
+                            h0 = [r.h0 for r in h0_prefix_oracle(make_system([n], [d], [(m, n + 4)]), CFG)]
+                        assert h0[h] >= rep.nu_residual + 1, (n, d, m, h, Y)
+                        checked += 1
+    assert checked == 297
+
+
+def test_configuration_steps_must_exist():
+    # the plane through 4 general triple points of P^3, removed twice, raises
+    # nu from -6 to 5 and leaves a nonempty residual, but no plane passes
+    # through 4 general points; the quadric through them exists
+    sys = make_system([3], [4], [(3, 4)])
+    plane = Hypersurface.through_all(sys, [1])
+    rep = classify_configuration(sys, [ConfigStep(plane, 1), ConfigStep(plane, 1)], CFG)
+    assert rep.values["nu_steps"] == [-6, 3, 5] and rep.checks["oracle_h0_positive"]
+    assert rep.checks["exists_through_points"] is False and not rep.is_sev and not rep.holds_property
+    quadric = Hypersurface.through_all(sys, [2])
+    assert classify_configuration(sys, [ConfigStep(quadric, 1)], CFG).checks["exists_through_points"] is True
+    # a line through 3 general points of P^3: h1check refuses it as classify does
+    rep = h1_sev_check(make_system([3], [2], [(1, 3)]), LinearSubspace(1, 3), CFG)
+    assert not rep.exists and not rep.is_h1_sev and rep.values == {}

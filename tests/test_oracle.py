@@ -22,11 +22,13 @@ from fatpoints.oracle import (
     _RowBuilder,
     _basis,
     _condition_matrix,
+    _frame_plan,
     _halves,
     _join_inverses,
     _normalize,
     _pivot_columns,
     _sub_mulmod,
+    _subspace_plan,
     _unit_lower_inverse,
     cross_checked_h0,
     h0_oracle,
@@ -40,20 +42,24 @@ from fatpoints.systems import LinearSubspace, Space, dim_report, lower_h0, make_
 CFG = OracleConfig(trials=2, seed=4242)
 
 
-def slow_pivot_columns(rows, p):
-    """Independent elimination in plain Python lists, one column at a time
-    and one row at a time. It reduces the columns in order, so its rank
-    after column c is the rank of the first c + 1 columns: the columns where
-    the rank grows are the column rank profile."""
+def slow_eliminate(rows, stop, p):
+    """Independent elimination of the first stop columns in plain Python
+    lists, one column at a time and one row at a time, the first nonzero
+    row at or below the rank swapped up as pivot. It reduces the columns in
+    order, so its rank after column c is the rank of the first c + 1
+    columns: the columns where the rank grows are the column rank profile.
+    Returns them, the rows, whose entries right of column c are those of the
+    eliminated matrix (below the pivot rows right of stop, the Schur
+    complement), and how many pivots took a row swap."""
     rows = [[int(x) % p for x in row] for row in rows]
-    rank = 0
+    rank = swaps = 0
     pivots = []
-    ncols = len(rows[0]) if rows else 0
-    for c in range(ncols):
+    for c in range(stop):
         piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
         if piv is None:
             continue
         pivots.append(c)
+        swaps += piv != rank
         rows[rank], rows[piv] = rows[piv], rows[rank]
         top = rows[rank][c:]
         inv = pow(top[0], -1, p)
@@ -63,7 +69,11 @@ def slow_pivot_columns(rows, p):
                 f = row[c] * inv % p
                 row[c:] = [(x - f * y) % p for x, y in zip(row[c:], top)]
         rank += 1
-    return pivots
+    return pivots, rows, swaps
+
+
+def slow_pivot_columns(rows, p):
+    return slow_eliminate(rows, len(rows[0]) if rows else 0, p)[0]
 
 
 def slow_rank_mod_p(rows, p):
@@ -268,6 +278,28 @@ def test_eliminate_stops_with_the_schur_complement_below(monkeypatch):
 
 
 ENGINE_PRIMES = (2, 65521, 65537, SECOND_PRIME, DEFAULT_PRIME)
+
+
+def test_eliminate_swaps_at_most_pivots():
+    # echelon rows, row i led by column i, rotated up by one above dense
+    # rows: at column c the diagonal entry, of echelon row c + 1, is 0 and
+    # the pivot is echelon row c, last of them, so every step but the last
+    # swaps two rows that lie far apart. The pivots, and everything right of
+    # stop, the Schur complement below the pivot rows included, are those of
+    # the plain-list elimination; the first panel of the 100-row matrix is
+    # factored in halves
+    rng = random.Random(31)
+    for p in ENGINE_PRIMES:
+        for n, dense, extra in [(12, 3, 4), (90, 10, 7)]:
+            echelon = [
+                [0] * i + [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(n - i - 1)] for i in range(n)
+            ]
+            rows = echelon[1:] + echelon[:1] + [[rng.randrange(p) for _ in range(n)] for _ in range(dense)]
+            A = np.hstack([np.array(rows, dtype=np.int64), _product_mod(rng, n + dense, 3, extra, p)])
+            pivots, want, swaps = slow_eliminate(A.tolist(), n, p)
+            assert swaps == n - 1, (p, n, swaps)
+            assert oracle._eliminate(A, n, p) == pivots == list(range(n)), (p, n)
+            assert A[:, n:].tolist() == [row[n:] for row in want], (p, n)
 
 
 def test_exact_product_at_the_bound():
@@ -675,6 +707,32 @@ def test_frame_conditions_delete_columns():
         assert (res.h0, res.lower, res.trials_used) == (builder.cols - drop.sum(), res.h0, 1), case
         if max(mults) > sum(degree):
             assert drop.all(), case
+
+
+def test_frame_plan_closed_form():
+    # on P^n, m_i + m_j <= d + 1 makes the columns that the frame points
+    # delete disjoint, each point those of its C(m - 1 + n, n) monomials of
+    # order below m: left[k] = C(n + d, n) - sum of these over i < k, which
+    # is also the h0 of every frame-only cut, found with no trial matrix
+    for n in (1, 2, 3, 4):
+        for d in range(7):
+            for a in range(1, d + 2):
+                b = min(d + 1 - a, (d + 1) // 2)  # a + b <= d + 1 and 2b <= d + 1
+                mults = (a, *[b] * n) if b else (a,)
+                keep, left = _frame_plan((n,), (d,), mults, ())
+                want = [binom(n + d, n) - sum(binom(m - 1 + n, n) for m in mults[:k]) for k in range(len(mults) + 1)]
+                assert left == tuple(want) and keep.sum() == want[-1], (n, d, mults)
+                assert not keep.flags.writeable
+                with pytest.raises(ValueError):
+                    keep[0] = not keep[0]
+                sys = make_system([n], [d], [(m, 1) for m in mults])
+                got = [(r.h0, r.certified, r.trials_used) for r in h0_prefix_oracle(sys, CFG)]
+                assert got == [(h0, True, 1) for h0 in want], (n, d, mults)
+    # the plan is computed once per shape, and so is a subspace call's
+    assert _frame_plan((3,), (6,), (3, 3), ((0, 1, 3),)) is _frame_plan((3,), (6,), (3, 3), ((0, 1, 3),))
+    keep, (cols,) = _subspace_plan((3,), (6,), 2)
+    assert _subspace_plan((3,), (6,), 2)[0] is keep and not keep.flags.writeable
+    assert cols == binom(9, 3) - binom(8, 2)  # the sextics not in x_0..x_2 alone
 
 
 def _value_row(sys, point, p=DEFAULT_PRIME):
